@@ -1,10 +1,9 @@
 """Balanced orthogonal codebooks, hash function training, and bit-packed
 Hamming retrieval."""
 
-from .codebook import (Codebook, ProjectionMatrix, TargetCode, build_codebook,
-                       load_codebook, make_target, project_and_sign,
-                       sample_projection, save_codebook, select_order,
-                       sylvester, target_batch)
+from .codebook import (Codebook, ProjectionMatrix, build_codebook,
+                       hadamard_transform, load_codebook, sample_projection,
+                       save_codebook, select_order, sylvester, target_batch)
 from .data import (FeatureSet, LabelSet, Split, load_features, load_labels,
                    load_split, make_synthetic_blobs, save_features,
                    save_labels, save_split, split_protocol, standardize)
@@ -13,9 +12,8 @@ from .model import (DenseLayer, GradientSet, HashNetwork, LossBreakdown,
                     cross_entropy_loss, forward, hadamard_loss, load_network,
                     save_network, sgd_step)
 from .retrieval import (BinaryCodeSet, EvalReport, RankedList, binarize,
-                        evaluate, hamming_distances, load_codes, lsh_codes,
-                        pack_codes, relevance, save_codes, search,
-                        unpack_codes)
+                        evaluate, load_codes, lsh_codes, pack_codes,
+                        save_codes, search, unpack_codes)
 from .trainer import (NumericError, TrainConfig, TrainHistory, learning_rate,
                       resume, train)
 from .analysis import (ablate, activation_histogram, bit_balance,

@@ -4,7 +4,8 @@ Every subcommand validates its inputs before writing anything, logs to
 stderr only, and is byte-idempotent for identical flags and inputs (the
 wall-clock column of training histories is the one documented exception).
 
-Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numeric failure.
+Exit codes: 0 success, 2 validation error or out of memory, 3 I/O error,
+4 numeric failure.
 """
 
 import argparse
@@ -47,13 +48,10 @@ def _load_split_subset(split_path, subset: str):
 def cmd_codebook(args) -> int:
     book = cb.build_codebook(args.bits, args.classes, args.seed)
     cb.save_codebook(book, args.out)
-    gram = analysis.codebook_gram(book)
-    off_diag = np.abs(gram[~np.eye(book.num_classes, dtype=bool)])
     sums = book.codewords.astype(np.int64).sum(axis=1)
     _log(f"codebook: C={book.num_classes} K={book.code_bits} "
          f"order={cb.select_order(args.bits, args.classes)} "
-         f"provenance={book.provenance}")
-    _log(f"max |off-diagonal gram| = {off_diag.max() if off_diag.size else 0.0:.6f}, "
+         f"provenance={book.provenance}, "
          f"max |codeword sum| = {np.abs(sums).max()}")
     _log(f"wrote {args.out}")
     return 0
@@ -135,8 +133,11 @@ def cmd_encode(args) -> int:
         indices, split = _load_split_subset(args.split, args.subset)
     u = _activations(net, features, indices)
     if args.mean_centered:
-        reference_indices = split.database if split is not None else None
-        reference = _activations(net, features, reference_indices)
+        # Per-bit means come from the database rows, which are the encoded
+        # rows themselves without a split or with --subset database.
+        reference = u
+        if split is not None and args.subset != "database":
+            reference = _activations(net, features, split.database)
         codes = retrieval.binarize(u, mode="mean_centered_sign",
                                    reference_means=reference.mean(axis=0))
     else:
@@ -510,6 +511,9 @@ def main(argv=None) -> int:
     except trainer.NumericError as err:
         _log(f"error: {err}")
         return 4
+    except MemoryError as err:
+        _log(f"error: out of memory: {err}")
+        return 2
 
 
 if __name__ == "__main__":

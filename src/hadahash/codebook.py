@@ -1,11 +1,15 @@
 """Orthogonal, balanced class codebooks built from Hadamard matrices.
 
-The direct path picks class codewords straight from the columns of a
-Sylvester-constructed Hadamard matrix, which makes distinct codewords
-exactly orthogonal and every codeword exactly zero-sum. When the required
-matrix order exceeds the code length, a random Gaussian projection followed
-by sign thresholding brings the codewords down to length K at a small cost
-in exactness.
+Every codeword is the sign of one row of H @ P, where H is the Sylvester
+Hadamard matrix of the selected order and P maps that order down to the
+code length K. When the order equals K, P is the identity, so codewords are
+distinct rows (equivalently columns) of H: exactly orthogonal and exactly
+zero-sum. Otherwise P is a seeded Gaussian projection and sign thresholding
+keeps the codewords nearly orthogonal at a small cost in exactness.
+
+H @ P is computed by the fast Walsh-Hadamard transform, log2(order)
+butterfly passes over an order x K array, so H itself is never built;
+`sylvester` is the dense reference the transform is checked against.
 """
 
 from dataclasses import dataclass
@@ -86,17 +90,25 @@ def sample_projection(order: int, code_bits: int, seed: int) -> ProjectionMatrix
     return ProjectionMatrix(values=values, seed=seed)
 
 
-def project_and_sign(hadamard: np.ndarray, projection: ProjectionMatrix) -> np.ndarray:
-    """Sign of the dense product hadamard @ projection, with sign(0) = +1.
+def hadamard_transform(values: np.ndarray) -> np.ndarray:
+    """H @ values for the Sylvester matrix H of order values.shape[0].
 
-    Returns an order x code_bits matrix of int8 entries in {-1, +1}.
+    Runs log2(order) butterfly passes (a, b) -> (a + b, a - b) over a
+    float64 copy of `values`, so H is never materialised.
     """
-    if hadamard.shape[0] != projection.rows:
+    out = np.array(values, dtype=np.float64, order="C")
+    order = out.shape[0]
+    if order < 1 or order & (order - 1) != 0:
         raise ValueError(
-            f"dimension mismatch: matrix order {hadamard.shape[0]} "
-            f"vs projection rows {projection.rows}")
-    product = hadamard.astype(np.float64) @ projection.values
-    return np.where(product >= 0.0, 1, -1).astype(np.int8)
+            f"row count must be a positive power of two, got {order}")
+    half = 1
+    while half < order:
+        pairs = out.reshape(order // (2 * half), 2, half, -1)
+        top = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        np.subtract(top, pairs[:, 1], out=pairs[:, 1])
+        half *= 2
+    return out
 
 
 @dataclass(frozen=True)
@@ -116,17 +128,14 @@ class Codebook:
     def code_bits(self) -> int:
         return self.codewords.shape[1]
 
-    def codeword(self, class_index: int) -> np.ndarray:
-        return self.codewords[class_index]
-
 
 def build_codebook(code_bits: int, num_classes: int, seed: int) -> Codebook:
     """Generate the class codebook for a given code length and class count.
 
     When the selected matrix order equals the code length, codewords are
-    distinct columns of the Hadamard matrix (excluding column 0), so they
-    are exactly orthogonal and zero-sum. Otherwise codewords are distinct
-    rows of the sign-thresholded Gaussian projection (excluding row 0).
+    distinct rows of the Hadamard matrix (excluding row 0), so they are
+    exactly orthogonal and zero-sum. Otherwise codewords are distinct rows
+    of the sign-thresholded Gaussian projection (excluding row 0).
     Selection is uniform without replacement from the seeded generator.
     """
     if code_bits < 2:
@@ -138,53 +147,27 @@ def build_codebook(code_bits: int, num_classes: int, seed: int) -> Codebook:
 
     order = select_order(code_bits, num_classes)
     rng = make_rng(seed)
-    hadamard = sylvester(order)
     if order == code_bits:
-        pool = hadamard.T.copy()  # row i of the pool is column i of H
+        projection = np.eye(code_bits)
         provenance = "direct"
     else:
-        projection = sample_projection(order, code_bits, seed)
-        pool = project_and_sign(hadamard, projection)
+        projection = sample_projection(order, code_bits, seed).values
         provenance = "projected"
 
     indices = rng.choice(np.arange(1, order), size=num_classes, replace=False)
-    codewords = pool[indices].astype(np.int8)
+    pool = hadamard_transform(projection)
+    codewords = np.where(pool[indices] >= 0.0, 1, -1).astype(np.int8)
     return Codebook(codewords=codewords, provenance=provenance, seed=seed,
                     selected_indices=indices)
-
-
-@dataclass(frozen=True)
-class TargetCode:
-    """Per-sample regression target with ambiguous bits masked out."""
-
-    values: np.ndarray  # (K,) int8 in {-1, 0, +1}
-    mask: np.ndarray    # (K,) bool, False exactly where values == 0
-
-
-def make_target(codebook: Codebook, label_row: np.ndarray) -> TargetCode:
-    """Target code for one label vector.
-
-    A single positive label yields that class's codeword with a full mask.
-    With several positives the target is the element-wise sign of the
-    codeword sum; bits whose sum cancels to zero are masked out.
-    """
-    y = np.asarray(label_row)
-    if y.shape != (codebook.num_classes,):
-        raise ValueError(
-            f"label row has shape {y.shape}, expected ({codebook.num_classes},)")
-    positives = np.flatnonzero(y)
-    if positives.size == 0:
-        raise ValueError("label row has no positive entry")
-    summed = codebook.codewords[positives].astype(np.int64).sum(axis=0)
-    values = np.sign(summed).astype(np.int8)
-    mask = summed != 0
-    return TargetCode(values=values, mask=mask)
 
 
 def target_batch(codebook: Codebook, labels: np.ndarray):
     """Vectorized targets for a whole label matrix.
 
-    Returns (values, mask) with shapes (N, K) float64 and (N, K) bool.
+    Each row is the element-wise sign of the codeword sum over its positive
+    classes; bits whose sum cancels to zero are masked out, so a single
+    label gives its class's codeword with a full mask. Returns (values,
+    mask) with shapes (N, K) float64 and (N, K) bool.
     """
     y = np.asarray(labels, dtype=np.int64)
     if y.ndim != 2 or y.shape[1] != codebook.num_classes:

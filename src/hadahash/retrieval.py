@@ -102,17 +102,6 @@ def _distances_to(query_words: np.ndarray, database_words: np.ndarray) -> np.nda
     return np.bitwise_count(xor).sum(axis=1, dtype=np.uint32)
 
 
-def hamming_distances(a: BinaryCodeSet, b: BinaryCodeSet) -> np.ndarray:
-    """Pairwise Hamming distance matrix of shape (a.N, b.N)."""
-    if a.code_bits != b.code_bits:
-        raise ValueError(
-            f"code length mismatch: {a.code_bits} vs {b.code_bits}")
-    out = np.empty((a.num_items, b.num_items), dtype=np.uint32)
-    for i in range(a.num_items):
-        out[i] = _distances_to(a.words[i], b.words)
-    return out
-
-
 @dataclass(frozen=True)
 class RankedList:
     """Database positions ordered by (distance ascending, index ascending)."""
@@ -158,12 +147,6 @@ def search(queries: BinaryCodeSet, database: BinaryCodeSet,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run, range(queries.num_items)))
     return [run(i) for i in range(queries.num_items)]
-
-
-def relevance(query_labels: np.ndarray, db_labels: np.ndarray) -> bool:
-    """True when the two label rows share at least one class."""
-    return int(np.asarray(query_labels, dtype=np.int64)
-               @ np.asarray(db_labels, dtype=np.int64)) >= 1
 
 
 def _relevant_mask(query_row: np.ndarray, db_labels: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadahash.codebook import (build_codebook, load_codebook, make_target,
-                               project_and_sign, sample_projection,
+from hadahash.codebook import (build_codebook, hadamard_transform,
+                               load_codebook, sample_projection,
                                save_codebook, select_order, sylvester,
                                target_batch)
 from hadahash.io import BadMagicError, BadVersionError, TruncatedFileError
@@ -118,54 +118,77 @@ def _rows_to_matrix(rows):
                     dtype=np.int8)
 
 
+def _sign(values):
+    return np.where(values >= 0, 1, -1).astype(np.int8)
+
+
+class TestHadamardTransform:
+    @pytest.mark.parametrize("order", [1, 2, 4, 8, 64, 512])
+    def test_matches_dense_product(self, order):
+        values = np.random.default_rng(order).normal(size=(order, 5))
+        assert np.allclose(hadamard_transform(values), sylvester(order) @ values)
+
+    def test_identity_gives_exact_sylvester(self):
+        for order in (1, 2, 16, 256):
+            assert np.array_equal(hadamard_transform(np.eye(order)), sylvester(order))
+
+    def test_vector_and_column_major_input(self):
+        values = np.random.default_rng(0).normal(size=(32, 3))
+        expected = sylvester(32) @ values
+        assert np.allclose(hadamard_transform(values[:, 1]), expected[:, 1])
+        assert np.allclose(hadamard_transform(np.asfortranarray(values)), expected)
+
+    def test_leaves_input_unchanged(self):
+        values = np.arange(16.0).reshape(8, 2)
+        before = values.copy()
+        hadamard_transform(values)
+        assert np.array_equal(values, before)
+
+
 class TestProjectAndSign:
+    """sign(H @ P) through hadamard_transform, the projected codebook pool."""
+
     def test_orthogonal_pick_recovers_row_truncation(self):
         # (1/order) * H^T @ H is the identity, so its first K columns as the
         # projection reproduce the first-K truncation of every row of H.
-        from hadahash.codebook import ProjectionMatrix
         order, k = 16, 8
         h = sylvester(order)
-        t = ProjectionMatrix(values=(h.T @ h)[:, :k] / order, seed=0)
-        result = project_and_sign(h, t)
+        result = _sign(hadamard_transform((h.T @ h)[:, :k] / order))
         assert np.array_equal(result, h[:, :k])
 
     def test_entries_are_signs(self):
-        h = sylvester(32)
         t = sample_projection(32, 16, seed=11)
-        result = project_and_sign(h, t)
+        result = _sign(hadamard_transform(t.values))
         assert set(np.unique(result)) <= {-1, 1}
 
     def test_golden_matrix(self):
-        h = sylvester(16)
         t = sample_projection(16, 8, seed=3)
-        assert np.array_equal(project_and_sign(h, t), _rows_to_matrix(GOLDEN_16_8_SEED3))
+        assert np.array_equal(_sign(hadamard_transform(t.values)),
+                              _rows_to_matrix(GOLDEN_16_8_SEED3))
 
     def test_matches_independent_dense_product(self):
         # Oracle reduces over the inner axis with explicit broadcasting,
-        # a different accumulation path than the matmul in the library.
-        from hadahash.codebook import ProjectionMatrix
+        # a different accumulation path than the butterflies in the library.
         rng = np.random.default_rng(42)
         for order, k in ((4, 2), (64, 16), (256, 256)):
             h = sylvester(order)
             values = rng.normal(size=(order, k))
-            t = ProjectionMatrix(values=values, seed=0)
             oracle = np.add.reduce(h[:, :, None] * values[None, :, :], axis=1)
-            expected = np.where(oracle >= 0, 1, -1)
-            assert np.array_equal(project_and_sign(h, t), expected)
+            assert np.array_equal(_sign(hadamard_transform(values)), _sign(oracle))
 
     def test_spot_check_pure_python_sums(self):
-        h = sylvester(16)
         t = sample_projection(16, 8, seed=3)
-        result = project_and_sign(h, t)
+        result = _sign(hadamard_transform(t.values))
         for i, j in ((0, 0), (7, 3), (15, 7)):
-            total = sum(int(h[i, l]) * float(t.values[l, j]) for l in range(16))
+            # H[i, l] = (-1)^popcount(i & l) for the Sylvester construction
+            total = sum((-1) ** bin(i & l).count("1") * float(t.values[l, j])
+                        for l in range(16))
             assert result[i, j] == (1 if total >= 0 else -1)
 
     def test_rejects_dimension_mismatch(self):
-        h = sylvester(16)
-        t = sample_projection(32, 8, seed=0)
-        with pytest.raises(ValueError, match="mismatch"):
-            project_and_sign(h, t)
+        for rows in (0, 3, 12, 20):
+            with pytest.raises(ValueError, match="power of two"):
+                hadamard_transform(np.ones((rows, 8)))
 
 
 class TestBuildCodebook:
@@ -203,8 +226,26 @@ class TestBuildCodebook:
     def test_projected_path_composes_published_operations(self):
         book = build_codebook(48, 100, seed=5)
         order = select_order(48, 100)
-        pool = project_and_sign(sylvester(order), sample_projection(order, 48, seed=5))
+        pool = _sign(sylvester(order) @ sample_projection(order, 48, seed=5).values)
         assert np.array_equal(book.codewords, pool[book.selected_indices])
+
+    @pytest.mark.parametrize("order", [2 ** i for i in range(1, 13)])
+    def test_matches_dense_reference(self, order):
+        # Direct: K = order, codewords are rows of H^T. Projected (order >= 4):
+        # K < order, codewords are rows of sign(H @ P).
+        h = sylvester(order)
+        k_projected = max(2, min(64, order // 2))
+        for seed in range(3):
+            book = build_codebook(order, order - 1, seed)
+            assert book.provenance == "direct"
+            assert np.array_equal(book.codewords, h.T[book.selected_indices])
+            if order < 4:
+                continue
+            book = build_codebook(k_projected, order - 1, seed)
+            assert book.provenance == "projected"
+            p = sample_projection(order, k_projected, seed).values
+            assert np.array_equal(book.codewords,
+                                  _sign(h @ p)[book.selected_indices])
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -215,64 +256,71 @@ class TestBuildCodebook:
             build_codebook(16, 10, seed=-1)
 
 
+def _target_row(book, positives):
+    """Target values and mask of one label row, read from target_batch."""
+    y = np.zeros((1, book.num_classes), dtype=np.uint8)
+    y[0, positives] = 1
+    values, mask = target_batch(book, y)
+    return values[0], mask[0]
+
+
 class TestMakeTarget:
     def test_single_label_is_codeword_lookup(self):
         book = build_codebook(16, 10, seed=1)
         for c in range(10):
-            y = np.zeros(10, dtype=np.uint8)
-            y[c] = 1
-            target = make_target(book, y)
-            assert np.array_equal(target.values, book.codeword(c))
-            assert target.mask.all()
+            values, mask = _target_row(book, [c])
+            assert np.array_equal(values, book.codewords[c])
+            assert mask.all()
 
     def test_agreeing_bits_keep_shared_sign(self):
         book = build_codebook(16, 10, seed=1)
-        y = np.zeros(10, dtype=np.uint8)
-        y[[2, 5]] = 1
-        target = make_target(book, y)
-        agree = book.codeword(2) == book.codeword(5)
-        assert np.array_equal(target.values[agree], book.codeword(2)[agree])
-        assert target.mask[agree].all()
+        values, mask = _target_row(book, [2, 5])
+        agree = book.codewords[2] == book.codewords[5]
+        assert np.array_equal(values[agree], book.codewords[2][agree])
+        assert mask[agree].all()
 
     def test_disagreeing_bits_are_masked_out(self):
         book = build_codebook(16, 10, seed=1)
-        y = np.zeros(10, dtype=np.uint8)
-        y[[2, 5]] = 1
-        target = make_target(book, y)
-        disagree = book.codeword(2) != book.codeword(5)
-        assert np.all(target.values[disagree] == 0)
-        assert not target.mask[disagree].any()
+        values, mask = _target_row(book, [2, 5])
+        disagree = book.codewords[2] != book.codewords[5]
+        assert np.all(values[disagree] == 0)
+        assert not mask[disagree].any()
 
     def test_mask_iff_nonzero(self):
         book = build_codebook(16, 10, seed=3)
-        y = np.array([1, 0, 1, 1, 0, 0, 1, 0, 0, 0], dtype=np.uint8)
-        target = make_target(book, y)
-        assert np.array_equal(target.mask, target.values != 0)
+        values, mask = _target_row(book, [0, 2, 3, 6])
+        assert np.array_equal(mask, values != 0)
 
     def test_rejects_all_zero_labels(self):
         book = build_codebook(16, 10, seed=1)
-        with pytest.raises(ValueError, match="no positive"):
-            make_target(book, np.zeros(10, dtype=np.uint8))
+        labels = np.eye(10, dtype=np.uint8)[:3]
+        labels[1] = 0
+        with pytest.raises(ValueError, match="at least one positive"):
+            target_batch(book, labels)
 
     @given(st.integers(min_value=0, max_value=9))
     @settings(max_examples=20, deadline=None)
     def test_single_label_lookup_property(self, class_index):
         book = build_codebook(32, 10, seed=7)
-        y = np.zeros(10, dtype=np.uint8)
-        y[class_index] = 1
-        target = make_target(book, y)
-        assert np.array_equal(target.values, book.codeword(class_index))
+        values, _ = _target_row(book, [class_index])
+        assert np.array_equal(values, book.codewords[class_index])
 
     def test_batch_matches_per_row(self):
+        # Each row of a batch equals that row alone and the sign of its
+        # codeword sum, masked where the sum cancels.
         book = build_codebook(16, 6, seed=2)
         rng = np.random.default_rng(0)
         labels = (rng.random((20, 6)) < 0.4).astype(np.uint8)
         labels[labels.sum(axis=1) == 0, 0] = 1
         values, mask = target_batch(book, labels)
         for i in range(20):
-            target = make_target(book, labels[i])
-            assert np.array_equal(values[i], target.values.astype(np.float64))
-            assert np.array_equal(mask[i], target.mask)
+            positives = np.flatnonzero(labels[i])
+            row_values, row_mask = _target_row(book, positives)
+            assert np.array_equal(values[i], row_values)
+            assert np.array_equal(mask[i], row_mask)
+            summed = sum(book.codewords[c].astype(np.int64) for c in positives)
+            assert np.array_equal(values[i], np.sign(summed))
+            assert np.array_equal(mask[i], summed != 0)
 
 
 class TestCodebookFile:
