@@ -4,9 +4,10 @@ Hamming retrieval."""
 from .codebook import (Codebook, ProjectionMatrix, build_codebook,
                        hadamard_transform, load_codebook, sample_projection,
                        save_codebook, select_order, sylvester, target_batch)
-from .data import (FeatureSet, LabelSet, Split, load_features, load_labels,
-                   load_split, make_synthetic_blobs, save_features,
-                   save_labels, save_split, split_protocol, standardize)
+from .data import (FeatureSet, LabelSet, Split, check_split, load_features,
+                   load_labels, load_split, make_synthetic_blobs,
+                   save_features, save_labels, save_split, split_protocol,
+                   standardize)
 from .model import (DenseLayer, GradientSet, HashNetwork, LossBreakdown,
                     NetworkSpec, backward, bce_loss, build_network,
                     cross_entropy_loss, forward, hadamard_loss, load_network,

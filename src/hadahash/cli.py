@@ -39,8 +39,14 @@ def _parse_hidden(text: str):
     return tuple(int(tok) for tok in text.split(","))
 
 
-def _load_split_subset(split_path, subset: str):
+def _load_split(split_path, num_items: int):
     split = data.load_split(split_path)
+    data.check_split(split, num_items)
+    return split
+
+
+def _load_split_subset(split_path, subset: str, num_items: int):
+    split = _load_split(split_path, num_items)
     return {"query": split.query, "train": split.train,
             "database": split.database}[subset], split
 
@@ -130,7 +136,8 @@ def cmd_encode(args) -> int:
     split = None
     indices = None
     if args.split:
-        indices, split = _load_split_subset(args.split, args.subset)
+        indices, split = _load_split_subset(args.split, args.subset,
+                                            features.num_items)
     u = _activations(net, features, indices)
     if args.mean_centered:
         # Per-bit means come from the database rows, which are the encoded
@@ -164,7 +171,7 @@ def cmd_eval(args) -> int:
     query_codes = retrieval.load_codes(args.query_codes)
     db_codes = retrieval.load_codes(args.database_codes)
     labels = data.load_labels(args.labels)
-    split = data.load_split(args.split)
+    split = _load_split(args.split, labels.num_items)
     if query_codes.num_items != split.query.size:
         raise ValueError("query code count does not match the split")
     if db_codes.num_items != split.database.size:
@@ -172,7 +179,7 @@ def cmd_eval(args) -> int:
     report = retrieval.evaluate(
         query_codes, db_codes, labels.values[split.query],
         labels.values[split.database], limit=args.map_at,
-        denominator=args.map_denominator, threads=args.threads)
+        denominator=args.map_denominator)
     _write_report(report, args)
     return 0
 
@@ -180,7 +187,10 @@ def cmd_eval(args) -> int:
 def cmd_lsh_baseline(args) -> int:
     features = data.load_features(args.features)
     labels = data.load_labels(args.labels)
-    split = data.load_split(args.split)
+    if features.num_items != labels.num_items:
+        raise ValueError(f"feature count {features.num_items} != label count "
+                         f"{labels.num_items}")
+    split = _load_split(args.split, features.num_items)
     db_codes = retrieval.lsh_codes(features.values[split.database], args.bits,
                                    args.seed)
     query_codes = retrieval.lsh_codes(features.values[split.query], args.bits,
@@ -192,7 +202,7 @@ def cmd_lsh_baseline(args) -> int:
     report = retrieval.evaluate(
         query_codes, db_codes, labels.values[split.query],
         labels.values[split.database], limit=args.map_at,
-        denominator=args.map_denominator, threads=args.threads)
+        denominator=args.map_denominator)
     _write_report(report, args)
     return 0
 
@@ -217,7 +227,8 @@ def cmd_analyze(args) -> int:
         features = data.load_features(args.features)
         indices = None
         if args.split:
-            indices, _ = _load_split_subset(args.split, args.subset)
+            indices, _ = _load_split_subset(args.split, args.subset,
+                                            features.num_items)
         u = _activations(net, features, indices)
         counts, edges = analysis.activation_histogram(u, args.bins)
         path = os.path.join(args.outdir,
@@ -234,7 +245,7 @@ def cmd_analyze(args) -> int:
         query_codes = retrieval.load_codes(args.query_codes)
         db_codes = retrieval.load_codes(args.database_codes)
         labels = data.load_labels(args.labels)
-        split = data.load_split(args.split)
+        split = _load_split(args.split, labels.num_items)
         rankings = retrieval.search(query_codes, db_codes, limit=args.top)
         for weighted, name in ((True, "confusion"), (False, "confusion_unweighted")):
             matrix = analysis.confusion_matrix(
@@ -345,8 +356,6 @@ def _add_eval_flags(parser) -> None:
                         default="cutoff",
                         help="AP denominator: min(R, relevant) or relevant "
                              "(default: cutoff)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="search threads (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -188,6 +188,8 @@ def split_protocol(labels: LabelSet, n_query_per_class: int,
         remaining = np.full(c, quota_per_class, dtype=np.int64)
         chosen = []
         for idx in candidates:
+            if not remaining.any():
+                break
             classes = np.flatnonzero(y[idx])
             if np.any(remaining[classes] > 0):
                 chosen.append(idx)
@@ -204,7 +206,7 @@ def split_protocol(labels: LabelSet, n_query_per_class: int,
     query = fill(n_query_per_class, order)
     in_query = np.zeros(n, dtype=bool)
     in_query[query] = True
-    train = fill(n_train_per_class, [i for i in order if not in_query[i]])
+    train = fill(n_train_per_class, order[~in_query[order]])
     database = np.flatnonzero(~in_query).astype(np.int64)
     return Split(query=query, train=train, database=database)
 
@@ -234,6 +236,27 @@ def load_split(path) -> Split:
         raise ValueError(f"{path}: missing split sections {sorted(missing)}")
     return Split(query=sections["query"], train=sections["train"],
                  database=sections["database"])
+
+
+def check_split(split: Split, num_items: int) -> None:
+    """Reject a split that does not index a set of `num_items` items.
+
+    Every index must lie in [0, num_items), no section may repeat an index,
+    and no query item may sit in the database.
+    """
+    for name, idx in (("query", split.query), ("train", split.train),
+                      ("database", split.database)):
+        if idx.size and (idx.min() < 0 or idx.max() >= num_items):
+            raise ValueError(
+                f"split {name} indices out of range [0, {num_items})")
+        if np.bincount(idx, minlength=num_items).max(initial=0) > 1:
+            raise ValueError(f"split {name} section repeats an index")
+    in_query = np.zeros(num_items, dtype=bool)
+    in_query[split.query] = True
+    shared = split.database[in_query[split.database]]
+    if shared.size:
+        raise ValueError(
+            f"split item {shared[0]} is in both the query and the database")
 
 
 def standardize(features: FeatureSet, train_indices: np.ndarray):

@@ -5,6 +5,7 @@ version. Loaders read and validate the whole payload before constructing
 any object, so a malformed file never leaves partial state behind.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -73,9 +74,20 @@ def write_u8(f, value: int) -> None:
 
 
 def read_array(f, dtype, count: int, what: str) -> np.ndarray:
-    """Read exactly `count` items of a little-endian dtype."""
+    """Read exactly `count` items of a little-endian dtype.
+
+    The declared size is checked against the bytes left in the file before
+    anything is read, so a header that declares more than the file holds
+    allocates nothing.
+    """
     dt = np.dtype(dtype)
-    data = read_exact(f, dt.itemsize * count, what)
+    wanted = dt.itemsize * count
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if wanted > left:
+        raise TruncatedFileError(
+            f"truncated while reading {what}: wanted {wanted} bytes, "
+            f"{left} left in the file")
+    data = read_exact(f, wanted, what)
     return np.frombuffer(data, dtype=dt, count=count).copy()
 
 

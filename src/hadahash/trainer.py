@@ -9,7 +9,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .codebook import Codebook, target_batch
-from .data import FeatureSet, LabelSet, Split
+from .data import FeatureSet, LabelSet, Split, check_split
 from .io import (FileFormatError, expect_magic, expect_version, read_array,
                  read_u32, read_u64, write_array, write_u32, write_u64)
 from .model import (HashNetwork, LossBreakdown, NetworkSpec, backward,
@@ -94,10 +94,7 @@ def _validate_inputs(config: TrainConfig, features: FeatureSet, labels: LabelSet
             f"{labels.num_classes}")
     if split.train.size == 0:
         raise ValueError("training split is empty")
-    for name, idx in (("query", split.query), ("train", split.train),
-                      ("database", split.database)):
-        if idx.size and (idx.min() < 0 or idx.max() >= features.num_items):
-            raise ValueError(f"{name} indices out of range")
+    check_split(split, features.num_items)
     if config.loss_mode == "CE" and np.any(labels.values.sum(axis=1) != 1):
         raise ValueError("CE mode requires single-label data; use BCE")
 

@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +9,12 @@ import pytest
 
 import hadahash
 from hadahash import cli, model
-from hadahash.codebook import load_codebook, sample_projection, select_order
-from hadahash.data import (make_synthetic_blobs, save_features, save_split,
-                           split_protocol)
+from hadahash.codebook import (build_codebook, load_codebook,
+                               sample_projection, save_codebook, select_order)
+from hadahash.data import (Split, make_synthetic_blobs, save_features,
+                           save_labels, save_split, split_protocol)
 from hadahash.model import NetworkSpec, build_network, save_network
-from hadahash.retrieval import binarize, save_codes
+from hadahash.retrieval import binarize, pack_codes, save_codes
 from hadahash.rng import make_rng
 
 
@@ -119,3 +121,130 @@ class TestEncodeCommand:
                          "--split", str(paths["split.txt"]), "--subset",
                          "query", "--mean-centered", "--out", str(out)]) == 0
         assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.fixture()
+def pipeline_files(tmp_path):
+    """Features, labels, a valid split, codebook, model and codes."""
+    features, labels = make_synthetic_blobs(4, 30, 6, 0.5, seed=2)
+    split = split_protocol(labels, 3, 10, seed=2)
+    paths = {name: str(tmp_path / name) for name in (
+        "features.hcfs", "labels.hcls", "split.txt", "book.hccb",
+        "model.hcmd", "query.hcbc", "database.hcbc")}
+    save_features(features, paths["features.hcfs"])
+    save_labels(labels, paths["labels.hcls"])
+    save_split(split, paths["split.txt"])
+    save_codebook(build_codebook(8, 4, seed=0), paths["book.hccb"])
+    save_network(build_network(NetworkSpec(6, (5,), 8, 4), seed=3),
+                 paths["model.hcmd"])
+    rng = np.random.default_rng(0)
+    for name, size in (("query.hcbc", split.query.size),
+                       ("database.hcbc", split.database.size)):
+        save_codes(pack_codes(rng.random((size, 8)) < 0.5), paths[name])
+    return split, paths, tmp_path
+
+
+def _commands(paths, out):
+    """argv of subcommands that read a split, keyed by name."""
+    data = ["--features", paths["features.hcfs"],
+            "--labels", paths["labels.hcls"], "--split", paths["split.txt"]]
+    codes = ["--query-codes", paths["query.hcbc"],
+             "--database-codes", paths["database.hcbc"]]
+    return {
+        "eval": ["eval", *codes, "--labels", paths["labels.hcls"],
+                 "--split", paths["split.txt"], "--out", out],
+        "lsh-baseline": ["lsh-baseline", *data, "--bits", "8", "--out", out],
+        "encode": ["encode", "--model", paths["model.hcmd"],
+                   "--features", paths["features.hcfs"],
+                   "--split", paths["split.txt"], "--subset", "query",
+                   "--out", out],
+        "analyze-activations": ["analyze", "--model", paths["model.hcmd"],
+                                "--features", paths["features.hcfs"],
+                                "--split", paths["split.txt"], "--outdir", out],
+        "analyze-confusion": ["analyze", *codes,
+                              "--labels", paths["labels.hcls"],
+                              "--split", paths["split.txt"], "--outdir", out],
+        "train": ["train", *data, "--codebook", paths["book.hccb"],
+                  "--hidden", "5", "--epochs", "1", "--out", out],
+    }
+
+
+class TestSplitChecks:
+    @staticmethod
+    def _faulty(split, fault):
+        query, train, database = (split.query.copy(), split.train.copy(),
+                                  split.database.copy())
+        if fault == "out of range":
+            query[0] = -1
+        elif fault == "repeats":
+            database[1] = database[0]
+        else:  # a query item also in the database
+            database[0] = query[0]
+        return Split(query=query, train=train, database=database)
+
+    @pytest.mark.parametrize("fault", ["out of range", "repeats",
+                                       "in both the query and the database"])
+    @pytest.mark.parametrize("command", ["eval", "lsh-baseline", "encode",
+                                         "analyze-activations",
+                                         "analyze-confusion", "train"])
+    def test_faulty_split_is_exit_two(self, pipeline_files, capsys, fault,
+                                      command):
+        split, paths, tmp_path = pipeline_files
+        argv = _commands(paths, str(tmp_path / "out"))[command]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        save_split(self._faulty(split, fault), paths["split.txt"])
+        assert cli.main(argv) == 2
+        assert fault in capsys.readouterr().err
+
+    def test_lsh_baseline_rejects_mismatched_counts(self, pipeline_files):
+        _, paths, tmp_path = pipeline_files
+        features, _ = make_synthetic_blobs(4, 31, 6, 0.5, seed=2)
+        save_features(features, paths["features.hcfs"])
+        argv = _commands(paths, str(tmp_path / "out"))["lsh-baseline"]
+        assert cli.main(argv) == 2
+
+
+def test_empty_database_is_exit_two(pipeline_files, capsys):
+    split, paths, tmp_path = pipeline_files
+    save_split(Split(query=split.query, train=split.train,
+                     database=split.database[:0]), paths["split.txt"])
+    save_codes(pack_codes(np.zeros((0, 8), dtype=bool)),
+               paths["database.hcbc"])
+    assert cli.main(_commands(paths, str(tmp_path / "out"))["eval"]) == 2
+    assert "database is empty" in capsys.readouterr().err
+
+
+class TestOversizedHeaders:
+    """Headers that declare (2^32 - 1) x (2^32 - 1) items in a tiny file."""
+
+    @pytest.mark.parametrize("target, magic, command", [
+        ("features.hcfs", b"HCFS", "lsh-baseline"),
+        ("features.hcfs", b"HCFS", "train"),
+        ("labels.hcls", b"HCLS", "eval"),
+        ("query.hcbc", b"HCBC", "eval"),
+    ])
+    def test_is_exit_three(self, pipeline_files, capsys, target, magic,
+                           command):
+        _, paths, tmp_path = pipeline_files
+        header = magic + struct.pack("<III", 1, 2**32 - 1, 2**32 - 1)
+        if magic == b"HCBC":
+            header += b"\x00"  # mode tag
+        with open(paths[target], "wb") as f:
+            f.write(header + bytes(64))
+        out = tmp_path / "out"
+        assert cli.main(_commands(paths, str(out))[command]) == 3
+        assert "truncated" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestConfigFile:
+    def test_removed_threads_flag_is_exit_two(self, pipeline_files):
+        _, paths, tmp_path = pipeline_files
+        config = tmp_path / "eval.cfg"
+        config.write_text("threads=2\n")
+        argv = ["--config", str(config),
+                *_commands(paths, str(tmp_path / "out"))["eval"]]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2

@@ -6,6 +6,39 @@ from hadahash.data import (FeatureSet, LabelSet, Split, load_features,
                            save_features, save_labels, save_split,
                            split_protocol, standardize)
 from hadahash.io import BadMagicError, BadVersionError, TruncatedFileError
+from hadahash.rng import make_rng
+
+
+def _reference_split(labels, n_query_per_class, n_train_per_class, seed):
+    """The split protocol as first written: every item visited, one by one."""
+    y = labels.values
+    n, c = y.shape
+    rng = make_rng(seed)
+    order = rng.permutation(n)
+
+    def fill(quota_per_class, candidates):
+        remaining = np.full(c, quota_per_class, dtype=np.int64)
+        chosen = []
+        for idx in candidates:
+            classes = np.flatnonzero(y[idx])
+            if np.any(remaining[classes] > 0):
+                chosen.append(idx)
+                remaining[classes] -= 1
+                np.maximum(remaining, 0, out=remaining)
+        unfilled = np.flatnonzero(remaining > 0)
+        if unfilled.size > 0:
+            short = unfilled[0]
+            raise ValueError(
+                f"class {short} has too few items: {remaining[short]} more "
+                f"needed for a quota of {quota_per_class}")
+        return np.array(sorted(chosen), dtype=np.int64)
+
+    query = fill(n_query_per_class, order)
+    in_query = np.zeros(n, dtype=bool)
+    in_query[query] = True
+    train = fill(n_train_per_class, [i for i in order if not in_query[i]])
+    database = np.flatnonzero(~in_query).astype(np.int64)
+    return Split(query=query, train=train, database=database)
 
 
 def _random_features(n, d, seed=0):
@@ -183,6 +216,22 @@ class TestSplitProtocol:
         for c in range(2):
             assert labels.values[split.query, c].sum() >= 3
             assert labels.values[split.train, c].sum() >= 3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("multilabel", [False, True])
+    @pytest.mark.parametrize("quotas", [(3, 10), (0, 10), (3, 0), (0, 0)])
+    def test_matches_reference_loop(self, seed, multilabel, quotas):
+        rng = np.random.default_rng(seed)
+        values = np.zeros((300, 6), dtype=np.uint8)
+        values[np.arange(300), rng.integers(0, 6, 300)] = 1
+        if multilabel:
+            values |= (rng.random((300, 6)) < 0.2).astype(np.uint8)
+        labels = LabelSet(values=values)
+        got = split_protocol(labels, *quotas, seed=seed)
+        expected = _reference_split(labels, *quotas, seed=seed)
+        for name in ("query", "train", "database"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
+            assert getattr(got, name).dtype == np.int64
 
     def test_split_file_round_trip(self, tmp_path):
         _, labels = make_synthetic_blobs(4, 30, 4, 0.5, seed=1)
