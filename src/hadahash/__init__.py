@@ -8,9 +8,9 @@ from .data import (FeatureSet, LabelSet, Split, check_split, load_features,
                    load_labels, load_split, make_synthetic_blobs,
                    save_features, save_labels, save_split, split_protocol,
                    standardize)
-from .model import (DenseLayer, GradientSet, HashNetwork, LossBreakdown,
-                    NetworkSpec, backward, bce_loss, build_network,
-                    cross_entropy_loss, forward, hadamard_loss, load_network,
+from .model import (DenseLayer, HashNetwork, LossBreakdown, NetworkSpec,
+                    backward, bce_loss, build_network, cross_entropy_loss,
+                    forward, hadamard_loss, hash_activations, load_network,
                     save_network, sgd_step)
 from .retrieval import (BinaryCodeSet, EvalReport, RankedList, binarize,
                         evaluate, load_codes, lsh_codes, pack_codes,

@@ -8,7 +8,7 @@ import numpy as np
 
 from .codebook import Codebook
 from .data import FeatureSet, LabelSet, Split
-from .model import VARIANTS, forward
+from .model import VARIANTS, hash_activations
 from .retrieval import BinaryCodeSet, RankedList, binarize, evaluate, unpack_codes
 from .trainer import TrainConfig, train
 
@@ -75,8 +75,8 @@ def _train_and_map(config: TrainConfig, features: FeatureSet, labels: LabelSet,
                    split: Split, codebook: Codebook, hidden: Tuple[int, ...],
                    map_at: Optional[int] = None) -> float:
     net, _ = train(config, features, labels, split, codebook, hidden=hidden)
-    db_u, _ = forward(net, features.values[split.database])
-    query_u, _ = forward(net, features.values[split.query])
+    db_u = hash_activations(net, features.values[split.database])
+    query_u = hash_activations(net, features.values[split.query])
     report = evaluate(binarize(query_u), binarize(db_u),
                       labels.values[split.query], labels.values[split.database],
                       limit=map_at)

@@ -4,8 +4,8 @@ Every subcommand validates its inputs before writing anything, logs to
 stderr only, and is byte-idempotent for identical flags and inputs (the
 wall-clock column of training histories is the one documented exception).
 
-Exit codes: 0 success, 2 validation error or out of memory, 3 I/O error,
-4 numeric failure.
+Exit codes: 0 success, 2 validation error, out of memory or a number too
+large for its type, 3 I/O error, 4 numeric failure.
 """
 
 import argparse
@@ -49,6 +49,13 @@ def _load_split_subset(split_path, subset: str, num_items: int):
     split = _load_split(split_path, num_items)
     return {"query": split.query, "train": split.train,
             "database": split.database}[subset], split
+
+
+def _check_code_counts(query_codes, db_codes, split) -> None:
+    if query_codes.num_items != split.query.size:
+        raise ValueError("query code count does not match the split")
+    if db_codes.num_items != split.database.size:
+        raise ValueError("database code count does not match the split")
 
 
 def cmd_codebook(args) -> int:
@@ -121,30 +128,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _activations(net, features, indices=None, batch=1024):
-    values = features.values if indices is None else features.values[indices]
-    outputs = []
-    for lo in range(0, values.shape[0], batch):
-        u, _ = model.forward(net, values[lo:lo + batch])
-        outputs.append(u)
-    return np.vstack(outputs)
-
-
 def cmd_encode(args) -> int:
     net = model.load_network(args.model)
     features = data.load_features(args.features)
     split = None
-    indices = None
+    rows = features.values
     if args.split:
         indices, split = _load_split_subset(args.split, args.subset,
                                             features.num_items)
-    u = _activations(net, features, indices)
+        rows = rows[indices]
+    u = model.hash_activations(net, rows)
     if args.mean_centered:
         # Per-bit means come from the database rows, which are the encoded
         # rows themselves without a split or with --subset database.
         reference = u
         if split is not None and args.subset != "database":
-            reference = _activations(net, features, split.database)
+            reference = model.hash_activations(
+                net, features.values[split.database])
         codes = retrieval.binarize(u, mode="mean_centered_sign",
                                    reference_means=reference.mean(axis=0))
     else:
@@ -172,10 +172,7 @@ def cmd_eval(args) -> int:
     db_codes = retrieval.load_codes(args.database_codes)
     labels = data.load_labels(args.labels)
     split = _load_split(args.split, labels.num_items)
-    if query_codes.num_items != split.query.size:
-        raise ValueError("query code count does not match the split")
-    if db_codes.num_items != split.database.size:
-        raise ValueError("database code count does not match the split")
+    _check_code_counts(query_codes, db_codes, split)
     report = retrieval.evaluate(
         query_codes, db_codes, labels.values[split.query],
         labels.values[split.database], limit=args.map_at,
@@ -208,70 +205,74 @@ def cmd_lsh_baseline(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    os.makedirs(args.outdir, exist_ok=True)
+    # Every report is computed before the output directory is made, so a
+    # rejected input leaves nothing behind.
+    reports = []  # (log label, file name, CSV header, CSV rows)
     summary = {}
 
     if args.codes:
         codes = retrieval.load_codes(args.codes)
         balance = analysis.bit_balance(codes)
-        path = os.path.join(args.outdir, f"bit_balance_k{codes.code_bits}.csv")
-        _write_csv(path, ("bit", "fraction_positive"),
-                   list(enumerate(balance.tolist())))
+        reports.append(("bit balance", f"bit_balance_k{codes.code_bits}.csv",
+                        ("bit", "fraction_positive"),
+                        list(enumerate(balance.tolist()))))
         summary["bit_balance"] = {
             "min": float(balance.min()), "max": float(balance.max()),
             "within_0.2_0.8": float(((balance >= 0.2) & (balance <= 0.8)).mean())}
-        _log(f"bit balance -> {path}")
 
     if args.model and args.features:
         net = model.load_network(args.model)
         features = data.load_features(args.features)
-        indices = None
+        rows = features.values
         if args.split:
             indices, _ = _load_split_subset(args.split, args.subset,
                                             features.num_items)
-        u = _activations(net, features, indices)
+            rows = rows[indices]
+        u = model.hash_activations(net, rows)
         counts, edges = analysis.activation_histogram(u, args.bins)
-        path = os.path.join(args.outdir,
-                            f"activation_hist_k{net.code_bits}_b{args.bins}.csv")
-        _write_csv(path, ("bin_low", "bin_high", "count"),
-                   [(repr(float(edges[i])), repr(float(edges[i + 1])), int(c))
-                    for i, c in enumerate(counts)])
+        reports.append(("activation histogram",
+                        f"activation_hist_k{net.code_bits}_b{args.bins}.csv",
+                        ("bin_low", "bin_high", "count"),
+                        [(repr(float(edges[i])), repr(float(edges[i + 1])), int(c))
+                         for i, c in enumerate(counts)]))
         outer = int(max(1, round(args.bins * 0.05)))
         summary["activation_outer_mass"] = float(
             (counts[:outer].sum() + counts[-outer:].sum()) / counts.sum())
-        _log(f"activation histogram -> {path}")
 
     if args.query_codes and args.database_codes and args.labels and args.split:
         query_codes = retrieval.load_codes(args.query_codes)
         db_codes = retrieval.load_codes(args.database_codes)
         labels = data.load_labels(args.labels)
         split = _load_split(args.split, labels.num_items)
+        _check_code_counts(query_codes, db_codes, split)
         rankings = retrieval.search(query_codes, db_codes, limit=args.top)
         for weighted, name in ((True, "confusion"), (False, "confusion_unweighted")):
             matrix = analysis.confusion_matrix(
                 rankings, labels.values[split.query],
                 labels.values[split.database], args.top, weighted=weighted)
-            path = os.path.join(
-                args.outdir, f"{name}_k{query_codes.code_bits}_top{args.top}.csv")
-            _write_csv(path, [f"class_{j}" for j in range(matrix.shape[1])],
-                       [[repr(float(v)) for v in row] for row in matrix])
+            reports.append((name, f"{name}_k{query_codes.code_bits}_top{args.top}.csv",
+                            [f"class_{j}" for j in range(matrix.shape[1])],
+                            [[repr(float(v)) for v in row] for row in matrix]))
             if weighted:
                 summary["confusion_min_diagonal"] = float(np.diag(matrix).min())
-            _log(f"{name} -> {path}")
 
     if args.codebook:
         book = cb.load_codebook(args.codebook)
         gram = analysis.codebook_gram(book)
-        path = os.path.join(
-            args.outdir, f"codebook_gram_c{book.num_classes}_k{book.code_bits}.csv")
-        _write_csv(path, [f"class_{j}" for j in range(book.num_classes)],
-                   [[repr(float(v)) for v in row] for row in gram])
+        reports.append(("codebook gram",
+                        f"codebook_gram_c{book.num_classes}_k{book.code_bits}.csv",
+                        [f"class_{j}" for j in range(book.num_classes)],
+                        [[repr(float(v)) for v in row] for row in gram]))
         off = np.abs(gram[~np.eye(book.num_classes, dtype=bool)])
         summary["gram_max_off_diagonal"] = float(off.max()) if off.size else 0.0
-        _log(f"codebook gram -> {path}")
 
     if not summary:
         raise ValueError("no analysis inputs given; see --help")
+    os.makedirs(args.outdir, exist_ok=True)
+    for label, name, header, table in reports:
+        path = os.path.join(args.outdir, name)
+        _write_csv(path, header, table)
+        _log(f"{label} -> {path}")
     summary_path = os.path.join(args.outdir, "summary.json")
     with open(summary_path, "w") as f:
         json.dump(summary, f, sort_keys=True, indent=2)
@@ -364,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Balanced orthogonal codebooks, hash training, and "
                     "Hamming retrieval.")
     parser.add_argument("--config", default=None,
-                        help="key=value file of flag defaults; flags win")
+                        help="key=value file of flag defaults, true or false "
+                             "for switches; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("codebook", help="generate a class codebook")
@@ -494,7 +496,12 @@ def _apply_config_file(argv):
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            extra.extend([f"--{key.strip().replace('_', '-')}", value.strip()])
+            flag, value = f"--{key.strip().replace('_', '-')}", value.strip()
+            # A switch takes no value: true gives the bare flag, false none.
+            if value == "true":
+                extra.append(flag)
+            elif value != "false":
+                extra.extend([flag, value])
     rest = argv[:at] + argv[at + 2:]
     for i, token in enumerate(rest):
         if not token.startswith("-"):
@@ -522,6 +529,9 @@ def main(argv=None) -> int:
         return 4
     except MemoryError as err:
         _log(f"error: out of memory: {err}")
+        return 2
+    except OverflowError as err:
+        _log(f"error: number too large: {err}")
         return 2
 
 

@@ -8,7 +8,7 @@ by lambda. All parameters are 64-bit during training.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -23,6 +23,10 @@ ACTIVATION_TAGS = {"relu": 0, "tanh": 1, "identity": 2}
 _TAG_TO_ACTIVATION = {tag: name for name, tag in ACTIVATION_TAGS.items()}
 
 VARIANTS = ("full", "codebook_only", "classifier_only")
+
+# Rows per forward pass when encoding a whole set, so memory holds one block
+# of activations per layer instead of N x width.
+ENCODE_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -83,19 +87,9 @@ class HashNetwork:
             params.append(layer.bias)
         return params
 
-    def bias_flags(self) -> List[bool]:
-        return [False, True] * len(self.all_layers())
-
     def architecture(self) -> Tuple[Tuple[int, int, str], ...]:
         return tuple((l.weights.shape[0], l.weights.shape[1], l.activation)
                      for l in self.all_layers())
-
-    def copy(self) -> "HashNetwork":
-        return HashNetwork(
-            layers=[DenseLayer(l.weights.copy(), l.bias.copy(), l.activation)
-                    for l in self.layers],
-            classifier=DenseLayer(self.classifier.weights.copy(),
-                                  self.classifier.bias.copy(), "identity"))
 
 
 @dataclass(frozen=True)
@@ -151,6 +145,14 @@ def forward(net: HashNetwork, x: np.ndarray):
         raise ValueError(f"batch width {x.shape[1]} != network input {net.input_dim}")
     _, u, logits = _forward_cached(net, x)
     return u, logits
+
+
+def hash_activations(net: HashNetwork, x: np.ndarray) -> np.ndarray:
+    """Hash activations of every row of x, forwarded ENCODE_BLOCK_ROWS at a time."""
+    if x.shape[0] == 0:
+        raise ValueError("no rows to encode")
+    return np.vstack([forward(net, x[lo:lo + ENCODE_BLOCK_ROWS])[0]
+                      for lo in range(0, x.shape[0], ENCODE_BLOCK_ROWS)])
 
 
 def hadamard_loss(u: np.ndarray, target_values: np.ndarray,
@@ -223,25 +225,13 @@ class LossBreakdown:
                              total=hadamard + lambda_ * classification)
 
 
-@dataclass
-class GradientSet:
-    """Per-parameter gradients, shapes mirroring the network."""
-
-    layers: List[Tuple[np.ndarray, np.ndarray]]
-    classifier: Tuple[np.ndarray, np.ndarray]
-
-    def arrays(self) -> List[np.ndarray]:
-        grads = []
-        for dw, db in [*self.layers, self.classifier]:
-            grads.append(dw)
-            grads.append(db)
-        return grads
-
-
 def backward(net: HashNetwork, x: np.ndarray, target_values: np.ndarray,
              target_mask: np.ndarray, labels, lambda_: float,
              mode: str = "CE", variant: str = "full"):
     """Loss breakdown and exact gradients of the combined objective.
+
+    The gradients come as a list parallel to `net.param_arrays()`: weights
+    and bias of each feature layer, then the classifier's.
 
     The classification gradient flows through the classifier into the hash
     activations, where the codeword-regression gradient is added; both then
@@ -273,13 +263,11 @@ def backward(net: HashNetwork, x: np.ndarray, target_values: np.ndarray,
         effective_lambda = 1.0
 
     grad_logits = grad_logits * effective_lambda
-    classifier_dw = u.T @ grad_logits
-    classifier_db = grad_logits.sum(axis=0)
+    grads = [u.T @ grad_logits, grad_logits.sum(axis=0)]
     grad_a = grad_logits @ net.classifier.weights.T
     if include_hadamard:
         grad_a = grad_a + grad_u_hadamard
 
-    layer_grads: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         z, a = cache[i]
         layer = net.layers[i]
@@ -290,7 +278,7 @@ def backward(net: HashNetwork, x: np.ndarray, target_values: np.ndarray,
         else:
             grad_z = grad_a
         a_prev = x if i == 0 else cache[i - 1][1]
-        layer_grads[i] = (a_prev.T @ grad_z, grad_z.sum(axis=0))
+        grads[:0] = [a_prev.T @ grad_z, grad_z.sum(axis=0)]
         if i > 0:
             grad_a = grad_z @ layer.weights.T
 
@@ -298,21 +286,24 @@ def backward(net: HashNetwork, x: np.ndarray, target_values: np.ndarray,
         hadamard=hadamard_value if include_hadamard else 0.0,
         classification=cls_value,
         lambda_=effective_lambda)
-    grads = GradientSet(layers=layer_grads, classifier=(classifier_dw, classifier_db))
     return breakdown, grads
 
 
-def sgd_step(param, grad, velocity, lr: float, momentum: float = 0.9,
-             weight_decay: float = 5e-4):
-    """One momentum-SGD update; returns (new_param, new_velocity).
+def sgd_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
+             lr: float, momentum: float = 0.9, weight_decay: float = 5e-4) -> None:
+    """One momentum-SGD update of `param` and `velocity`, both in place.
 
     v <- momentum * v + grad + weight_decay * param
     param <- param - lr * v
 
-    Callers pass weight_decay=0 for bias vectors.
+    The decay term is added even when weight_decay is 0: adding 0.0 * param
+    can turn a -0.0 velocity entry into +0.0, and resumed training must
+    reproduce every bit. Callers pass weight_decay=0 for bias vectors.
     """
-    new_velocity = momentum * velocity + grad + weight_decay * param
-    return param - lr * new_velocity, new_velocity
+    velocity *= momentum
+    velocity += grad
+    velocity += weight_decay * param
+    param -= lr * velocity
 
 
 def save_network(net: HashNetwork, path) -> None:

@@ -91,9 +91,16 @@ def binarize(u: np.ndarray, mode: str = "sign",
 
 
 def _distances_to(query_words: np.ndarray, database_words: np.ndarray) -> np.ndarray:
-    """Hamming distances from one query to every database item."""
-    xor = np.bitwise_xor(database_words, query_words[None, :])
-    return np.bitwise_count(xor).sum(axis=1, dtype=np.uint32)
+    """Hamming distances from one query to every database item.
+
+    Word by word: a reduction over the short word axis costs more than the
+    XOR and popcount together.
+    """
+    distances = np.bitwise_count(
+        database_words[:, 0] ^ query_words[0]).astype(np.uint32)
+    for w in range(1, query_words.shape[0]):
+        distances += np.bitwise_count(database_words[:, w] ^ query_words[w])
+    return distances
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,6 @@ def _run_epochs(net: HashNetwork, velocity: List[np.ndarray],
     target_values, target_mask = train_targets
     n_train = train_x.shape[0]
     params = net.param_arrays()
-    bias_flags = net.bias_flags()
     history = TrainHistory()
 
     for epoch in range(first_epoch, config.epochs):
@@ -128,12 +127,10 @@ def _run_epochs(net: HashNetwork, velocity: List[np.ndarray],
             hadamard_sum += breakdown.hadamard * batch.size
             cls_sum += breakdown.classification * batch.size
             effective_lambda = breakdown.lambda_
-            for i, grad in enumerate(grads.arrays()):
-                decay = 0.0 if bias_flags[i] else config.weight_decay
-                new_param, velocity[i] = sgd_step(
-                    params[i], grad, velocity[i], lr,
-                    momentum=config.momentum, weight_decay=decay)
-                params[i][...] = new_param
+            for param, grad, v in zip(params, grads, velocity):
+                decay = config.weight_decay if param.ndim == 2 else 0.0
+                sgd_step(param, grad, v, lr, momentum=config.momentum,
+                         weight_decay=decay)
         mean = LossBreakdown.compose(hadamard_sum / n_train, cls_sum / n_train,
                                      effective_lambda)
         history.records.append(EpochRecord(

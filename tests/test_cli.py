@@ -108,6 +108,18 @@ class TestEncodeCommand:
         assert sum(seen) == rows.shape[0]
         assert out.read_bytes() == expected.read_bytes()
 
+    def test_empty_subset_is_exit_two(self, inputs, tmp_path, capsys):
+        _, split, _, paths = inputs
+        save_split(Split(query=split.query[:0], train=split.train,
+                         database=split.database), paths["split.txt"])
+        out = tmp_path / "codes.hcbc"
+        assert cli.main(["encode", "--model", str(paths["model.hcmd"]),
+                         "--features", str(paths["features.hcfs"]),
+                         "--split", str(paths["split.txt"]), "--subset",
+                         "query", "--out", str(out)]) == 2
+        assert "no rows to encode" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mean_centered_query_uses_database_means(self, inputs, tmp_path):
         features, split, net, paths = inputs
         u, _ = model.forward(net, features.values[split.query])
@@ -248,3 +260,148 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exit_info:
             cli.main(argv)
         assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("value, flag", [("true", ["--mean-centered"]),
+                                             ("false", [])])
+    def test_switch_from_config(self, pipeline_files, value, flag):
+        _, paths, tmp_path = pipeline_files
+        config = tmp_path / "encode.cfg"
+        config.write_text(f"mean_centered={value}\n")
+        encode = _commands(paths, str(tmp_path / "config.hcbc"))["encode"]
+        assert cli.main(["--config", str(config), *encode]) == 0
+        encode = _commands(paths, str(tmp_path / "flag.hcbc"))["encode"]
+        assert cli.main([*encode, *flag]) == 0
+        assert ((tmp_path / "config.hcbc").read_bytes()
+                == (tmp_path / "flag.hcbc").read_bytes())
+
+    def test_unknown_switch_is_exit_two(self, pipeline_files):
+        _, paths, tmp_path = pipeline_files
+        config = tmp_path / "encode.cfg"
+        config.write_text("no_such_switch=true\n")
+        argv = ["--config", str(config),
+                *_commands(paths, str(tmp_path / "out"))["encode"]]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+
+
+def test_oversized_quota_is_exit_two(pipeline_files, capsys):
+    _, paths, tmp_path = pipeline_files
+    out = tmp_path / "split.out"
+    assert cli.main(["split", "--labels", paths["labels.hcls"],
+                     "--query-per-class", "99999999999999999999999",
+                     "--train-per-class", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: number too large")
+    assert not out.exists()
+
+
+class TestAnalyzeCommand:
+    def _argv(self, paths, outdir):
+        return ["analyze", "--codes", paths["database.hcbc"],
+                "--model", paths["model.hcmd"],
+                "--features", paths["features.hcfs"],
+                "--split", paths["split.txt"],
+                "--query-codes", paths["query.hcbc"],
+                "--database-codes", paths["database.hcbc"],
+                "--labels", paths["labels.hcls"],
+                "--codebook", paths["book.hccb"], "--outdir", str(outdir)]
+
+    def test_writes_every_report(self, pipeline_files):
+        _, paths, tmp_path = pipeline_files
+        outdir = tmp_path / "reports"
+        assert cli.main(self._argv(paths, outdir)) == 0
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "activation_hist_k8_b50.csv", "bit_balance_k8.csv",
+            "codebook_gram_c4_k8.csv", "confusion_k8_top100.csv",
+            "confusion_unweighted_k8_top100.csv", "summary.json"]
+
+    @pytest.mark.parametrize("missing", ["database.hcbc", "model.hcmd",
+                                         "labels.hcls", "book.hccb"])
+    def test_missing_input_writes_nothing(self, pipeline_files, missing):
+        _, paths, tmp_path = pipeline_files
+        os.remove(paths[missing])
+        outdir = tmp_path / "reports"
+        assert cli.main(self._argv(paths, outdir)) == 3
+        assert not outdir.exists()
+
+    def test_no_inputs_writes_nothing(self, tmp_path, capsys):
+        outdir = tmp_path / "reports"
+        assert cli.main(["analyze", "--outdir", str(outdir)]) == 2
+        assert "no analysis inputs" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_database_codes_must_match_split(self, pipeline_files, capsys):
+        split, paths, tmp_path = pipeline_files
+        save_codes(pack_codes(np.ones((split.database.size + 1, 8), dtype=bool)),
+                   paths["database.hcbc"])
+        outdir = tmp_path / "reports"
+        argv = ["analyze", "--query-codes", paths["query.hcbc"],
+                "--database-codes", paths["database.hcbc"],
+                "--labels", paths["labels.hcls"], "--split", paths["split.txt"],
+                "--outdir", str(outdir)]
+        assert cli.main(argv) == 2
+        assert "database code count" in capsys.readouterr().err
+        assert not outdir.exists()
+
+
+class TestGoldenPipeline:
+    """synth -> split -> codebook -> train -> encode -> eval is byte-idempotent."""
+
+    @staticmethod
+    def _train(d, *extra):
+        return ["train", "--features", str(d / "f.hcfs"),
+                "--labels", str(d / "l.hcls"), "--split", str(d / "s.txt"),
+                "--codebook", str(d / "b.hccb"), "--hidden", "12",
+                "--batch-size", "16", "--lr", "0.05", "--seed", "4", *extra]
+
+    def _run(self, d):
+        d.mkdir()
+        steps = [
+            ["synth", "--classes", "5", "--per-class", "40", "--dim", "10",
+             "--spread", "2.0", "--seed", "3", "--features-out",
+             str(d / "f.hcfs"), "--labels-out", str(d / "l.hcls")],
+            ["split", "--labels", str(d / "l.hcls"), "--query-per-class", "4",
+             "--train-per-class", "20", "--seed", "3", "--out",
+             str(d / "s.txt")],
+            ["codebook", "--bits", "16", "--classes", "5", "--seed", "3",
+             "--out", str(d / "b.hccb")],
+            self._train(d, "--epochs", "4", "--out", str(d / "m.hcmd")),
+            *[["encode", "--model", str(d / "m.hcmd"),
+               "--features", str(d / "f.hcfs"), "--split", str(d / "s.txt"),
+               "--subset", subset, "--out", str(d / f"{subset}.hcbc")]
+              for subset in ("query", "database")],
+            ["eval", "--query-codes", str(d / "query.hcbc"),
+             "--database-codes", str(d / "database.hcbc"),
+             "--labels", str(d / "l.hcls"), "--split", str(d / "s.txt"),
+             "--out", str(d / "report.json"), "--pr-csv", str(d / "pr.csv"),
+             "--pk-csv", str(d / "pk.csv")],
+        ]
+        for argv in steps:
+            assert cli.main(argv) == 0, argv
+        return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+    def test_two_runs_write_identical_bytes(self, tmp_path):
+        first = self._run(tmp_path / "a")
+        second = self._run(tmp_path / "b")
+        assert list(first) == ["b.hccb", "database.hcbc", "f.hcfs", "l.hcls",
+                               "m.hcmd", "pk.csv", "pr.csv", "query.hcbc",
+                               "report.json", "s.txt"]
+        assert first == second
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_resume_writes_the_straight_model(self, tmp_path, how):
+        d = tmp_path / "a"
+        self._run(d)
+        checkpoint = d / "ck.hcmd"
+        assert cli.main(self._train(d, "--epochs", "2", "--checkpoint-every",
+                                    "2", "--out", str(checkpoint))) == 0
+        if how == "flag":
+            argv = self._train(d, "--resume", "--epochs", "4",
+                               "--out", str(checkpoint))
+        else:
+            config = tmp_path / "resume.cfg"
+            config.write_text("resume=true\nepochs=4\n")
+            argv = ["--config", str(config),
+                    *self._train(d, "--out", str(checkpoint))]
+        assert cli.main(argv) == 0
+        assert checkpoint.read_bytes() == (d / "m.hcmd").read_bytes()

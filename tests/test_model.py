@@ -7,7 +7,9 @@ from hadahash.io import BadMagicError, TruncatedFileError
 from hadahash.model import (DenseLayer, HashNetwork, LossBreakdown,
                             NetworkSpec, backward, bce_loss, build_network,
                             cross_entropy_loss, forward, hadamard_loss,
-                            load_network, save_network, sgd_step)
+                            hash_activations, load_network, save_network,
+                            sgd_step)
+from hadahash import model
 
 
 def _zero_network(input_dim=3, hidden=4, code_bits=2, num_classes=3):
@@ -270,7 +272,7 @@ class TestBackward:
         _, with_zero = backward(net, x, tv, tm, labels, 0.0, mode="CE")
         _, codeword_only = backward(net, x, tv, tm, labels, 5.0, mode="CE",
                                     variant="codebook_only")
-        for a, b in zip(with_zero.arrays(), codeword_only.arrays()):
+        for a, b in zip(with_zero, codeword_only):
             assert np.array_equal(a, b)
 
     def test_breakdown_total_identity(self):
@@ -292,7 +294,7 @@ class TestBackward:
         labels = np.array([0, 1])
         breakdown, grads = backward(net, x, tv, tm, labels, 1.0, mode="CE")
         assert breakdown.hadamard == 0.0
-        for g in grads.arrays():
+        for g in grads:
             assert np.all(g == 0.0)
 
     def test_classifier_only_blocks_codeword_gradient(self):
@@ -307,9 +309,8 @@ class TestBackward:
         labels = rng.integers(0, 2, size=4)
         _, grads = backward(net, x, tv, tm, labels, 1.0, mode="CE",
                             variant="classifier_only")
-        for dw, db in grads.layers:
-            assert np.all(dw == 0.0)
-            assert np.all(db == 0.0)
+        for g in grads[:-2]:  # weights and bias of each feature layer
+            assert np.all(g == 0.0)
 
     @pytest.mark.parametrize("mode", ["CE", "BCE"])
     def test_composed_gradients_match_finite_differences(self, mode):
@@ -318,32 +319,74 @@ class TestBackward:
             net, x, tv, tm, labels, lam = _random_case(rng, mode)
             _, grads = backward(net, x, tv, tm, labels, lam, mode=mode)
             fd = _finite_difference_grads(net, x, tv, tm, labels, lam, mode)
-            for analytic, numeric in zip(grads.arrays(), fd):
+            for analytic, numeric in zip(grads, fd):
                 assert _relative_error(analytic, numeric) < 1e-5
 
 
 class TestSgdStep:
     def test_plain_step(self):
-        p, v = sgd_step(1.0, 1.0, 0.0, lr=0.1, momentum=0.0, weight_decay=0.0)
-        assert p == pytest.approx(0.9)
+        p, v = np.array([1.0]), np.array([0.0])
+        sgd_step(p, np.array([1.0]), v, lr=0.1, momentum=0.0, weight_decay=0.0)
+        assert p[0] == pytest.approx(0.9)
 
     def test_momentum_recursion(self):
-        p, v = sgd_step(0.0, 1.0, 0.0, lr=0.1, momentum=0.9, weight_decay=0.0)
-        assert p == pytest.approx(-0.1)
-        p, v = sgd_step(p, 1.0, v, lr=0.1, momentum=0.9, weight_decay=0.0)
-        assert p == pytest.approx(-0.29)
+        p, v = np.array([0.0]), np.array([0.0])
+        sgd_step(p, np.array([1.0]), v, lr=0.1, momentum=0.9, weight_decay=0.0)
+        assert p[0] == pytest.approx(-0.1)
+        sgd_step(p, np.array([1.0]), v, lr=0.1, momentum=0.9, weight_decay=0.0)
+        assert p[0] == pytest.approx(-0.29)
 
     def test_decay_only_shrinks_geometrically(self):
-        p, v = 2.0, 0.0
+        p, v = np.array([2.0]), np.array([0.0])
         for _ in range(3):
-            p, v = sgd_step(p, 0.0, v, lr=0.1, momentum=0.0, weight_decay=5e-4)
-        assert p == pytest.approx(2.0 * (1 - 0.1 * 5e-4) ** 3, rel=1e-12)
+            sgd_step(p, np.array([0.0]), v, lr=0.1, momentum=0.0,
+                     weight_decay=5e-4)
+        assert p[0] == pytest.approx(2.0 * (1 - 0.1 * 5e-4) ** 3, rel=1e-12)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_in_place_matches_out_of_place_bits(self, weight_decay):
+        rng = np.random.default_rng(5)
+        shape = (6, 4)
+        param = rng.normal(size=shape)
+        param[0] = [0.0, -0.0, 0.0, -0.0]
+        grad = rng.normal(size=shape)
+        grad[0] = [0.0, 0.0, -0.0, -0.0]
+        velocity = rng.normal(size=shape)
+        velocity[0] = -0.0
+        for _ in range(3):
+            expected_v = 0.9 * velocity + grad + weight_decay * param
+            expected_p = param - 0.01 * expected_v
+            assert sgd_step(param, grad, velocity, lr=0.01, momentum=0.9,
+                            weight_decay=weight_decay) is None
+            assert param.tobytes() == expected_p.tobytes()
+            assert velocity.tobytes() == expected_v.tobytes()
 
     def test_arrays_update_elementwise(self):
         p = np.array([1.0, -1.0])
         g = np.array([0.5, 0.5])
-        p2, v2 = sgd_step(p, g, np.zeros(2), lr=0.1, momentum=0.0, weight_decay=0.0)
-        assert np.allclose(p2, [0.95, -1.05])
+        sgd_step(p, g, np.zeros(2), lr=0.1, momentum=0.0, weight_decay=0.0)
+        assert np.allclose(p, [0.95, -1.05])
+
+
+class TestHashActivations:
+    def test_forwards_in_blocks(self, monkeypatch):
+        net = build_network(NetworkSpec(6, (5,), 8, 3), seed=2)
+        x = np.random.default_rng(3).normal(
+            size=(2 * model.ENCODE_BLOCK_ROWS + 7, 6))
+        seen = []
+        real_forward = model.forward
+
+        def counting_forward(net, rows):
+            seen.append(rows.shape[0])
+            return real_forward(net, rows)
+
+        monkeypatch.setattr(model, "forward", counting_forward)
+        u = hash_activations(net, x)
+        assert seen == [model.ENCODE_BLOCK_ROWS, model.ENCODE_BLOCK_ROWS, 7]
+        blocks = [real_forward(net, x[lo:lo + model.ENCODE_BLOCK_ROWS])[0]
+                  for lo in range(0, x.shape[0], model.ENCODE_BLOCK_ROWS)]
+        assert np.array_equal(u, np.vstack(blocks))
+        assert np.allclose(u, real_forward(net, x)[0], rtol=1e-12, atol=1e-15)
 
 
 class TestCheckpoint:

@@ -89,7 +89,7 @@ class TestPacking:
 
 
 class TestSearch:
-    @pytest.mark.parametrize("k", [6, 70])
+    @pytest.mark.parametrize("k", [6, 70, 130])
     @pytest.mark.parametrize("limit", [None, 1, 10, 59, 60, 75])
     def test_matches_brute_force_with_ties(self, k, limit):
         # Six bits over 60 items leave many ties at every distance.
