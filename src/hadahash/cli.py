@@ -205,6 +205,20 @@ def cmd_lsh_baseline(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # A report whose inputs are only partly given is rejected before any
+    # file is read.
+    for report, flags, also in (
+            ("activation histogram",
+             {"--model": args.model, "--features": args.features}, {}),
+            ("confusion",
+             {"--query-codes": args.query_codes,
+              "--database-codes": args.database_codes,
+              "--labels": args.labels}, {"--split": args.split})):
+        missing = [flag for flag, value in {**flags, **also}.items() if not value]
+        if any(flags.values()) and missing:
+            raise ValueError(f"the {report} report also needs "
+                             f"{', '.join(missing)}")
+
     # Every report is computed before the output directory is made, so a
     # rejected input leaves nothing behind.
     reports = []  # (log label, file name, CSV header, CSV rows)
@@ -220,7 +234,7 @@ def cmd_analyze(args) -> int:
             "min": float(balance.min()), "max": float(balance.max()),
             "within_0.2_0.8": float(((balance >= 0.2) & (balance <= 0.8)).mean())}
 
-    if args.model and args.features:
+    if args.model:
         net = model.load_network(args.model)
         features = data.load_features(args.features)
         rows = features.values
@@ -239,7 +253,7 @@ def cmd_analyze(args) -> int:
         summary["activation_outer_mass"] = float(
             (counts[:outer].sum() + counts[-outer:].sum()) / counts.sum())
 
-    if args.query_codes and args.database_codes and args.labels and args.split:
+    if args.query_codes:
         query_codes = retrieval.load_codes(args.query_codes)
         db_codes = retrieval.load_codes(args.database_codes)
         labels = data.load_labels(args.labels)

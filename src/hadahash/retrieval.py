@@ -178,8 +178,15 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
     by the total relevant count ("relevant"). Queries without any relevant
     database item are skipped and counted. The precision-recall curve is
     the 101-point interpolation, precision(r) = max precision at recall >= r,
-    averaged over queries. Queries are ranked and scored one at a time, so
-    memory holds one ranking of the database.
+    averaged over queries.
+
+    Both label matrices are packed into 64-bit bitsets once per call. Each
+    query is then ranked and scored on its own: memory holds one ranking of
+    the database, its relevance mask, and the precisions at its n_rel
+    relevant ranks, which are all the scores need. The highest precision at
+    recall >= r always falls on a relevant rank, and AP is summed over the
+    same R-long array as a dense pass would, so every score is the one a
+    pass over all N ranks gives, to the last bit.
     """
     query_labels = np.asarray(query_labels)
     db_labels = np.asarray(db_labels)
@@ -191,39 +198,52 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
         raise ValueError(
             f"query labels have {query_labels.shape[1]} classes, database "
             f"labels {db_labels.shape[1]}")
+    if query_labels.shape[1] == 0:
+        raise ValueError("the labels have no classes")
     if denominator not in ("cutoff", "relevant"):
         raise ValueError(f"unknown denominator {denominator!r}")
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
 
     n_db = database.num_items
     r_cut = n_db if limit is None else min(limit, n_db)
     grid = np.linspace(0.0, 1.0, 101)
-    ks = [k for k in precision_ks if k <= n_db]
-    ranks = np.arange(1, n_db + 1)
+    ks = np.array([k for k in precision_ks if k <= n_db], dtype=np.int64)
+    q_label_words = pack_codes(query_labels != 0).words
+    # Word-major, so the AND for one word reads contiguous memory.
+    db_label_words = np.ascontiguousarray(pack_codes(db_labels != 0).words.T)
+    # Precision at the relevant ranks below R, zero elsewhere: the AP sum
+    # runs over this R-long array, as over a dense one.
+    ap_terms = np.zeros(r_cut)
 
     aps = []
     pr_sum = np.zeros(101)
-    prec_at_sum = np.zeros(len(ks))
+    prec_at_sum = np.zeros(ks.size)
     skipped = 0
     for qi in range(queries.num_items):
         query = BinaryCodeSet(words=queries.words[qi:qi + 1],
                               code_bits=queries.code_bits, mode=queries.mode)
         ranked = search(query, database)[0]
-        relevant = db_labels[:, np.flatnonzero(query_labels[qi])].any(axis=1)
-        rel = relevant[ranked.indices]
-        n_rel = int(rel.sum())
+        q = q_label_words[qi]
+        relevant = (db_label_words[0] & q[0]) != 0
+        for w in range(1, q.shape[0]):
+            relevant |= (db_label_words[w] & q[w]) != 0
+        p = np.flatnonzero(relevant[ranked.indices])
+        n_rel = p.size
         if n_rel == 0:
             skipped += 1
             continue
-        cum = np.cumsum(rel)
-        prec = cum / ranks
+        hits = np.arange(1, n_rel + 1)
+        prec = hits / (p + 1)
         denom = min(r_cut, n_rel) if denominator == "cutoff" else n_rel
-        aps.append(float((prec[:r_cut] * rel[:r_cut]).sum() / denom))
+        within = p[:np.searchsorted(p, r_cut)]
+        ap_terms[within] = prec[:within.size]
+        aps.append(float(ap_terms.sum() / denom))
+        ap_terms[within] = 0.0
 
-        recall = cum / n_rel
         best_from = np.maximum.accumulate(prec[::-1])[::-1]
-        positions = np.searchsorted(recall, grid, side="left")
-        pr_sum += best_from[np.minimum(positions, n_db - 1)]
-        prec_at_sum += prec[np.array(ks) - 1]
+        pr_sum += best_from[np.searchsorted(hits / n_rel, grid, side="left")]
+        prec_at_sum += np.searchsorted(p, ks, side="left") / ks
 
     if not aps:
         raise ValueError("no query has a relevant database item")
@@ -233,7 +253,8 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
         average_precisions=ap_array,
         mean_ap=float(ap_array.mean()),
         pr_points=np.column_stack([grid, pr_sum / evaluated]),
-        precision_at=[(k, float(v / evaluated)) for k, v in zip(ks, prec_at_sum)],
+        precision_at=[(k, float(v / evaluated))
+                      for k, v in zip(ks.tolist(), prec_at_sum)],
         skipped_queries=skipped,
         params={"map_at": r_cut, "code_bits": queries.code_bits,
                 "mode": queries.mode, "denominator": denominator})

@@ -30,9 +30,17 @@ def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """
     n = int(np.prod(shape))
     half = (n + 1) // 2
-    u1 = 1.0 - rng.random(half)  # (0, 1] keeps the log finite
-    u2 = rng.random(half)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([radius * np.cos(2.0 * np.pi * u2),
-                        radius * np.sin(2.0 * np.pi * u2)])
+    # Each step works in place, so the peak is the output plus two halves.
+    radius = rng.random(half)
+    np.subtract(1.0, radius, out=radius)  # (0, 1] keeps the log finite
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = rng.random(half)
+    angle *= 2.0 * np.pi
+    z = np.empty(2 * half)
+    np.cos(angle, out=z[:half])
+    np.sin(angle, out=z[half:])
+    z[:half] *= radius
+    z[half:] *= radius
     return z[:n].reshape(shape)

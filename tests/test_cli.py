@@ -330,6 +330,31 @@ class TestAnalyzeCommand:
         assert "no analysis inputs" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("given, missing", [
+        (["--model", "--codebook"], ["--features"]),
+        (["--features", "--split"], ["--model"]),
+        (["--query-codes", "--database-codes", "--labels"], ["--split"]),
+        (["--labels", "--split", "--codes"],
+         ["--query-codes", "--database-codes"]),
+        (["--database-codes"], ["--query-codes", "--labels", "--split"]),
+    ])
+    def test_partial_report_inputs_are_exit_two(self, pipeline_files, capsys,
+                                                given, missing):
+        _, paths, tmp_path = pipeline_files
+        files = {"--codes": "database.hcbc", "--model": "model.hcmd",
+                 "--features": "features.hcfs", "--split": "split.txt",
+                 "--query-codes": "query.hcbc",
+                 "--database-codes": "database.hcbc",
+                 "--labels": "labels.hcls", "--codebook": "book.hccb"}
+        outdir = tmp_path / "reports"
+        argv = ["analyze", "--outdir", str(outdir)]
+        for flag in given:
+            argv += [flag, paths[files[flag]]]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.endswith(
+            f"also needs {', '.join(missing)}\n")
+        assert not outdir.exists()
+
     def test_database_codes_must_match_split(self, pipeline_files, capsys):
         split, paths, tmp_path = pipeline_files
         save_codes(pack_codes(np.ones((split.database.size + 1, 8), dtype=bool)),

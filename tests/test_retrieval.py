@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadahash.retrieval import (BinaryCodeSet, evaluate, load_codes,
-                                pack_codes, save_codes, search, unpack_codes)
+from hadahash.retrieval import (DEFAULT_PRECISION_KS, BinaryCodeSet,
+                                EvalReport, evaluate, load_codes, pack_codes,
+                                save_codes, search, unpack_codes)
 
 
 def _random_pm1(n, k, seed):
@@ -46,6 +47,52 @@ def _textbook_metrics(q_pm1, db_pm1, q_labels, db_labels, map_at, denominator,
         pk_rows.append([precision[k - 1] for k in ks])
     return (np.array(aps), np.mean(pr_rows, axis=0), np.mean(pk_rows, axis=0),
             skipped)
+
+
+def _evaluate_over_all_ranks(queries, database, query_labels, db_labels,
+                             limit, denominator, precision_ks):
+    """evaluate as it scored every query over all N ranks, kept verbatim."""
+    n_db = database.num_items
+    r_cut = n_db if limit is None else min(limit, n_db)
+    grid = np.linspace(0.0, 1.0, 101)
+    ks = [k for k in precision_ks if k <= n_db]
+    ranks = np.arange(1, n_db + 1)
+
+    aps = []
+    pr_sum = np.zeros(101)
+    prec_at_sum = np.zeros(len(ks))
+    skipped = 0
+    for qi in range(queries.num_items):
+        query = BinaryCodeSet(words=queries.words[qi:qi + 1],
+                              code_bits=queries.code_bits, mode=queries.mode)
+        ranked = search(query, database)[0]
+        relevant = db_labels[:, np.flatnonzero(query_labels[qi])].any(axis=1)
+        rel = relevant[ranked.indices]
+        n_rel = int(rel.sum())
+        if n_rel == 0:
+            skipped += 1
+            continue
+        cum = np.cumsum(rel)
+        prec = cum / ranks
+        denom = min(r_cut, n_rel) if denominator == "cutoff" else n_rel
+        aps.append(float((prec[:r_cut] * rel[:r_cut]).sum() / denom))
+
+        recall = cum / n_rel
+        best_from = np.maximum.accumulate(prec[::-1])[::-1]
+        positions = np.searchsorted(recall, grid, side="left")
+        pr_sum += best_from[np.minimum(positions, n_db - 1)]
+        prec_at_sum += prec[np.array(ks) - 1]
+
+    evaluated = len(aps)
+    ap_array = np.array(aps)
+    return EvalReport(
+        average_precisions=ap_array,
+        mean_ap=float(ap_array.mean()),
+        pr_points=np.column_stack([grid, pr_sum / evaluated]),
+        precision_at=[(k, float(v / evaluated)) for k, v in zip(ks, prec_at_sum)],
+        skipped_queries=skipped,
+        params={"map_at": r_cut, "code_bits": queries.code_bits,
+                "mode": queries.mode, "denominator": denominator})
 
 
 class TestPacking:
@@ -158,6 +205,57 @@ class TestEvaluate:
                                    rtol=0, atol=1e-12)
         assert report.params["map_at"] == (80 if map_at is None
                                            else min(map_at, 80))
+
+    @pytest.mark.parametrize("classes", [4, 64, 65, 130])
+    @pytest.mark.parametrize("multilabel", [False, True])
+    @pytest.mark.parametrize("limit", [None, 1, 7, 300, 305])
+    @pytest.mark.parametrize("denominator", ["cutoff", "relevant"])
+    def test_bytes_match_scoring_over_all_ranks(self, classes, multilabel,
+                                                limit, denominator):
+        # Eight bits over 300 items tie dozens of items at every distance,
+        # and the AP sums run over hundreds of terms.
+        rng = np.random.default_rng(classes)
+        q_pm1, db_pm1 = _random_pm1(12, 8, seed=7), _random_pm1(300, 8, seed=8)
+        q_labels = np.zeros((12, classes), dtype=np.uint8)
+        db_labels = np.zeros((300, classes), dtype=np.uint8)
+        for labels in (q_labels, db_labels):
+            per_item = rng.integers(1, 4 if multilabel else 2, labels.shape[0])
+            for row, count in zip(labels, per_item):
+                # Database items never carry the last class.
+                row[rng.choice(classes - 1, count, replace=False)] = 1
+        q_labels[0] = 0
+        q_labels[0, classes - 1] = 1  # a query with no relevant item
+        args = (pack_codes(q_pm1), pack_codes(db_pm1), q_labels, db_labels,
+                limit, denominator, DEFAULT_PRECISION_KS)
+        report = evaluate(*args)
+        expected = _evaluate_over_all_ranks(*args)
+        assert report.skipped_queries == expected.skipped_queries == 1
+        assert (report.average_precisions.tobytes()
+                == expected.average_precisions.tobytes())
+        assert report.to_json() == expected.to_json()
+        assert report.pr_csv_rows() == expected.pr_csv_rows()
+        assert report.precision_at_csv_rows() == expected.precision_at_csv_rows()
+        assert report.precision_at == expected.precision_at
+
+    def test_no_precision_cutoff_within_database(self, problem):
+        q_pm1, db_pm1, q_labels, db_labels = problem
+        report = evaluate(pack_codes(q_pm1), pack_codes(db_pm1[:20]),
+                          q_labels, db_labels[:20], precision_ks=(50,))
+        assert report.precision_at == []
+        assert report.precision_at_csv_rows() == []
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_must_be_positive(self, problem, limit):
+        q_pm1, db_pm1, q_labels, db_labels = problem
+        with pytest.raises(ValueError, match="positive"):
+            evaluate(pack_codes(q_pm1), pack_codes(db_pm1), q_labels,
+                     db_labels, limit=limit)
+
+    def test_labels_need_a_class(self, problem):
+        q_pm1, db_pm1, q_labels, db_labels = problem
+        with pytest.raises(ValueError, match="no classes"):
+            evaluate(pack_codes(q_pm1), pack_codes(db_pm1), q_labels[:, :0],
+                     db_labels[:, :0])
 
     def test_label_widths_must_agree(self, problem):
         q_pm1, db_pm1, q_labels, db_labels = problem
