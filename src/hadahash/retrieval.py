@@ -111,11 +111,30 @@ class RankedList:
     distances: np.ndarray  # uint32, parallel to indices
 
 
-def _rank_one(distances: np.ndarray, limit: int) -> RankedList:
+def _rank_one(distances: np.ndarray, limit: int,
+              max_distance: int) -> RankedList:
+    n = distances.shape[0]
+    if limit == n:
+        # Full ranking, which evaluate asks for on every query: pack each
+        # item into one key (distance << shift) | index. The keys are
+        # distinct, so numpy's plain SIMD sort gives exactly the (distance,
+        # index) order, in about half the time of a stable argsort on the
+        # distances, and no partition is needed. `max_distance` bounds
+        # every distance, so the key type cannot overflow.
+        shift = (n - 1).bit_length()
+        keys = np.left_shift(distances, shift, dtype=np.min_scalar_type(
+            (max_distance << shift) | (n - 1)))
+        keys |= np.arange(n, dtype=keys.dtype)
+        keys.sort()
+        return RankedList(
+            indices=np.bitwise_and(keys, (1 << shift) - 1, dtype=np.int64),
+            distances=(keys >> shift).astype(np.uint32))
     # Exact top-R under (distance, index): keep everything at or below the
     # R-th smallest distance, in index order, then sort stably by distance.
     # Keys of 8 or 16 bits make numpy's stable sort a radix sort; the method
     # form skips np.argsort's dispatch, about two microseconds per call.
+    # Packed keys would add two to four microseconds per call here, where
+    # few candidates are sorted, so this path keeps the stable argsort.
     kth = np.partition(distances, limit - 1)[limit - 1]
     candidates = np.flatnonzero(distances <= kth)
     keys = distances[candidates].astype(np.min_scalar_type(kth))
@@ -134,7 +153,8 @@ def search(queries: BinaryCodeSet, database: BinaryCodeSet,
         raise ValueError("limit must be positive")
     if database.num_items == 0:
         raise ValueError("the database is empty")
-    return [_rank_one(_distances_to(words, database.words), r)
+    max_distance = 64 * database.words.shape[1]
+    return [_rank_one(_distances_to(words, database.words), r, max_distance)
             for words in queries.words]
 
 
@@ -291,5 +311,9 @@ def load_codes(path) -> BinaryCodeSet:
             raise FileFormatError(f"{path}: unknown mode tag {tag}")
         n_words = (k + 63) // 64
         words = read_array(f, "<u8", n * n_words, "code words")
-    return BinaryCodeSet(words=words.reshape(n, n_words), code_bits=k,
-                         mode=_TAG_TO_MODE[tag])
+    words = words.reshape(n, n_words)
+    # A set padding bit would count in every Hamming distance.
+    if k % 64 and np.any(words[:, -1] >> np.uint64(k % 64)):
+        raise FileFormatError(f"{path}: bits at or above the code length {k} "
+                              f"are set")
+    return BinaryCodeSet(words=words, code_bits=k, mode=_TAG_TO_MODE[tag])

@@ -14,7 +14,8 @@ from hadahash.codebook import (build_codebook, load_codebook,
 from hadahash.data import (Split, make_synthetic_blobs, save_features,
                            save_labels, save_split, split_protocol)
 from hadahash.model import NetworkSpec, build_network, save_network
-from hadahash.retrieval import binarize, pack_codes, save_codes
+from hadahash.retrieval import (BinaryCodeSet, binarize, load_codes,
+                                pack_codes, save_codes)
 from hadahash.rng import make_rng
 
 
@@ -248,6 +249,21 @@ class TestOversizedHeaders:
         assert cli.main(_commands(paths, str(out))[command]) == 3
         assert "truncated" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["query.hcbc", "database.hcbc"])
+@pytest.mark.parametrize("bit", [8, 40, 63])
+def test_set_padding_bit_is_exit_three(pipeline_files, capsys, target, bit):
+    # Eight-bit codes: every bit from 8 up is padding and must be zero.
+    _, paths, tmp_path = pipeline_files
+    words = load_codes(paths[target]).words.copy()
+    words[-1, 0] |= np.uint64(1 << bit)
+    save_codes(BinaryCodeSet(words=words, code_bits=8), paths[target])
+    out = tmp_path / "out"
+    assert cli.main(_commands(paths, str(out))["eval"]) == 3
+    err = capsys.readouterr().err
+    assert paths[target] in err and "code length 8" in err
+    assert not out.exists()
 
 
 class TestConfigFile:

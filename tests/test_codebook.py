@@ -322,6 +322,23 @@ class TestMakeTarget:
             assert np.array_equal(values[i], np.sign(summed))
             assert np.array_equal(mask[i], summed != 0)
 
+    @pytest.mark.parametrize("k, c, seed", [(16, 10, 1), (32, 100, 3),
+                                            (128, 160, 0)])
+    def test_matches_int64_sums(self, k, c, seed):
+        # The float64 product must give the int64 expression's bytes, on
+        # multi-label rows whose codeword sums cancel on some bits.
+        book = build_codebook(k, c, seed)
+        rng = np.random.default_rng(seed)
+        labels = np.zeros((400, c), dtype=np.uint8)
+        for row in labels:
+            row[rng.choice(c, rng.integers(1, 5), replace=False)] = 1
+        summed = labels.astype(np.int64) @ book.codewords.astype(np.int64)
+        assert (summed == 0).any()
+        values, mask = target_batch(book, labels)
+        assert values.dtype == np.float64
+        assert values.tobytes() == np.sign(summed).astype(np.float64).tobytes()
+        assert np.array_equal(mask, summed != 0)
+
 
 class TestCodebookFile:
     def test_round_trip(self, tmp_path):

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hadahash.io import FileFormatError
 from hadahash.retrieval import (DEFAULT_PRECISION_KS, BinaryCodeSet,
-                                EvalReport, evaluate, load_codes, pack_codes,
-                                save_codes, search, unpack_codes)
+                                EvalReport, _rank_one, evaluate, load_codes,
+                                pack_codes, save_codes, search, unpack_codes)
 
 
 def _random_pm1(n, k, seed):
@@ -134,6 +135,18 @@ class TestPacking:
         save_codes(loaded, tmp_path / "again.hcbc")
         assert (tmp_path / "again.hcbc").read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("k", [1, 10, 63, 65, 130])
+    @pytest.mark.parametrize("padding_bit", ["first", "last"])
+    def test_load_rejects_set_padding_bits(self, tmp_path, k, padding_bit):
+        codes = pack_codes(_random_pm1(5, k, seed=k))
+        words = codes.words.copy()
+        bit = k % 64 if padding_bit == "first" else 63
+        words[3, -1] |= np.uint64(1 << bit)
+        path = tmp_path / "codes.hcbc"
+        save_codes(BinaryCodeSet(words=words, code_bits=k), path)
+        with pytest.raises(FileFormatError, match=f"code length {k}"):
+            load_codes(path)
+
 
 class TestSearch:
     @pytest.mark.parametrize("k", [6, 70, 130])
@@ -159,6 +172,64 @@ class TestSearch:
             order, distances = _brute_force_ranking(query, db_pm1)
             assert ranked.indices.tolist() == order[:limit]
             assert ranked.distances.tolist() == distances[:limit]
+
+    @pytest.mark.parametrize("k, n, key_type", [
+        (64, 2, np.uint8), (130, 1, np.uint8), (130, 200, np.uint16),
+        (130, 300, np.uint32), (130, 600, np.uint32)])
+    def test_full_ranking_for_every_key_width(self, k, n, key_type):
+        # A full ranking sorts (distance << shift) | index keys of the
+        # smallest type that holds 64 bits per word and n - 1.
+        shift = (n - 1).bit_length()
+        max_distance = 64 * ((k + 63) // 64)
+        assert np.min_scalar_type((max_distance << shift) | (n - 1)) == key_type
+        q_pm1, db_pm1 = _random_pm1(3, k, seed=n), _random_pm1(n, k, seed=n + 1)
+        for query, ranked in zip(q_pm1, search(pack_codes(q_pm1),
+                                               pack_codes(db_pm1))):
+            order, distances = _brute_force_ranking(query, db_pm1)
+            assert ranked.indices.dtype == np.int64
+            assert ranked.distances.dtype == np.uint32
+            assert ranked.indices.tolist() == order
+            assert ranked.distances.tolist() == distances
+
+    @pytest.mark.parametrize("n", [128, 300])
+    def test_full_ranking_keys_hold_set_padding_bits(self, n):
+        # In memory nothing stops padding bits from being set; they count in
+        # the distance, up to 64 per word, and must not overflow a key.
+        rng = np.random.default_rng(n)
+        words = rng.integers(0, 2**64, (n + 1, 1), dtype=np.uint64)
+        query = BinaryCodeSet(words=words[:1], code_bits=1)
+        ranked = search(query, BinaryCodeSet(words=words[1:], code_bits=1))[0]
+        distances = np.bitwise_count(words[1:, 0] ^ words[0, 0])
+        order = np.lexsort((np.arange(n), distances))
+        assert np.array_equal(ranked.indices, order)
+        assert np.array_equal(ranked.distances, distances[order])
+
+    def test_full_ranking_with_64_bit_keys(self):
+        n, max_distance = 1000, 2**31
+        rng = np.random.default_rng(0)
+        distances = rng.integers(0, max_distance, n, dtype=np.uint32)
+        distances[::7] = distances[0]  # ties
+        distances[[5, 500]] = max_distance
+        assert (np.min_scalar_type((max_distance << 10) | (n - 1))
+                == np.uint64)
+        ranked = _rank_one(distances, n, max_distance)
+        order = np.lexsort((np.arange(n), distances))
+        assert ranked.indices.dtype == np.int64
+        assert ranked.distances.dtype == np.uint32
+        assert np.array_equal(ranked.indices, order)
+        assert np.array_equal(ranked.distances, distances[order])
+
+    def test_full_ranking_at_scan_size(self):
+        n = 100_000
+        q_pm1, db_pm1 = _random_pm1(2, 32, seed=11), _random_pm1(n, 32, seed=12)
+        for query, ranked in zip(q_pm1, search(pack_codes(q_pm1),
+                                               pack_codes(db_pm1))):
+            distances = (db_pm1 != query).sum(axis=1).astype(np.uint32)
+            order = np.lexsort((np.arange(n), distances))
+            assert ranked.indices.dtype == np.int64
+            assert ranked.distances.dtype == np.uint32
+            assert np.array_equal(ranked.indices, order)
+            assert np.array_equal(ranked.distances, distances[order])
 
     def test_rejects_bad_arguments(self):
         codes = pack_codes(_random_pm1(4, 8, seed=0))
