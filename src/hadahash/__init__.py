@@ -6,8 +6,7 @@ from .codebook import (Codebook, ProjectionMatrix, build_codebook,
                        save_codebook, select_order, sylvester, target_batch)
 from .data import (FeatureSet, LabelSet, Split, check_split, load_features,
                    load_labels, load_split, make_synthetic_blobs,
-                   save_features, save_labels, save_split, split_protocol,
-                   standardize)
+                   save_features, save_labels, save_split, split_protocol)
 from .model import (DenseLayer, HashNetwork, LossBreakdown, NetworkSpec,
                     backward, bce_loss, build_network, cross_entropy_loss,
                     forward, hadamard_loss, hash_activations, load_network,

@@ -137,6 +137,9 @@ def build_codebook(code_bits: int, num_classes: int, seed: int) -> Codebook:
     exactly orthogonal and zero-sum. Otherwise codewords are distinct rows
     of the sign-thresholded Gaussian projection (excluding row 0).
     Selection is uniform without replacement from the seeded generator.
+    Distinct rows can still threshold to the same codeword when K is small
+    against C; two classes would then share a target, so a codebook with a
+    duplicate codeword is a ValueError.
     """
     if code_bits < 2:
         raise ValueError(f"code_bits must be >= 2, got {code_bits}")
@@ -157,6 +160,11 @@ def build_codebook(code_bits: int, num_classes: int, seed: int) -> Codebook:
     indices = rng.choice(np.arange(1, order), size=num_classes, replace=False)
     pool = hadamard_transform(projection)
     codewords = np.where(pool[indices] >= 0.0, 1, -1).astype(np.int8)
+    distinct = np.unique(np.packbits(codewords > 0, axis=1), axis=0)
+    if distinct.shape[0] < num_classes:
+        raise ValueError(
+            f"only {distinct.shape[0]} distinct codewords for {num_classes} "
+            f"classes in {code_bits} bits; use more bits")
     return Codebook(codewords=codewords, provenance=provenance, seed=seed,
                     selected_indices=indices)
 

@@ -74,11 +74,14 @@ def write_u8(f, value: int) -> None:
 
 
 def read_array(f, dtype, count: int, what: str) -> np.ndarray:
-    """Read exactly `count` items of a little-endian dtype.
+    """Read exactly `count` items of a little-endian dtype from a buffered
+    binary file.
 
     The declared size is checked against the bytes left in the file before
     anything is read, so a header that declares more than the file holds
-    allocates nothing.
+    allocates nothing. The payload is then read straight into the returned
+    array, a writeable array that owns its memory: one copy, no
+    intermediate bytes object.
     """
     dt = np.dtype(dtype)
     wanted = dt.itemsize * count
@@ -87,8 +90,12 @@ def read_array(f, dtype, count: int, what: str) -> np.ndarray:
         raise TruncatedFileError(
             f"truncated while reading {what}: wanted {wanted} bytes, "
             f"{left} left in the file")
-    data = read_exact(f, wanted, what)
-    return np.frombuffer(data, dtype=dt, count=count).copy()
+    out = np.empty(count, dtype=dt)
+    got = f.readinto(memoryview(out).cast("B"))
+    if got != wanted:
+        raise TruncatedFileError(
+            f"truncated while reading {what}: wanted {wanted} bytes, got {got}")
+    return out
 
 
 def write_array(f, values: np.ndarray, dtype) -> None:

@@ -55,6 +55,17 @@ class TestCodebookCommand:
             assert np.array_equal(book.codewords[c], expected)
 
 
+    def test_duplicate_codewords_are_exit_two(self, tmp_path, capsys):
+        # Seed 1 thresholds two of the ten selected rows to one codeword.
+        out = tmp_path / "book.hccb"
+        assert cli.main(["codebook", "--bits", "8", "--classes", "10",
+                         "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: only 9 distinct codewords for 10 classes in 8 bits; "
+            "use more bits")
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_memory_error_is_exit_two(self, tmp_path, monkeypatch, capsys):
         def exhausted(args):
@@ -226,6 +237,22 @@ def test_empty_database_is_exit_two(pipeline_files, capsys):
                paths["database.hcbc"])
     assert cli.main(_commands(paths, str(tmp_path / "out"))["eval"]) == 2
     assert "database is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["#", "x", "2.5", "1_0",
+                                   "99999999999999999999999"])
+def test_non_integer_split_token_is_exit_two(pipeline_files, capsys, token):
+    _, paths, tmp_path = pipeline_files
+    with open(paths["split.txt"]) as f:
+        lines = f.read().splitlines()
+    lines[2] += " " + token
+    with open(paths["split.txt"], "w") as f:
+        f.write("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(_commands(paths, str(out))["eval"]) == 2
+    err = capsys.readouterr().err
+    assert paths["split.txt"] in err and "database section" in err
+    assert not out.exists()
 
 
 class TestOversizedHeaders:

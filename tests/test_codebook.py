@@ -8,6 +8,7 @@ from hadahash.codebook import (build_codebook, hadamard_transform,
                                save_codebook, select_order, sylvester,
                                target_batch)
 from hadahash.io import BadMagicError, BadVersionError, TruncatedFileError
+from hadahash.rng import make_rng
 
 
 class TestSylvester:
@@ -232,7 +233,8 @@ class TestBuildCodebook:
     @pytest.mark.parametrize("order", [2 ** i for i in range(1, 13)])
     def test_matches_dense_reference(self, order):
         # Direct: K = order, codewords are rows of H^T. Projected (order >= 4):
-        # K < order, codewords are rows of sign(H @ P).
+        # K < order, codewords are rows of sign(H @ P), and a reference with
+        # a repeated row must be rejected instead.
         h = sylvester(order)
         k_projected = max(2, min(64, order // 2))
         for seed in range(3):
@@ -241,9 +243,18 @@ class TestBuildCodebook:
             assert np.array_equal(book.codewords, h.T[book.selected_indices])
             if order < 4:
                 continue
+            p = sample_projection(order, k_projected, seed).values
+            indices = make_rng(seed).choice(np.arange(1, order),
+                                            size=order - 1, replace=False)
+            expected = _sign(h @ p)[indices]
+            if len(set(map(tuple, expected.tolist()))) < order - 1:
+                with pytest.raises(ValueError, match=(
+                        f"for {order - 1} classes in {k_projected} bits")):
+                    build_codebook(k_projected, order - 1, seed)
+                continue
             book = build_codebook(k_projected, order - 1, seed)
             assert book.provenance == "projected"
-            p = sample_projection(order, k_projected, seed).values
+            assert np.array_equal(book.selected_indices, indices)
             assert np.array_equal(book.codewords,
                                   _sign(h @ p)[book.selected_indices])
 

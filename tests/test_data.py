@@ -1,10 +1,15 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadahash.data import (FeatureSet, LabelSet, Split, load_features,
                            load_labels, load_split, make_synthetic_blobs,
                            save_features, save_labels, save_split,
-                           split_protocol, standardize)
+                           split_protocol)
 from hadahash.io import BadMagicError, BadVersionError, TruncatedFileError
 from hadahash.rng import make_rng
 
@@ -39,6 +44,29 @@ def _reference_split(labels, n_query_per_class, n_train_per_class, seed):
     train = fill(n_train_per_class, [i for i in order if not in_query[i]])
     database = np.flatnonzero(~in_query).astype(np.int64)
     return Split(query=query, train=train, database=database)
+
+
+def _reference_load_split(path):
+    """The split reader as first written: one int() per token."""
+    sections = {}
+    with open(path) as f:
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            name, _, rest = line.partition(":")
+            sections[name.strip()] = np.array(
+                [int(tok) for tok in rest.split()], dtype=np.int64)
+    return Split(query=sections["query"], train=sections["train"],
+                 database=sections["database"])
+
+
+def _reference_split_text(split):
+    """The split writer as first written: one str(int()) per index."""
+    return "".join(
+        name + ": " + " ".join(str(int(i)) for i in indices) + "\n"
+        for name, indices in (("query", split.query), ("train", split.train),
+                              ("database", split.database)))
 
 
 def _random_features(n, d, seed=0):
@@ -117,11 +145,6 @@ class TestLabelFiles:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError, match="0 or 1"):
             LabelSet(values=np.array([[2, 0]], dtype=np.uint8))
-
-    def test_class_indices_rejects_multilabel(self):
-        labels = LabelSet(values=np.array([[1, 1]], dtype=np.uint8))
-        with pytest.raises(ValueError, match="multi-label"):
-            labels.class_indices()
 
 
 class TestSyntheticBlobs:
@@ -250,18 +273,56 @@ class TestSplitProtocol:
             load_split(path)
 
 
-class TestStandardize:
-    def test_train_statistics_only(self):
-        features = _random_features(100, 5, seed=1)
-        train = np.arange(50)
-        scaled, mean, std = standardize(features, train)
-        assert np.allclose(scaled.values[train].mean(axis=0), 0.0, atol=1e-5)
-        assert np.allclose(scaled.values[train].std(axis=0), 1.0, atol=1e-4)
-        assert np.allclose(mean, features.values[train].mean(axis=0))
+_SECTION = st.lists(st.integers(-2**63, 2**63 - 1), max_size=30).map(
+    lambda values: np.array(values, dtype=np.int64))
 
-    def test_constant_dimension_is_left_alone(self):
-        values = np.ones((10, 2), dtype=np.float32)
-        values[:, 1] = np.arange(10)
-        scaled, _, std = standardize(FeatureSet(values=values), np.arange(10))
-        assert np.all(np.isfinite(scaled.values))
-        assert std[0] == 1.0
+
+class TestSplitFile:
+    def test_scan_sized_split_matches_int_loop(self, tmp_path):
+        rng = np.random.default_rng(0)
+        in_query = np.zeros(100_000, dtype=bool)
+        in_query[rng.choice(100_000, size=128, replace=False)] = True
+        database = np.flatnonzero(~in_query).astype(np.int64)
+        split = Split(query=np.flatnonzero(in_query).astype(np.int64),
+                      train=np.sort(rng.choice(database, 3200, replace=False)),
+                      database=database)
+        path = tmp_path / "split.txt"
+        save_split(split, path)
+        assert path.read_text() == _reference_split_text(split)
+        loaded, expected = load_split(path), _reference_load_split(path)
+        for name in ("query", "train", "database"):
+            got = getattr(loaded, name)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, getattr(expected, name))
+            assert np.array_equal(got, getattr(split, name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(query=_SECTION, train=_SECTION, database=_SECTION)
+    def test_round_trip_property(self, query, train, database):
+        split = Split(query=query, train=train, database=database)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "split.txt"
+            save_split(split, path)
+            assert path.read_text() == _reference_split_text(split)
+            loaded = load_split(path)
+        for name in ("query", "train", "database"):
+            got = getattr(loaded, name)
+            assert got.dtype == np.int64 and got.ndim == 1
+            assert np.array_equal(got, getattr(split, name))
+
+    def test_blank_sections_and_spacing(self, tmp_path):
+        path = tmp_path / "split.txt"
+        path.write_text("query:\n\ntrain:   \t \ndatabase:  +3\t 07  -1 \n")
+        split = load_split(path)
+        assert split.query.dtype == split.train.dtype == np.int64
+        assert split.query.size == split.train.size == 0
+        assert split.database.tolist() == [3, 7, -1]
+
+    @pytest.mark.parametrize("token", [
+        "#", "x", "2.5", "1_0", "\uff11\uff12", "99999999999999999999999"])
+    def test_rejects_non_integer_tokens(self, tmp_path, token):
+        # Python's int() takes 1_0 and full-width digits; the grammar does not.
+        path = tmp_path / "split.txt"
+        path.write_text(f"query: 1 2\ntrain: 3 {token} 4\ndatabase: 0\n")
+        with pytest.raises(ValueError, match="split.txt: bad train section"):
+            load_split(path)

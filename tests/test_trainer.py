@@ -6,7 +6,7 @@ import pytest
 
 from hadahash.codebook import build_codebook
 from hadahash.data import LabelSet, make_synthetic_blobs, split_protocol
-from hadahash.model import NetworkSpec, build_network
+from hadahash.model import NetworkSpec, build_network, sgd_step
 from hadahash.trainer import (NumericError, TrainConfig, learning_rate,
                               load_checkpoint, resume, save_checkpoint, train)
 
@@ -166,3 +166,19 @@ class TestResume:
         assert _params_equal(loaded_net, net)
         for a, b in zip(loaded_velocity, velocity):
             assert np.array_equal(a, b)
+
+    def test_loaded_velocity_updates_in_place(self, small_setup, tmp_path):
+        features, labels, split, book = small_setup
+        config = TrainConfig(epochs=1, base_lr=0.01, seed=3)
+        net, _ = train(config, features, labels, split, book, hidden=(8,))
+        velocity = [np.full(p.shape, 0.5) for p in net.param_arrays()]
+        path = tmp_path / "ck.hcmd"
+        save_checkpoint(net, velocity, 1, path)
+        loaded_net, loaded_velocity, _ = load_checkpoint(path)
+        for param, v in zip(loaded_net.param_arrays(), loaded_velocity):
+            assert param.flags.writeable and v.flags.writeable
+            before = param.copy()
+            sgd_step(param, np.ones_like(param), v, lr=0.1, momentum=0.5,
+                     weight_decay=0.0)
+            assert np.array_equal(v, np.full(v.shape, 1.25))
+            assert np.array_equal(param, before - 0.125)
