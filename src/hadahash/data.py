@@ -1,5 +1,6 @@
 """Feature/label ingestion, synthetic blob generation, and the split protocol."""
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,9 +229,12 @@ def load_split(path) -> Split:
     whitespace-separated base-10 integers that fit in int64, with an
     optional sign; a section may be empty. Anything else in a section (a
     `#`, a letter, a decimal point, a digit separator `1_0`, non-ASCII
-    digits, a number too large for int64) is a ValueError naming the file,
-    which the CLI reports with exit code 2. Each section goes through
-    numpy's C text parser in one call.
+    digits, a number too large for int64, `1e3`, `nan`) is a ValueError
+    naming the file, which the CLI reports with exit code 2. Each section
+    goes through numpy's C text parser in one call. numpy releases that
+    still fall back to float parsing for such a token only emit a
+    DeprecationWarning, which the default filters hide, so the call turns
+    it into an error whatever filters the caller has set.
     """
     sections = {}
     with open(path) as f:
@@ -247,9 +251,11 @@ def load_split(path) -> Split:
                 sections[name] = np.zeros(0, dtype=np.int64)
                 continue
             try:
-                sections[name] = np.loadtxt([rest], dtype=np.int64, ndmin=1,
-                                            comments=None)
-            except ValueError as err:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", DeprecationWarning)
+                    sections[name] = np.loadtxt([rest], dtype=np.int64,
+                                                ndmin=1, comments=None)
+            except (ValueError, DeprecationWarning) as err:
                 raise ValueError(f"{path}: bad {name} section: {err}") from None
     missing = {"query", "train", "database"} - sections.keys()
     if missing:

@@ -255,6 +255,31 @@ def test_non_integer_split_token_is_exit_two(pipeline_files, capsys, token):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("token", ["2.5", "1e3", "99999999999999999999999"])
+def test_float_split_token_is_exit_two_without_pytest_filters(
+        pipeline_files, token):
+    """The installed CLI runs with Python's default warning filters."""
+    _, paths, tmp_path = pipeline_files
+    with open(paths["split.txt"]) as f:
+        lines = f.read().splitlines()
+    lines[2] += " " + token
+    with open(paths["split.txt"], "w") as f:
+        f.write("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    src = str(Path(hadahash.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hadahash.cli",
+         *_commands(paths, str(out))["eval"]],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert paths["split.txt"] in proc.stderr
+    assert "database section" in proc.stderr
+    assert not out.exists()
+
+
 class TestOversizedHeaders:
     """Headers that declare (2^32 - 1) x (2^32 - 1) items in a tiny file."""
 

@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -326,3 +327,35 @@ class TestSplitFile:
         path.write_text(f"query: 1 2\ntrain: 3 {token} 4\ndatabase: 0\n")
         with pytest.raises(ValueError, match="split.txt: bad train section"):
             load_split(path)
+
+    @pytest.mark.parametrize("action", ["ignore", "default"])
+    @pytest.mark.parametrize("token", [
+        "2.5", "1e3", "nan", "inf", "99999999999999999999999"])
+    def test_rejects_float_tokens_under_any_warning_filter(
+            self, tmp_path, action, token):
+        path = tmp_path / "split.txt"
+        path.write_text(f"query: 1 2\ntrain: 3 {token} 4\ndatabase: 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(ValueError, match="bad train section"):
+                load_split(path)
+
+    @pytest.mark.parametrize("action", ["ignore", "default"])
+    def test_float_fallback_warning_is_an_error(self, tmp_path, monkeypatch,
+                                                action):
+        # A loadtxt that, like numpy releases before the deprecation
+        # expired, parses an integer via a float and only warns.
+        def float_fallback(lines, dtype, ndmin, comments):
+            tokens = lines[0].split()
+            if not all(t.lstrip("+-").isdigit() for t in tokens):
+                warnings.warn("loadtxt(): Parsing an integer via a float is "
+                              "deprecated.", DeprecationWarning)
+            return np.array(tokens, dtype=np.float64).astype(dtype)
+
+        monkeypatch.setattr(np, "loadtxt", float_fallback)
+        path = tmp_path / "split.txt"
+        path.write_text("query: 1\ntrain: 2.5\ndatabase: 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(ValueError, match="bad train section"):
+                load_split(path)
