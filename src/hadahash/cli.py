@@ -117,14 +117,13 @@ def cmd_train(args) -> int:
     else:
         net, history = trainer.train(config, features, labels, split, book,
                                      hidden=hidden, checkpoint_path=args.out)
-    velocity_epoch = history.records[-1].epoch + 1 if history.records else 0
     model.save_network(net, args.out)
     if history.records:
         _log(f"epoch {history.records[-1].epoch}: "
              f"total loss {history.records[-1].loss.total:.6f}")
     if args.history:
         history.to_csv(args.history)
-    _log(f"wrote model to {args.out} after {velocity_epoch} epochs")
+    _log(f"wrote model to {args.out} after {config.epochs} epochs")
     return 0
 
 

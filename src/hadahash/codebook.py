@@ -17,13 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from .io import (FileFormatError, expect_magic, expect_version, read_array,
-                 read_u8, read_u32, read_u64, write_array, write_u8,
-                 write_u32, write_u64)
+from .io import (FileFormatError, read_array, read_header, write_array,
+                 write_header)
 from .rng import make_rng, standard_normal
 
 CODEBOOK_MAGIC = b"HCCB"
 CODEBOOK_VERSION = 1
+# Class count, code length, seed, provenance tag.
+CODEBOOK_HEADER = "IIQB"
 
 _PROVENANCE_TO_TAG = {"direct": 0, "projected": 1}
 _TAG_TO_PROVENANCE = {tag: name for name, tag in _PROVENANCE_TO_TAG.items()}
@@ -68,14 +69,6 @@ class ProjectionMatrix:
     values: np.ndarray  # (rows, cols) float64, i.i.d. standard normal
     seed: int
 
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
 
 def sample_projection(order: int, code_bits: int, seed: int) -> ProjectionMatrix:
     """Draw an order x code_bits standard normal projection matrix.
@@ -113,12 +106,25 @@ def hadamard_transform(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Codebook:
-    """One codeword of +-1 bits per class."""
+    """One distinct codeword of +-1 bits per class.
+
+    Two classes that shared a codeword would share a training target, and
+    retrieval could not tell them apart, so a repeated codeword is a
+    ValueError.
+    """
 
     codewords: np.ndarray  # (C, K) int8 in {-1, +1}
     provenance: str        # "direct" or "projected"
     seed: int
     selected_indices: Optional[np.ndarray]  # source row/column indices, never 0
+
+    def __post_init__(self):
+        distinct = np.unique(np.packbits(self.codewords > 0, axis=1), axis=0)
+        if distinct.shape[0] < self.num_classes:
+            raise ValueError(
+                f"only {distinct.shape[0]} distinct codewords for "
+                f"{self.num_classes} classes in {self.code_bits} bits; "
+                f"use more bits")
 
     @property
     def num_classes(self) -> int:
@@ -138,8 +144,7 @@ def build_codebook(code_bits: int, num_classes: int, seed: int) -> Codebook:
     of the sign-thresholded Gaussian projection (excluding row 0).
     Selection is uniform without replacement from the seeded generator.
     Distinct rows can still threshold to the same codeword when K is small
-    against C; two classes would then share a target, so a codebook with a
-    duplicate codeword is a ValueError.
+    against C, which `Codebook` rejects.
     """
     if code_bits < 2:
         raise ValueError(f"code_bits must be >= 2, got {code_bits}")
@@ -160,11 +165,6 @@ def build_codebook(code_bits: int, num_classes: int, seed: int) -> Codebook:
     indices = rng.choice(np.arange(1, order), size=num_classes, replace=False)
     pool = hadamard_transform(projection)
     codewords = np.where(pool[indices] >= 0.0, 1, -1).astype(np.int8)
-    distinct = np.unique(np.packbits(codewords > 0, axis=1), axis=0)
-    if distinct.shape[0] < num_classes:
-        raise ValueError(
-            f"only {distinct.shape[0]} distinct codewords for {num_classes} "
-            f"classes in {code_bits} bits; use more bits")
     return Codebook(codewords=codewords, provenance=provenance, seed=seed,
                     selected_indices=indices)
 
@@ -191,24 +191,17 @@ def target_batch(codebook: Codebook, labels: np.ndarray):
 
 def save_codebook(codebook: Codebook, path) -> None:
     with open(path, "wb") as f:
-        f.write(CODEBOOK_MAGIC)
-        write_u32(f, CODEBOOK_VERSION)
-        write_u32(f, codebook.num_classes)
-        write_u32(f, codebook.code_bits)
-        write_u64(f, codebook.seed)
-        write_u8(f, _PROVENANCE_TO_TAG[codebook.provenance])
+        write_header(f, CODEBOOK_MAGIC, CODEBOOK_VERSION, CODEBOOK_HEADER,
+                     codebook.num_classes, codebook.code_bits, codebook.seed,
+                     _PROVENANCE_TO_TAG[codebook.provenance])
         write_array(f, codebook.codewords, np.int8)
 
 
 def load_codebook(path) -> Codebook:
     """Read a codebook file; the source indices are not stored on disk."""
     with open(path, "rb") as f:
-        expect_magic(f, CODEBOOK_MAGIC, path)
-        expect_version(f, CODEBOOK_VERSION, path)
-        num_classes = read_u32(f, "class count")
-        code_bits = read_u32(f, "code length")
-        seed = read_u64(f, "seed")
-        tag = read_u8(f, "provenance")
+        num_classes, code_bits, seed, tag = read_header(
+            f, CODEBOOK_MAGIC, CODEBOOK_VERSION, CODEBOOK_HEADER)
         if tag not in _TAG_TO_PROVENANCE:
             raise FileFormatError(f"{path}: unknown provenance tag {tag}")
         entries = read_array(f, np.int8, num_classes * code_bits, "codewords")

@@ -5,13 +5,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import (expect_magic, expect_version, read_array, read_u32,
-                 write_array, write_u32)
+from .io import read_array, read_header, write_array, write_header
 from .rng import make_rng, standard_normal
 
 FEATURES_MAGIC = b"HCFS"
 LABELS_MAGIC = b"HCLS"
 FORMAT_VERSION = 1
+# Both formats: item count, then feature dim or class count.
+MATRIX_HEADER = "II"
 
 _TEXT_EXTENSIONS = (".csv", ".txt")
 
@@ -78,10 +79,8 @@ def save_features(features: FeatureSet, path) -> None:
         np.savetxt(path, features.values, delimiter=",", fmt="%.9g")
         return
     with open(path, "wb") as f:
-        f.write(FEATURES_MAGIC)
-        write_u32(f, FORMAT_VERSION)
-        write_u32(f, features.num_items)
-        write_u32(f, features.dim)
+        write_header(f, FEATURES_MAGIC, FORMAT_VERSION, MATRIX_HEADER,
+                     features.num_items, features.dim)
         write_array(f, features.values, "<f4")
 
 
@@ -90,10 +89,7 @@ def load_features(path) -> FeatureSet:
         values = np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
         return FeatureSet(values=values)
     with open(path, "rb") as f:
-        expect_magic(f, FEATURES_MAGIC, path)
-        expect_version(f, FORMAT_VERSION, path)
-        n = read_u32(f, "item count")
-        d = read_u32(f, "feature dim")
+        n, d = read_header(f, FEATURES_MAGIC, FORMAT_VERSION, MATRIX_HEADER)
         values = read_array(f, "<f4", n * d, "feature payload")
     return FeatureSet(values=values.reshape(n, d))
 
@@ -103,10 +99,8 @@ def save_labels(labels: LabelSet, path) -> None:
         np.savetxt(path, labels.values, delimiter=",", fmt="%d")
         return
     with open(path, "wb") as f:
-        f.write(LABELS_MAGIC)
-        write_u32(f, FORMAT_VERSION)
-        write_u32(f, labels.num_items)
-        write_u32(f, labels.num_classes)
+        write_header(f, LABELS_MAGIC, FORMAT_VERSION, MATRIX_HEADER,
+                     labels.num_items, labels.num_classes)
         write_array(f, labels.values, np.uint8)
 
 
@@ -115,10 +109,7 @@ def load_labels(path) -> LabelSet:
         values = np.loadtxt(path, delimiter=",", dtype=np.uint8, ndmin=2)
         return LabelSet(values=values)
     with open(path, "rb") as f:
-        expect_magic(f, LABELS_MAGIC, path)
-        expect_version(f, FORMAT_VERSION, path)
-        n = read_u32(f, "item count")
-        c = read_u32(f, "class count")
+        n, c = read_header(f, LABELS_MAGIC, FORMAT_VERSION, MATRIX_HEADER)
         values = read_array(f, np.uint8, n * c, "label payload")
     return LabelSet(values=values.reshape(n, c))
 
@@ -227,10 +218,11 @@ def load_split(path) -> Split:
 
     Each non-blank line is `query:`, `train:` or `database:` followed by
     whitespace-separated base-10 integers that fit in int64, with an
-    optional sign; a section may be empty. Anything else in a section (a
-    `#`, a letter, a decimal point, a digit separator `1_0`, non-ASCII
-    digits, a number too large for int64, `1e3`, `nan`) is a ValueError
-    naming the file, which the CLI reports with exit code 2. Each section
+    optional sign; a section may be empty but may not appear twice.
+    Anything else in a section (a `#`, a letter, a decimal point, a digit
+    separator `1_0`, non-ASCII digits, a number too large for int64, `1e3`,
+    `nan`) is a ValueError naming the file, as is a repeated section; the
+    CLI reports either with exit code 2. Each section
     goes through numpy's C text parser in one call. numpy releases that
     still fall back to float parsing for such a token only emit a
     DeprecationWarning, which the default filters hide, so the call turns
@@ -246,6 +238,8 @@ def load_split(path) -> Split:
             name = name.strip()
             if name not in ("query", "train", "database"):
                 raise ValueError(f"{path}: unknown split section {name!r}")
+            if name in sections:
+                raise ValueError(f"{path}: repeated {name} section")
             if not rest.strip():
                 # loadtxt warns on an empty input.
                 sections[name] = np.zeros(0, dtype=np.int64)

@@ -1,8 +1,18 @@
 """Binary file framing shared by the on-disk formats.
 
-Every format starts with a 4-byte ASCII magic and a little-endian u32
-version. Loaders read and validate the whole payload before constructing
-any object, so a malformed file never leaves partial state behind.
+Every binary format starts with one fixed header: a 4-byte ASCII magic, a
+little-endian u32 version, then the format's own fields. Each format
+declares those fields once, as a `struct` format string that its save
+and its load both pass here, so writer and reader cannot drift apart.
+`write_header` packs the whole header in one call. `read_header` checks
+the magic, unpacks the version and the fields in one read, and checks the
+version. Payloads follow the header as little-endian arrays, through
+`write_array` and `read_array`; a record of several fields is one packed
+structured dtype.
+
+Loaders read and validate the whole payload before constructing any
+object, so a malformed file never leaves partial state behind. Every
+framing error names the file it was raised for.
 """
 
 import os
@@ -27,50 +37,32 @@ class TruncatedFileError(FileFormatError):
     """The file ended before the declared payload was complete."""
 
 
-def read_exact(f, count: int, what: str) -> bytes:
-    data = f.read(count)
-    if len(data) != count:
+def write_header(f, magic: bytes, version: int, fmt: str, *fields) -> None:
+    """Write magic, version and `fields` packed little-endian by `fmt`."""
+    f.write(magic + struct.pack("<I" + fmt, version, *fields))
+
+
+def read_header(f, magic: bytes, version: int, fmt: str) -> tuple:
+    """Read a header written by `write_header` and return its fields.
+
+    A wrong magic is a BadMagicError, a header cut short a
+    TruncatedFileError and any version but `version` a BadVersionError.
+    """
+    layout = struct.Struct("<I" + fmt)
+    wanted = len(magic) + layout.size
+    header = f.read(wanted)
+    found = header[:len(magic)]
+    if len(found) == len(magic) and found != magic:
+        raise BadMagicError(f"{f.name}: bad magic {found!r}, expected {magic!r}")
+    if len(header) != wanted:
         raise TruncatedFileError(
-            f"truncated while reading {what}: wanted {count} bytes, got {len(data)}")
-    return data
-
-
-def expect_magic(f, magic: bytes, path) -> None:
-    found = f.read(len(magic))
-    if len(found) != len(magic):
-        raise TruncatedFileError(f"{path}: file shorter than its magic")
-    if found != magic:
-        raise BadMagicError(f"{path}: bad magic {found!r}, expected {magic!r}")
-
-
-def expect_version(f, supported: int, path) -> None:
-    version = read_u32(f, "version")
-    if version != supported:
-        raise BadVersionError(f"{path}: unsupported version {version}, expected {supported}")
-
-
-def read_u32(f, what: str) -> int:
-    return struct.unpack("<I", read_exact(f, 4, what))[0]
-
-
-def read_u64(f, what: str) -> int:
-    return struct.unpack("<Q", read_exact(f, 8, what))[0]
-
-
-def read_u8(f, what: str) -> int:
-    return read_exact(f, 1, what)[0]
-
-
-def write_u32(f, value: int) -> None:
-    f.write(struct.pack("<I", value))
-
-
-def write_u64(f, value: int) -> None:
-    f.write(struct.pack("<Q", value))
-
-
-def write_u8(f, value: int) -> None:
-    f.write(struct.pack("<B", value))
+            f"{f.name}: truncated while reading the header: wanted {wanted} "
+            f"bytes, got {len(header)}")
+    found_version, *fields = layout.unpack_from(header, len(magic))
+    if found_version != version:
+        raise BadVersionError(
+            f"{f.name}: unsupported version {found_version}, expected {version}")
+    return tuple(fields)
 
 
 def read_array(f, dtype, count: int, what: str) -> np.ndarray:
@@ -88,13 +80,14 @@ def read_array(f, dtype, count: int, what: str) -> np.ndarray:
     left = os.fstat(f.fileno()).st_size - f.tell()
     if wanted > left:
         raise TruncatedFileError(
-            f"truncated while reading {what}: wanted {wanted} bytes, "
-            f"{left} left in the file")
+            f"{f.name}: truncated while reading {what}: wanted {wanted} "
+            f"bytes, {left} left in the file")
     out = np.empty(count, dtype=dt)
     got = f.readinto(memoryview(out).cast("B"))
     if got != wanted:
         raise TruncatedFileError(
-            f"truncated while reading {what}: wanted {wanted} bytes, got {got}")
+            f"{f.name}: truncated while reading {what}: wanted {wanted} "
+            f"bytes, got {got}")
     return out
 
 

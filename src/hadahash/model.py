@@ -12,12 +12,16 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .io import (FileFormatError, expect_magic, expect_version, read_array,
-                 read_u8, read_u32, write_array, write_u8, write_u32)
+from .io import (FileFormatError, read_array, read_header, write_array,
+                 write_header)
 from .rng import make_rng
 
 CHECKPOINT_MAGIC = b"HCMD"
 CHECKPOINT_VERSION = 1
+# The layer count, then one packed record per layer.
+CHECKPOINT_HEADER = "I"
+LAYER_RECORD = np.dtype([("fan_in", "<u4"), ("fan_out", "<u4"),
+                         ("activation", "u1")])
 
 ACTIVATION_TAGS = {"relu": 0, "tanh": 1, "identity": 2}
 _TAG_TO_ACTIVATION = {tag: name for name, tag in ACTIVATION_TAGS.items()}
@@ -308,15 +312,13 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
 
 def save_network(net: HashNetwork, path) -> None:
     """Checkpoint: architecture header then parameters as little-endian f64."""
+    all_layers = net.all_layers()
+    records = [(*layer.weights.shape, ACTIVATION_TAGS[layer.activation])
+               for layer in all_layers]
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        write_u32(f, CHECKPOINT_VERSION)
-        all_layers = net.all_layers()
-        write_u32(f, len(all_layers))
-        for layer in all_layers:
-            write_u32(f, layer.weights.shape[0])
-            write_u32(f, layer.weights.shape[1])
-            write_u8(f, ACTIVATION_TAGS[layer.activation])
+        write_header(f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                     CHECKPOINT_HEADER, len(all_layers))
+        write_array(f, records, LAYER_RECORD)
         for layer in all_layers:
             write_array(f, layer.weights, "<f8")
             write_array(f, layer.bias, "<f8")
@@ -324,22 +326,18 @@ def save_network(net: HashNetwork, path) -> None:
 
 def load_network(path) -> HashNetwork:
     with open(path, "rb") as f:
-        expect_magic(f, CHECKPOINT_MAGIC, path)
-        expect_version(f, CHECKPOINT_VERSION, path)
-        count = read_u32(f, "layer count")
+        count, = read_header(f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                             CHECKPOINT_HEADER)
         if count < 2:
             raise FileFormatError(
                 f"{path}: checkpoint needs at least hash and classifier layers")
-        shapes = []
-        for _ in range(count):
-            fan_in = read_u32(f, "layer fan-in")
-            fan_out = read_u32(f, "layer fan-out")
-            tag = read_u8(f, "activation tag")
+        records = read_array(f, LAYER_RECORD, count, "layer records").tolist()
+        for _, _, tag in records:
             if tag not in _TAG_TO_ACTIVATION:
                 raise FileFormatError(f"{path}: unknown activation tag {tag}")
-            shapes.append((fan_in, fan_out, _TAG_TO_ACTIVATION[tag]))
         layers = []
-        for fan_in, fan_out, activation in shapes:
+        for fan_in, fan_out, tag in records:
+            activation = _TAG_TO_ACTIVATION[tag]
             weights = read_array(f, "<f8", fan_in * fan_out, "weights").reshape(fan_in, fan_out)
             bias = read_array(f, "<f8", fan_out, "bias")
             layers.append(DenseLayer(weights=weights, bias=bias, activation=activation))

@@ -6,12 +6,14 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .io import (FileFormatError, expect_magic, expect_version, read_array,
-                 read_u8, read_u32, write_array, write_u8, write_u32)
+from .io import (FileFormatError, read_array, read_header, write_array,
+                 write_header)
 from .rng import make_rng, standard_normal
 
 CODES_MAGIC = b"HCBC"
 CODES_VERSION = 1
+# Item count, code length, binarization mode tag.
+CODES_HEADER = "IIB"
 
 BINARIZATION_MODES = ("sign", "mean_centered_sign")
 _MODE_TO_TAG = {"sign": 0, "mean_centered_sign": 1}
@@ -292,21 +294,14 @@ def lsh_codes(features: np.ndarray, code_bits: int, seed: int) -> BinaryCodeSet:
 
 def save_codes(codes: BinaryCodeSet, path) -> None:
     with open(path, "wb") as f:
-        f.write(CODES_MAGIC)
-        write_u32(f, CODES_VERSION)
-        write_u32(f, codes.num_items)
-        write_u32(f, codes.code_bits)
-        write_u8(f, _MODE_TO_TAG[codes.mode])
+        write_header(f, CODES_MAGIC, CODES_VERSION, CODES_HEADER,
+                     codes.num_items, codes.code_bits, _MODE_TO_TAG[codes.mode])
         write_array(f, codes.words, "<u8")
 
 
 def load_codes(path) -> BinaryCodeSet:
     with open(path, "rb") as f:
-        expect_magic(f, CODES_MAGIC, path)
-        expect_version(f, CODES_VERSION, path)
-        n = read_u32(f, "item count")
-        k = read_u32(f, "code length")
-        tag = read_u8(f, "mode")
+        n, k, tag = read_header(f, CODES_MAGIC, CODES_VERSION, CODES_HEADER)
         if tag not in _TAG_TO_MODE:
             raise FileFormatError(f"{path}: unknown mode tag {tag}")
         n_words = (k + 63) // 64

@@ -10,14 +10,16 @@ import numpy as np
 
 from .codebook import Codebook, target_batch
 from .data import FeatureSet, LabelSet, Split, check_split
-from .io import (FileFormatError, expect_magic, expect_version, read_array,
-                 read_u32, read_u64, write_array, write_u32, write_u64)
+from .io import (FileFormatError, read_array, read_header, write_array,
+                 write_header)
 from .model import (HashNetwork, LossBreakdown, NetworkSpec, backward,
                     build_network, load_network, save_network, sgd_step)
 from .rng import make_rng
 
 TRAIN_STATE_MAGIC = b"HCTS"
 TRAIN_STATE_VERSION = 1
+# Next epoch, total velocity entries.
+TRAIN_STATE_HEADER = "IQ"
 
 HISTORY_COLUMNS = ("epoch", "lr", "hadamard_loss", "classification_loss",
                    "total_loss", "seconds")
@@ -180,10 +182,15 @@ def resume(checkpoint_path, config: TrainConfig, features: FeatureSet,
     """Continue training from a checkpoint written by save_checkpoint.
 
     The restored epoch counter and velocity state make the continuation
-    bit-identical to an uninterrupted run with the same config.
+    bit-identical to an uninterrupted run with the same config. A
+    checkpoint already past `config.epochs` is a ValueError.
     """
     _validate_inputs(config, features, labels, split, codebook)
     net, velocity, next_epoch = load_checkpoint(checkpoint_path)
+    if next_epoch > config.epochs:
+        raise ValueError(
+            f"checkpoint {checkpoint_path} is at epoch {next_epoch}, past "
+            f"the {config.epochs} epochs requested")
     expected = NetworkSpec(input_dim=features.dim, hidden=tuple(hidden),
                            code_bits=codebook.code_bits,
                            num_classes=labels.num_classes)
@@ -208,11 +215,9 @@ def save_checkpoint(net: HashNetwork, velocity: List[np.ndarray],
     """Model checkpoint plus a sidecar with the optimizer state."""
     save_network(net, path)
     with open(train_state_path(path), "wb") as f:
-        f.write(TRAIN_STATE_MAGIC)
-        write_u32(f, TRAIN_STATE_VERSION)
-        write_u32(f, next_epoch)
-        total = sum(v.size for v in velocity)
-        write_u64(f, total)
+        write_header(f, TRAIN_STATE_MAGIC, TRAIN_STATE_VERSION,
+                     TRAIN_STATE_HEADER, next_epoch,
+                     sum(v.size for v in velocity))
         for v in velocity:
             write_array(f, v, "<f8")
 
@@ -221,10 +226,8 @@ def load_checkpoint(path):
     """Returns (network, velocity, next_epoch)."""
     net = load_network(path)
     with open(train_state_path(path), "rb") as f:
-        expect_magic(f, TRAIN_STATE_MAGIC, train_state_path(path))
-        expect_version(f, TRAIN_STATE_VERSION, train_state_path(path))
-        next_epoch = read_u32(f, "epoch counter")
-        total = read_u64(f, "velocity size")
+        next_epoch, total = read_header(f, TRAIN_STATE_MAGIC,
+                                        TRAIN_STATE_VERSION, TRAIN_STATE_HEADER)
         flat = read_array(f, "<f8", total, "velocity payload")
     params = net.param_arrays()
     if total != sum(p.size for p in params):

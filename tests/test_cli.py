@@ -17,6 +17,7 @@ from hadahash.model import NetworkSpec, build_network, save_network
 from hadahash.retrieval import (BinaryCodeSet, binarize, load_codes,
                                 pack_codes, save_codes)
 from hadahash.rng import make_rng
+from hadahash.trainer import save_checkpoint
 
 
 class TestCodebookCommand:
@@ -301,6 +302,86 @@ class TestOversizedHeaders:
         assert cli.main(_commands(paths, str(out))[command]) == 3
         assert "truncated" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _save_fresh_checkpoint(paths, next_epoch):
+    """A checkpoint at `next_epoch` that the "train" command can resume."""
+    net = build_network(NetworkSpec(6, (5,), 8, 4), seed=3)
+    save_checkpoint(net, [np.zeros_like(p) for p in net.param_arrays()],
+                    next_epoch, paths["model.hcmd"])
+    return _commands(paths, paths["model.hcmd"])["train"] + ["--resume"]
+
+
+@pytest.mark.parametrize("cut", ["header", "payload"])
+@pytest.mark.parametrize("target, command", [
+    ("features.hcfs", "lsh-baseline"),
+    ("labels.hcls", "eval"),
+    ("book.hccb", "train"),
+    ("model.hcmd", "encode"),
+    ("query.hcbc", "eval"),
+    ("model.hcmd.state", "resume"),
+])
+def test_truncated_file_is_exit_three_naming_it(pipeline_files, capsys,
+                                                target, command, cut):
+    _, paths, tmp_path = pipeline_files
+    out = tmp_path / "out"
+    if command == "resume":
+        argv = _save_fresh_checkpoint(paths, 0)
+        paths[target] = paths["model.hcmd"] + ".state"
+    else:
+        argv = _commands(paths, str(out))[command]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    out.unlink(missing_ok=True)
+    raw = Path(paths[target]).read_bytes()
+    # Every header is at least 12 bytes long.
+    Path(paths[target]).write_bytes(raw[:10] if cut == "header" else raw[:-3])
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"error: {paths[target]}: truncated while reading" in err
+    assert not out.exists()
+
+
+def test_repeated_split_section_is_exit_two(pipeline_files, capsys):
+    split, paths, tmp_path = pipeline_files
+    with open(paths["split.txt"], "a") as f:
+        f.write(f"query: {split.query[0]}\n")
+    out = tmp_path / "out"
+    assert cli.main(_commands(paths, str(out))["eval"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: {paths['split.txt']}: repeated query section")
+    assert not out.exists()
+
+
+def test_repeated_codeword_file_is_exit_two(pipeline_files, capsys):
+    _, paths, tmp_path = pipeline_files
+    raw = bytearray(Path(paths["book.hccb"]).read_bytes())
+    # Header of 25 bytes, then four 8-byte codewords: row 1 := row 0.
+    raw[33:41] = raw[25:33]
+    Path(paths["book.hccb"]).write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    assert cli.main(_commands(paths, str(out))["train"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: only 3 distinct codewords for 4 classes in 8 bits; "
+        "use more bits")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epochs, code", [(1, 2), (2, 0), (3, 0)])
+def test_resume_past_the_requested_epochs(pipeline_files, capsys, epochs,
+                                          code):
+    _, paths, _ = pipeline_files
+    argv = _save_fresh_checkpoint(paths, 2) + ["--epochs", str(epochs)]
+    before = Path(paths["model.hcmd"]).read_bytes()
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.strip() == (
+            f"error: checkpoint {paths['model.hcmd']} is at epoch 2, past "
+            f"the {epochs} epochs requested")
+        assert Path(paths["model.hcmd"]).read_bytes() == before
+    else:
+        assert err.endswith(f"after {epochs} epochs\n")
 
 
 @pytest.mark.parametrize("target", ["query.hcbc", "database.hcbc"])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadahash.codebook import (build_codebook, hadamard_transform,
+from hadahash.codebook import (Codebook, build_codebook, hadamard_transform,
                                load_codebook, sample_projection,
                                save_codebook, select_order, sylvester,
                                target_batch)
@@ -382,6 +382,23 @@ class TestCodebookFile:
         raw[4] = 99
         path.write_bytes(bytes(raw))
         with pytest.raises(BadVersionError):
+            load_codebook(path)
+
+    def test_repeated_codeword_is_rejected(self, tmp_path):
+        book = build_codebook(16, 4, 1)
+        codewords = book.codewords.copy()
+        codewords[1] = codewords[0]
+        message = "only 3 distinct codewords for 4 classes in 16 bits"
+        with pytest.raises(ValueError, match=message):
+            Codebook(codewords=codewords, provenance=book.provenance,
+                     seed=book.seed, selected_indices=None)
+        path = tmp_path / "book.hccb"
+        save_codebook(book, path)
+        raw = bytearray(path.read_bytes())
+        header = len(raw) - codewords.size
+        raw[header + 16:header + 32] = raw[header:header + 16]
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=message):
             load_codebook(path)
 
     def test_truncated(self, tmp_path):

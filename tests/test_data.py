@@ -273,6 +273,16 @@ class TestSplitProtocol:
         with pytest.raises(ValueError, match="missing"):
             load_split(path)
 
+    @pytest.mark.parametrize("section", ["query", "train", "database"])
+    def test_split_file_repeated_section(self, tmp_path, section):
+        # A second section would otherwise replace the first one.
+        path = tmp_path / "split.txt"
+        path.write_text(f"query: 1 2\ntrain: 3 4\ndatabase: 0 3 4 5\n"
+                        f"{section}: 5\n")
+        with pytest.raises(ValueError) as err:
+            load_split(path)
+        assert str(err.value) == f"{path}: repeated {section} section"
+
 
 _SECTION = st.lists(st.integers(-2**63, 2**63 - 1), max_size=30).map(
     lambda values: np.array(values, dtype=np.int64))

@@ -153,6 +153,22 @@ class TestResume:
             resume(ckpt, TrainConfig(epochs=4, seed=3), features, labels,
                    split, wrong_book, hidden=(8,))
 
+    def test_resume_rejects_a_checkpoint_past_the_epochs(self, small_setup,
+                                                         tmp_path):
+        features, labels, split, book = small_setup
+        ckpt = tmp_path / "model.hcmd"
+        config = TrainConfig(epochs=4, base_lr=0.01, seed=3, checkpoint_every=4)
+        train(config, features, labels, split, book, hidden=(8,),
+              checkpoint_path=ckpt)
+        with pytest.raises(ValueError) as err:
+            resume(ckpt, TrainConfig(epochs=3, seed=3), features, labels,
+                   split, book, hidden=(8,))
+        assert str(err.value) == (f"checkpoint {ckpt} is at epoch 4, past "
+                                  f"the 3 epochs requested")
+        _, history = resume(ckpt, TrainConfig(epochs=4, seed=3), features,
+                            labels, split, book, hidden=(8,))
+        assert history.records == []
+
     def test_checkpoint_round_trip(self, small_setup, tmp_path):
         features, labels, split, book = small_setup
         config = TrainConfig(epochs=4, base_lr=0.01, seed=3)
