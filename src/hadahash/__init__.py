@@ -9,11 +9,12 @@ from .data import (FeatureSet, LabelSet, Split, check_split, load_features,
                    save_features, save_labels, save_split, split_protocol)
 from .model import (DenseLayer, HashNetwork, LossBreakdown, NetworkSpec,
                     backward, bce_loss, build_network, cross_entropy_loss,
-                    forward, hadamard_loss, hash_activations, load_network,
-                    save_network, sgd_step)
+                    forward, hadamard_loss, hash_activations, hash_layer,
+                    load_network, save_network, sgd_step)
 from .retrieval import (BinaryCodeSet, EvalReport, RankedList, binarize,
-                        evaluate, load_codes, lsh_codes, pack_codes,
-                        save_codes, search, unpack_codes)
+                        encode_rows, evaluate, load_codes, lsh_codes,
+                        mean_activations, pack_codes, save_codes, search,
+                        unpack_codes)
 from .trainer import (NumericError, TrainConfig, TrainHistory, learning_rate,
                       resume, train)
 from .analysis import (ablate, activation_histogram, bit_balance,

@@ -8,8 +8,9 @@ import numpy as np
 
 from .codebook import Codebook
 from .data import FeatureSet, LabelSet, Split
-from .model import VARIANTS, hash_activations
-from .retrieval import BinaryCodeSet, RankedList, binarize, evaluate, unpack_codes
+from .model import VARIANTS, hash_layer
+from .retrieval import (BinaryCodeSet, RankedList, encode_rows, evaluate,
+                        unpack_codes)
 from .trainer import TrainConfig, train
 
 
@@ -75,11 +76,13 @@ def _train_and_map(config: TrainConfig, features: FeatureSet, labels: LabelSet,
                    split: Split, codebook: Codebook, hidden: Tuple[int, ...],
                    map_at: Optional[int] = None) -> float:
     net, _ = train(config, features, labels, split, codebook, hidden=hidden)
-    db_u = hash_activations(net, features.values[split.database])
-    query_u = hash_activations(net, features.values[split.query])
-    report = evaluate(binarize(query_u), binarize(db_u),
-                      labels.values[split.query], labels.values[split.database],
-                      limit=map_at)
+    encode = hash_layer(net)
+    db_codes = encode_rows(features.values, split.database, encode,
+                           net.code_bits)
+    query_codes = encode_rows(features.values, split.query, encode,
+                              net.code_bits)
+    report = evaluate(query_codes, db_codes, labels.values[split.query],
+                      labels.values[split.database], limit=map_at)
     return report.mean_ap
 
 

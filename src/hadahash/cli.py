@@ -117,7 +117,9 @@ def cmd_train(args) -> int:
     else:
         net, history = trainer.train(config, features, labels, split, book,
                                      hidden=hidden, checkpoint_path=args.out)
-    model.save_network(net, args.out)
+    # A checkpointing run has already saved its last epoch to args.out.
+    if not (history.records and (args.resume or config.checkpoint_every > 0)):
+        model.save_network(net, args.out)
     if history.records:
         _log(f"epoch {history.records[-1].epoch}: "
              f"total loss {history.records[-1].loss.total:.6f}")
@@ -130,24 +132,22 @@ def cmd_train(args) -> int:
 def cmd_encode(args) -> int:
     net = model.load_network(args.model)
     features = data.load_features(args.features)
-    split = None
-    rows = features.values
+    # Per-bit means come from the database rows: every row without a split.
+    rows = database = np.arange(features.num_items)
     if args.split:
-        indices, split = _load_split_subset(args.split, args.subset,
-                                            features.num_items)
-        rows = rows[indices]
-    u = model.hash_activations(net, rows)
+        rows, split = _load_split_subset(args.split, args.subset,
+                                         features.num_items)
+        database = split.database
+    hash_layer = model.hash_layer(net)
+    mode, means = "sign", None
     if args.mean_centered:
-        # Per-bit means come from the database rows, which are the encoded
-        # rows themselves without a split or with --subset database.
-        reference = u
-        if split is not None and args.subset != "database":
-            reference = model.hash_activations(
-                net, features.values[split.database])
-        codes = retrieval.binarize(u, mode="mean_centered_sign",
-                                   reference_means=reference.mean(axis=0))
-    else:
-        codes = retrieval.binarize(u, mode="sign")
+        # A pass of its own over the database, so no N x K activations are
+        # held.
+        mode = "mean_centered_sign"
+        means = retrieval.mean_activations(features.values, database,
+                                           hash_layer)
+    codes = retrieval.encode_rows(features.values, rows, hash_layer,
+                                  net.code_bits, mode, means)
     retrieval.save_codes(codes, args.out)
     _log(f"wrote {codes.num_items} codes of {codes.code_bits} bits "
          f"({codes.mode}) to {args.out}")
@@ -187,10 +187,10 @@ def cmd_lsh_baseline(args) -> int:
         raise ValueError(f"feature count {features.num_items} != label count "
                          f"{labels.num_items}")
     split = _load_split(args.split, features.num_items)
-    db_codes = retrieval.lsh_codes(features.values[split.database], args.bits,
-                                   args.seed)
-    query_codes = retrieval.lsh_codes(features.values[split.query], args.bits,
-                                      args.seed)
+    db_codes = retrieval.lsh_codes(features.values, args.bits, args.seed,
+                                   rows=split.database)
+    query_codes = retrieval.lsh_codes(features.values, args.bits, args.seed,
+                                      rows=split.query)
     if args.query_codes_out:
         retrieval.save_codes(query_codes, args.query_codes_out)
     if args.database_codes_out:

@@ -123,8 +123,7 @@ class Codebook:
         if distinct.shape[0] < self.num_classes:
             raise ValueError(
                 f"only {distinct.shape[0]} distinct codewords for "
-                f"{self.num_classes} classes in {self.code_bits} bits; "
-                f"use more bits")
+                f"{self.num_classes} classes in {self.code_bits} bits")
 
     @property
     def num_classes(self) -> int:
@@ -165,8 +164,11 @@ def build_codebook(code_bits: int, num_classes: int, seed: int) -> Codebook:
     indices = rng.choice(np.arange(1, order), size=num_classes, replace=False)
     pool = hadamard_transform(projection)
     codewords = np.where(pool[indices] >= 0.0, 1, -1).astype(np.int8)
-    return Codebook(codewords=codewords, provenance=provenance, seed=seed,
-                    selected_indices=indices)
+    try:
+        return Codebook(codewords=codewords, provenance=provenance, seed=seed,
+                        selected_indices=indices)
+    except ValueError as err:
+        raise ValueError(f"{err}; use more bits") from None
 
 
 def target_batch(codebook: Codebook, labels: np.ndarray):
@@ -208,5 +210,9 @@ def load_codebook(path) -> Codebook:
     if not np.all(np.abs(entries) == 1):
         raise FileFormatError(f"{path}: codeword entries must be -1 or +1")
     codewords = entries.reshape(num_classes, code_bits)
-    return Codebook(codewords=codewords, provenance=_TAG_TO_PROVENANCE[tag],
-                    seed=seed, selected_indices=None)
+    try:
+        return Codebook(codewords=codewords,
+                        provenance=_TAG_TO_PROVENANCE[tag], seed=seed,
+                        selected_indices=None)
+    except ValueError as err:
+        raise ValueError(f"{path}: repeated codeword: {err}") from None

@@ -28,8 +28,11 @@ _TAG_TO_ACTIVATION = {tag: name for name, tag in ACTIVATION_TAGS.items()}
 
 VARIANTS = ("full", "codebook_only", "classifier_only")
 
-# Rows per forward pass when encoding a whole set, so memory holds one block
-# of activations per layer instead of N x width.
+# Rows per block when a whole set is encoded or hashed, so memory holds one
+# block of activations per layer and the set's packed codes, never N x width
+# floats. A one-row tail joins the block before it: BLAS multiplies a single
+# row through another kernel (gemv), whose last bit can differ from the
+# GEMM's, so every row of a set of two or more goes through a GEMM.
 ENCODE_BLOCK_ROWS = 1024
 
 
@@ -151,12 +154,33 @@ def forward(net: HashNetwork, x: np.ndarray):
     return u, logits
 
 
-def hash_activations(net: HashNetwork, x: np.ndarray) -> np.ndarray:
-    """Hash activations of every row of x, forwarded ENCODE_BLOCK_ROWS at a time."""
-    if x.shape[0] == 0:
+def row_blocks(n: int):
+    """(lo, hi) bounds of the ENCODE_BLOCK_ROWS-row blocks of n rows.
+
+    A one-row tail joins the block before it, so with n >= 2 no block has
+    a single row.
+    """
+    if n == 0:
         raise ValueError("no rows to encode")
-    return np.vstack([forward(net, x[lo:lo + ENCODE_BLOCK_ROWS])[0]
-                      for lo in range(0, x.shape[0], ENCODE_BLOCK_ROWS)])
+    cuts = list(range(0, n, ENCODE_BLOCK_ROWS))
+    if n > 1 and n - cuts[-1] == 1:
+        cuts.pop()
+    cuts.append(n)
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def hash_layer(net: HashNetwork):
+    """The map from a block of feature rows to its hash activations.
+
+    It calls the module's `forward`, so a wrapper put there sees every block.
+    """
+    return lambda rows: forward(net, rows)[0]
+
+
+def hash_activations(net: HashNetwork, x: np.ndarray) -> np.ndarray:
+    """Hash activations of every row of x, one row block at a time."""
+    return np.vstack([forward(net, x[lo:hi])[0]
+                      for lo, hi in row_blocks(x.shape[0])])
 
 
 def hadamard_loss(u: np.ndarray, target_values: np.ndarray,

@@ -8,6 +8,7 @@ import numpy as np
 
 from .io import (FileFormatError, read_array, read_header, write_array,
                  write_header)
+from .model import row_blocks
 from .rng import make_rng, standard_normal
 
 CODES_MAGIC = b"HCBC"
@@ -90,6 +91,39 @@ def binarize(u: np.ndarray, mode: str = "sign",
     else:
         raise ValueError(f"unknown binarization mode {mode!r}")
     return pack_codes(u - shift >= 0.0, mode=mode)
+
+
+def encode_rows(values: np.ndarray, rows: np.ndarray, activations,
+                code_bits: int, mode: str = "sign",
+                reference_means: Optional[np.ndarray] = None) -> BinaryCodeSet:
+    """Codes of `activations(values[rows])`, one row block at a time.
+
+    Each block is gathered through the index array, mapped to (B, K)
+    activations and binarized into its rows of one preallocated word
+    array, so memory holds one block of rows and activations besides the
+    packed codes, never the N gathered rows or N x K floats.
+    """
+    words = np.empty((rows.size, (code_bits + 63) // 64), dtype=np.uint64)
+    for lo, hi in row_blocks(rows.size):
+        words[lo:hi] = binarize(activations(values[rows[lo:hi]]), mode,
+                                reference_means).words
+    return BinaryCodeSet(words=words, code_bits=code_bits, mode=mode)
+
+
+def mean_activations(values: np.ndarray, rows: np.ndarray,
+                     activations) -> np.ndarray:
+    """Per-bit mean of `activations(values[rows])`, one row block at a time.
+
+    The running sum reduces [sum so far; block] down the rows, which adds
+    row after row as `u.mean(axis=0)` does over a C-ordered (N, K) matrix
+    with K >= 2, so the means are the same to the last bit.
+    """
+    total = None
+    for lo, hi in row_blocks(rows.size):
+        u = activations(values[rows[lo:hi]])
+        total = np.add.reduce(
+            u if total is None else np.concatenate([total[None], u]), axis=0)
+    return total / rows.size
 
 
 def _distances_to(query_words: np.ndarray, database_words: np.ndarray) -> np.ndarray:
@@ -283,13 +317,26 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
     return report
 
 
-def lsh_codes(features: np.ndarray, code_bits: int, seed: int) -> BinaryCodeSet:
-    """Baseline codes from seeded random hyperplanes over raw features."""
-    features = np.asarray(features, dtype=np.float64)
+def lsh_codes(features: np.ndarray, code_bits: int, seed: int,
+              rows: Optional[np.ndarray] = None) -> BinaryCodeSet:
+    """Baseline codes from seeded random hyperplanes over raw features.
+
+    Encodes `features[rows]` (every row when rows is None); each block of
+    `ENCODE_BLOCK_ROWS` rows is cast to float64 on its own before it meets
+    the planes. The codes equal those of one float64 product over the set
+    for the benchmark's shapes. A block's product can differ from it in
+    the last bit for D >= 384 or K <= 3, so a code bit can differ only
+    where a projection lies within one rounding of 0.
+    """
+    features = np.asarray(features)
     if features.ndim != 2:
         raise ValueError(f"expected an (N, D) feature matrix, got {features.shape}")
+    if rows is None:
+        rows = np.arange(features.shape[0])
     planes = standard_normal(make_rng(seed), (features.shape[1], code_bits))
-    return binarize(features @ planes, mode="sign")
+    return encode_rows(
+        features, rows, lambda block: block.astype(np.float64) @ planes,
+        code_bits)
 
 
 def save_codes(codes: BinaryCodeSet, path) -> None:

@@ -138,8 +138,12 @@ def _run_epochs(net: HashNetwork, velocity: List[np.ndarray],
         history.records.append(EpochRecord(
             epoch=epoch, lr=lr, loss=mean,
             seconds=time.perf_counter() - start))
-        if (checkpoint_path is not None and config.checkpoint_every > 0
-                and (epoch + 1) % config.checkpoint_every == 0):
+        # The last epoch is saved too, so the model and the optimizer state
+        # at checkpoint_path always come from the same epoch.
+        every = config.checkpoint_every
+        if checkpoint_path is not None and (
+                epoch + 1 == config.epochs
+                or every > 0 and (epoch + 1) % every == 0):
             save_checkpoint(net, velocity, epoch + 1, checkpoint_path)
     return history
 
@@ -161,7 +165,9 @@ def train(config: TrainConfig, features: FeatureSet, labels: LabelSet,
     """Train a fresh network; returns (network, history).
 
     Deterministic given the config: weights are initialized from the config
-    seed and each epoch's shuffle is reseeded from (seed, epoch).
+    seed and each epoch's shuffle is reseeded from (seed, epoch). With
+    `config.checkpoint_every` > 0 a checkpoint goes to `checkpoint_path`
+    every that many epochs and after the last one.
     """
     _validate_inputs(config, features, labels, split, codebook)
     spec = NetworkSpec(input_dim=features.dim, hidden=tuple(hidden),
@@ -172,7 +178,9 @@ def train(config: TrainConfig, features: FeatureSet, labels: LabelSet,
     train_x, train_targets, train_labels = _prepare(
         config, features, labels, split, codebook)
     history = _run_epochs(net, velocity, config, 0, train_x, train_targets,
-                          train_labels, checkpoint_path)
+                          train_labels,
+                          checkpoint_path if config.checkpoint_every > 0
+                          else None)
     return net, history
 
 
@@ -182,8 +190,10 @@ def resume(checkpoint_path, config: TrainConfig, features: FeatureSet,
     """Continue training from a checkpoint written by save_checkpoint.
 
     The restored epoch counter and velocity state make the continuation
-    bit-identical to an uninterrupted run with the same config. A
-    checkpoint already past `config.epochs` is a ValueError.
+    bit-identical to an uninterrupted run with the same config. The run
+    checkpoints back to `checkpoint_path` as `train` does, and always after
+    its last epoch. A checkpoint already past `config.epochs` is a
+    ValueError.
     """
     _validate_inputs(config, features, labels, split, codebook)
     net, velocity, next_epoch = load_checkpoint(checkpoint_path)

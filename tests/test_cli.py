@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hadahash
-from hadahash import cli, model
+from hadahash import cli, model, trainer
 from hadahash.codebook import (build_codebook, load_codebook,
                                sample_projection, save_codebook, select_order)
 from hadahash.data import (Split, make_synthetic_blobs, save_features,
@@ -94,7 +94,7 @@ class TestEncodeCommand:
         return features, split, net, paths
 
     @pytest.mark.parametrize("use_split", [True, False])
-    def test_mean_centered_database_runs_forward_once(
+    def test_mean_centered_database_runs_forward_twice(
             self, inputs, tmp_path, monkeypatch, use_split):
         features, split, net, paths = inputs
         rows = features.values[split.database] if use_split else features.values
@@ -118,8 +118,36 @@ class TestEncodeCommand:
         if use_split:
             argv += ["--split", str(paths["split.txt"]), "--subset", "database"]
         assert cli.main(argv) == 0
-        assert sum(seen) == rows.shape[0]
+        # One pass for the database means, one for the codes.
+        assert seen == [rows.shape[0], rows.shape[0]]
         assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("mean_centered", [False, True])
+    def test_one_row_tail_joins_the_last_block(self, tmp_path, monkeypatch,
+                                               mean_centered):
+        # 1025 rows: one forward of 1025 rows, the same product as a single
+        # pass over every row, never a one-row block.
+        features, _ = make_synthetic_blobs(5, 205, 6, 0.5, seed=4)
+        net = build_network(NetworkSpec(6, (12,), 40, 5), seed=5)
+        save_features(features, tmp_path / "f.hcfs")
+        save_network(net, tmp_path / "m.hcmd")
+        u, _ = model.forward(net, features.values)
+        expected = binarize(u) if not mean_centered else binarize(
+            u, mode="mean_centered_sign", reference_means=u.mean(axis=0))
+        seen = []
+        real_forward = model.forward
+
+        def counting_forward(net, x):
+            seen.append(x.shape[0])
+            return real_forward(net, x)
+
+        monkeypatch.setattr(model, "forward", counting_forward)
+        out = tmp_path / "codes.hcbc"
+        argv = ["encode", "--model", str(tmp_path / "m.hcmd"),
+                "--features", str(tmp_path / "f.hcfs"), "--out", str(out)]
+        assert cli.main(argv + ["--mean-centered"] * mean_centered) == 0
+        assert seen == [1025] * (1 + mean_centered)
+        assert load_codes(out).words.tobytes() == expected.words.tobytes()
 
     def test_empty_subset_is_exit_two(self, inputs, tmp_path, capsys):
         _, split, _, paths = inputs
@@ -362,8 +390,8 @@ def test_repeated_codeword_file_is_exit_two(pipeline_files, capsys):
     out = tmp_path / "out"
     assert cli.main(_commands(paths, str(out))["train"]) == 2
     assert capsys.readouterr().err.strip() == (
-        "error: only 3 distinct codewords for 4 classes in 8 bits; "
-        "use more bits")
+        f"error: {paths['book.hccb']}: repeated codeword: only 3 distinct "
+        f"codewords for 4 classes in 8 bits")
     assert not out.exists()
 
 
@@ -579,3 +607,51 @@ class TestGoldenPipeline:
                     *self._train(d, "--out", str(checkpoint))]
         assert cli.main(argv) == 0
         assert checkpoint.read_bytes() == (d / "m.hcmd").read_bytes()
+
+    @pytest.mark.parametrize("extra, writes", [
+        ((), 1),
+        (("--checkpoint-every", "3"), 2),
+        (("--checkpoint-every", "2"), 2),
+        (("--resume",), 1),
+    ])
+    def test_each_run_writes_its_last_epoch_once(self, tmp_path, monkeypatch,
+                                                 extra, writes):
+        # Four epochs: checkpoints at epochs 3 and 4, or 2 and 4; a resume
+        # from epoch 2 saves epoch 4 only. No write repeats the last one.
+        d = tmp_path / "a"
+        self._run(d)
+        out = d / "ck.hcmd"
+        if "--resume" in extra:
+            assert cli.main(self._train(d, "--epochs", "2",
+                                        "--checkpoint-every", "2",
+                                        "--out", str(out))) == 0
+        saved = []
+        real_save = model.save_network
+
+        def counting_save(net, path):
+            saved.append(path)
+            real_save(net, path)
+
+        monkeypatch.setattr(model, "save_network", counting_save)
+        monkeypatch.setattr(trainer, "save_network", counting_save)
+        assert cli.main(self._train(d, "--epochs", "4", *extra,
+                                    "--out", str(out))) == 0
+        assert len(saved) == writes
+        assert out.read_bytes() == (d / "m.hcmd").read_bytes()
+
+    def test_resume_after_an_off_period_run_writes_the_straight_model(
+            self, tmp_path):
+        # Four epochs with a checkpoint every three: the last epoch is not a
+        # checkpoint epoch, yet its optimizer state must be the one resumed.
+        d = tmp_path / "a"
+        self._run(d)
+        resumed, straight = d / "resumed.hcmd", d / "straight.hcmd"
+        assert cli.main(self._train(d, "--epochs", "4", "--checkpoint-every",
+                                    "3", "--out", str(resumed))) == 0
+        assert cli.main(self._train(d, "--epochs", "6", "--resume",
+                                    "--out", str(resumed))) == 0
+        assert cli.main(self._train(d, "--epochs", "6", "--checkpoint-every",
+                                    "3", "--out", str(straight))) == 0
+        assert resumed.read_bytes() == straight.read_bytes()
+        assert (Path(f"{resumed}.state").read_bytes()
+                == Path(f"{straight}.state").read_bytes())

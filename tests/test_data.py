@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hadahash import data
 from hadahash.data import (FeatureSet, LabelSet, Split, load_features,
                            load_labels, load_split, make_synthetic_blobs,
                            save_features, save_labels, save_split,
@@ -256,6 +257,16 @@ class TestSplitProtocol:
         for name in ("query", "train", "database"):
             assert np.array_equal(getattr(got, name), getattr(expected, name))
             assert getattr(got, name).dtype == np.int64
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("multilabel", [False, True])
+    @pytest.mark.parametrize("quotas", [(3, 10), (15, 20)])
+    def test_chunked_scan_matches_reference_loop(self, monkeypatch, seed,
+                                                 multilabel, quotas):
+        # With 7-candidate chunks the scan crosses chunk boundaries and
+        # stops inside a chunk.
+        monkeypatch.setattr(data, "_SPLIT_CHUNK", 7)
+        self.test_matches_reference_loop(seed, multilabel, quotas)
 
     def test_split_file_round_trip(self, tmp_path):
         _, labels = make_synthetic_blobs(4, 30, 4, 0.5, seed=1)

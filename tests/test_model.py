@@ -389,6 +389,26 @@ class TestHashActivations:
         assert np.allclose(u, real_forward(net, x)[0], rtol=1e-12, atol=1e-15)
 
 
+class TestRowBlocks:
+    @pytest.mark.parametrize("n, bounds", [
+        (1, [(0, 1)]),
+        (2, [(0, 2)]),
+        (1023, [(0, 1023)]),
+        (1024, [(0, 1024)]),
+        (1025, [(0, 1025)]),
+        (1026, [(0, 1024), (1024, 1026)]),
+        (2049, [(0, 1024), (1024, 2049)]),
+        (3000, [(0, 1024), (1024, 2048), (2048, 3000)]),
+    ])
+    def test_one_row_tail_joins_the_block_before(self, n, bounds):
+        assert model.ENCODE_BLOCK_ROWS == 1024
+        assert model.row_blocks(n) == bounds
+
+    def test_no_rows_is_an_error(self):
+        with pytest.raises(ValueError, match="no rows to encode"):
+            model.row_blocks(0)
+
+
 class TestCheckpoint:
     def test_round_trip_is_exact(self, tmp_path):
         net = build_network(NetworkSpec(6, (8, 4), 5, 3), seed=4)

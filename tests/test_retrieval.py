@@ -1,12 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hadahash import retrieval
 from hadahash.io import FileFormatError
+from hadahash.model import (ENCODE_BLOCK_ROWS, NetworkSpec, build_network,
+                            hash_layer)
 from hadahash.retrieval import (DEFAULT_PRECISION_KS, BinaryCodeSet,
-                                EvalReport, _rank_one, evaluate, load_codes,
-                                pack_codes, save_codes, search, unpack_codes)
+                                EvalReport, _rank_one, binarize, encode_rows,
+                                evaluate, load_codes, lsh_codes,
+                                mean_activations, pack_codes, save_codes,
+                                search, unpack_codes)
+from hadahash.rng import make_rng, standard_normal
 
 
 def _random_pm1(n, k, seed):
@@ -345,3 +353,75 @@ class TestEvaluate:
 def test_binary_code_set_rejects_wrong_word_count():
     with pytest.raises(ValueError, match="bits"):
         BinaryCodeSet(words=np.zeros((3, 2), dtype=np.uint64), code_bits=64)
+
+
+class TestBlockEncoder:
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("k", [32, 70])
+    def test_lsh_codes_match_one_product(self, n, k):
+        features = np.random.default_rng(n).normal(
+            size=(n + 5, 40)).astype(np.float32)
+        rows = np.random.default_rng(k).permutation(n + 5)[:n]
+        planes = standard_normal(make_rng(7), (40, k))
+        expected = binarize(features[rows].astype(np.float64) @ planes)
+        codes = lsh_codes(features, k, 7, rows=rows)
+        assert codes.mode == "sign" and codes.code_bits == k
+        assert codes.words.tobytes() == expected.words.tobytes()
+        if n == 1025:
+            every = lsh_codes(features[rows], k, 7)
+            assert every.words.tobytes() == expected.words.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2048, 2049, 3000])
+    def test_blocks_cover_the_rows_in_order(self, n, monkeypatch):
+        seen = []
+        real_binarize = retrieval.binarize
+
+        def recording_binarize(u, *args):
+            seen.append(u.shape[0])
+            return real_binarize(u, *args)
+
+        monkeypatch.setattr(retrieval, "binarize", recording_binarize)
+        values = np.random.default_rng(n).normal(size=(n, 3))
+        rows = np.arange(n)[::-1].copy()
+        codes = encode_rows(values, rows, lambda block: block, 3)
+        assert sum(seen) == n
+        assert all(size >= 2 for size in seen) or n == 1
+        assert max(seen) <= ENCODE_BLOCK_ROWS + 1
+        assert codes.words.tobytes() == \
+            real_binarize(values[rows]).words.tobytes()
+
+    def test_no_rows_is_an_error(self):
+        with pytest.raises(ValueError, match="no rows to encode"):
+            encode_rows(np.zeros((4, 3)), np.zeros(0, dtype=np.int64),
+                        lambda block: block, 3)
+        with pytest.raises(ValueError, match="no rows to encode"):
+            mean_activations(np.zeros((4, 3)), np.zeros(0, dtype=np.int64),
+                             lambda block: block)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 32, 64, 128, 200])
+    def test_streamed_means_equal_numpy_mean(self, k):
+        for n in (1, 2, 3, 1023, 1024, 1025, 2049, 3000, 11520):
+            u = np.tanh(np.random.default_rng(n * k).normal(size=(n, k)))
+            means = mean_activations(u, np.arange(n), lambda block: block)
+            assert means.tobytes() == u.mean(axis=0).tobytes(), n
+
+    @pytest.mark.parametrize("encode", ["network", "lsh"])
+    def test_peak_does_not_grow_with_rows(self, encode):
+        # Beyond the codes themselves (8 bytes per 32-bit code), the working
+        # set is one block, whatever the row count.
+        features = np.random.default_rng(0).normal(
+            size=(40000, 40)).astype(np.float32)
+        net = build_network(NetworkSpec(40, (64,), 32, 4), seed=1)
+        peaks = {}
+        for n in (4000, 40000):
+            rows = np.arange(n)
+            tracemalloc.start()
+            try:
+                if encode == "network":
+                    encode_rows(features, rows, hash_layer(net), 32)
+                else:
+                    lsh_codes(features, 32, 3, rows=rows)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[40000] - peaks[4000] <= 36000 * 8 + 64 * 1024
