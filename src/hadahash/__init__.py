@@ -9,8 +9,8 @@ from .data import (FeatureSet, LabelSet, Split, check_split, load_features,
                    save_features, save_labels, save_split, split_protocol)
 from .model import (DenseLayer, HashNetwork, LossBreakdown, NetworkSpec,
                     backward, bce_loss, build_network, cross_entropy_loss,
-                    forward, hadamard_loss, hash_activations, hash_layer,
-                    load_network, save_network, sgd_step)
+                    forward, hadamard_loss, hash_layer, load_network,
+                    save_network, sgd_step)
 from .retrieval import (BinaryCodeSet, EvalReport, RankedList, binarize,
                         encode_rows, evaluate, load_codes, lsh_codes,
                         mean_activations, pack_codes, save_codes, search,

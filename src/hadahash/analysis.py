@@ -8,7 +8,7 @@ import numpy as np
 
 from .codebook import Codebook
 from .data import FeatureSet, LabelSet, Split
-from .model import VARIANTS, hash_layer
+from .model import VARIANTS, hash_layer, row_blocks
 from .retrieval import (BinaryCodeSet, RankedList, encode_rows, evaluate,
                         unpack_codes)
 from .trainer import TrainConfig, train
@@ -22,15 +22,20 @@ def bit_balance(codes: BinaryCodeSet) -> np.ndarray:
     return (bits == 1).mean(axis=0)
 
 
-def activation_histogram(u: np.ndarray, bins: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Counts of pre-sign activations over `bins` equal intervals of [-1, 1].
+def activation_histogram(values: np.ndarray, rows: np.ndarray, activations,
+                         bins: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Counts of `activations(values[rows])`, clipped to [-1, 1], over `bins`
+    equal intervals of [-1, 1], summed exactly one row block at a time.
 
     Returns (counts, edges); counts always sum to the number of activations.
     """
     if bins < 1:
         raise ValueError("bins must be positive")
-    u = np.clip(np.asarray(u, dtype=np.float64), -1.0, 1.0)
-    counts, edges = np.histogram(u.ravel(), bins=bins, range=(-1.0, 1.0))
+    counts = np.zeros(bins, dtype=np.intp)
+    for lo, hi in row_blocks(rows.size):
+        u = np.clip(activations(values[rows[lo:hi]]), -1.0, 1.0)
+        block, edges = np.histogram(u, bins=bins, range=(-1.0, 1.0))
+        counts += block
     return counts, edges
 
 
@@ -94,12 +99,12 @@ def lambda_sweep(config: TrainConfig, lambdas: Sequence[float],
                  codebook: Codebook, hidden: Tuple[int, ...] = (256,),
                  map_at: Optional[int] = None) -> List[Tuple[float, float]]:
     """One full train+evaluate per lambda value, seeds shared across runs."""
-    rows = []
-    for lam in lambdas:
-        run_config = replace(config, lambda_=float(lam), variant="full")
-        rows.append((float(lam), _train_and_map(
-            run_config, features, labels, split, codebook, hidden, map_at)))
-    return rows
+    # Every lambda is checked before the first one trains.
+    configs = [replace(config, lambda_=float(lam), variant="full")
+               for lam in lambdas]
+    return [(run_config.lambda_, _train_and_map(
+                run_config, features, labels, split, codebook, hidden, map_at))
+            for run_config in configs]
 
 
 def ablate(config: TrainConfig, features: FeatureSet, labels: LabelSet,

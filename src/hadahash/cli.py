@@ -45,10 +45,19 @@ def _load_split(split_path, num_items: int):
     return split
 
 
-def _load_split_subset(split_path, subset: str, num_items: int):
-    split = _load_split(split_path, num_items)
-    return {"query": split.query, "train": split.train,
-            "database": split.database}[subset], split
+def _check_subset(args) -> None:
+    if args.subset and not args.split:
+        raise ValueError("--subset needs --split")
+
+
+def _subset_rows(args, num_items: int):
+    """The --subset rows of --split (database by default) and its database
+    rows; every row for both without a split."""
+    if not args.split:
+        rows = np.arange(num_items)
+        return rows, rows
+    split = _load_split(args.split, num_items)
+    return getattr(split, args.subset or "database"), split.database
 
 
 def _check_code_counts(query_codes, db_codes, split) -> None:
@@ -130,14 +139,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    _check_subset(args)
     net = model.load_network(args.model)
     features = data.load_features(args.features)
-    # Per-bit means come from the database rows: every row without a split.
-    rows = database = np.arange(features.num_items)
-    if args.split:
-        rows, split = _load_split_subset(args.split, args.subset,
-                                         features.num_items)
-        database = split.database
+    rows, database = _subset_rows(args, features.num_items)
     hash_layer = model.hash_layer(net)
     mode, means = "sign", None
     if args.mean_centered:
@@ -206,6 +211,7 @@ def cmd_lsh_baseline(args) -> int:
 def cmd_analyze(args) -> int:
     # A report whose inputs are only partly given is rejected before any
     # file is read.
+    _check_subset(args)
     for report, flags, also in (
             ("activation histogram",
              {"--model": args.model, "--features": args.features}, {}),
@@ -236,13 +242,9 @@ def cmd_analyze(args) -> int:
     if args.model:
         net = model.load_network(args.model)
         features = data.load_features(args.features)
-        rows = features.values
-        if args.split:
-            indices, _ = _load_split_subset(args.split, args.subset,
-                                            features.num_items)
-            rows = rows[indices]
-        u = model.hash_activations(net, rows)
-        counts, edges = analysis.activation_histogram(u, args.bins)
+        rows, _ = _subset_rows(args, features.num_items)
+        counts, edges = analysis.activation_histogram(
+            features.values, rows, model.hash_layer(net), args.bins)
         reports.append(("activation histogram",
                         f"activation_hist_k{net.code_bits}_b{args.bins}.csv",
                         ("bin_low", "bin_high", "count"),
@@ -422,8 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--split", default=None)
     p.add_argument("--subset", choices=("query", "train", "database"),
-                   default="database",
-                   help="rows to encode when --split is given (default: database)")
+                   default=None,
+                   help="split rows to encode; needs --split (default: "
+                        "database)")
     p.add_argument("--mean-centered", action="store_true",
                    help="threshold at per-bit database means instead of zero")
     p.add_argument("--out", required=True, help="output HCBC path")
@@ -446,7 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default=None)
     p.add_argument("--split", default=None)
     p.add_argument("--subset", choices=("query", "train", "database"),
-                   default="database")
+                   default=None,
+                   help="split rows to histogram; needs --split "
+                        "(default: database)")
     p.add_argument("--bins", type=int, default=50,
                    help="histogram bins (default: 50)")
     p.add_argument("--query-codes", default=None)

@@ -29,6 +29,8 @@ class FeatureSet:
     def __post_init__(self):
         if self.values.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {self.values.shape}")
+        if self.values.shape[1] < 1:
+            raise ValueError("features need at least one column")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("features contain non-finite values")
 

@@ -5,6 +5,9 @@ width K; a linear classifier of width C sits on top of the hash layer. The
 training objective is a masked mean-squared error pulling hash activations
 toward their class codewords, plus an optional classification loss weighted
 by lambda. All parameters are 64-bit during training.
+
+`forward` stops at the hash layer, all that encoding reads; the classifier
+only trains it, so only `backward` computes the logits.
 """
 
 from dataclasses import dataclass
@@ -59,6 +62,10 @@ class HashNetwork:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("network needs at least the hash layer")
+        for i, layer in enumerate(self.all_layers()):
+            if layer.weights.shape[1] < 1:
+                raise ValueError(f"layer {i} has width 0; every layer needs "
+                                 "at least one output")
         width = self.layers[0].weights.shape[0]
         for layer in self.layers:
             if layer.weights.shape[0] != width:
@@ -132,26 +139,24 @@ def _apply(activation: str, z: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(net: HashNetwork, x: np.ndarray):
-    """Feature-path activations per layer, hash output, logits."""
+    """Feature-path (z, a) per layer, and the hash output."""
     a = x
     cache = []
     for layer in net.layers:
         z = a @ layer.weights + layer.bias
         a = _apply(layer.activation, z)
         cache.append((z, a))
-    logits = a @ net.classifier.weights + net.classifier.bias
-    return cache, a, logits
+    return cache, a
 
 
-def forward(net: HashNetwork, x: np.ndarray):
-    """Hash activations in (-1, 1) and classifier logits for a batch."""
+def forward(net: HashNetwork, x: np.ndarray) -> np.ndarray:
+    """Hash activations in [-1, 1] for a batch; the classifier is not run."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"batch must be a non-empty 2-D array, got shape {x.shape}")
     if x.shape[1] != net.input_dim:
         raise ValueError(f"batch width {x.shape[1]} != network input {net.input_dim}")
-    _, u, logits = _forward_cached(net, x)
-    return u, logits
+    return _forward_cached(net, x)[1]
 
 
 def row_blocks(n: int):
@@ -174,13 +179,7 @@ def hash_layer(net: HashNetwork):
 
     It calls the module's `forward`, so a wrapper put there sees every block.
     """
-    return lambda rows: forward(net, rows)[0]
-
-
-def hash_activations(net: HashNetwork, x: np.ndarray) -> np.ndarray:
-    """Hash activations of every row of x, one row block at a time."""
-    return np.vstack([forward(net, x[lo:hi])[0]
-                      for lo, hi in row_blocks(x.shape[0])])
+    return lambda rows: forward(net, rows)
 
 
 def hadamard_loss(u: np.ndarray, target_values: np.ndarray,
@@ -274,7 +273,8 @@ def backward(net: HashNetwork, x: np.ndarray, target_values: np.ndarray,
     if lambda_ < 0:
         raise ValueError(f"lambda must be non-negative, got {lambda_}")
     x = np.asarray(x, dtype=np.float64)
-    cache, u, logits = _forward_cached(net, x)
+    cache, u = _forward_cached(net, x)
+    logits = u @ net.classifier.weights + net.classifier.bias
 
     hadamard_value, grad_u_hadamard = hadamard_loss(u, target_values, target_mask)
     if mode == "CE":

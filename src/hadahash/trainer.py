@@ -2,6 +2,7 @@
 momentum SGD with weight decay, and exact checkpoint/resume."""
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Tuple
@@ -44,6 +45,10 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
 
     def __post_init__(self):
+        for name in ("base_lr", "momentum", "weight_decay", "lambda_"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name.rstrip('_')} must be finite, got "
+                                 f"{getattr(self, name)}")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if self.batch_size < 1:
@@ -52,8 +57,14 @@ class TrainConfig:
             raise ValueError("base_lr must be positive")
         if self.lr_halving_period_epochs < 1:
             raise ValueError("lr_halving_period_epochs must be positive")
+        if self.momentum < 0:
+            raise ValueError("momentum must be non-negative")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be non-negative")
         if self.lambda_ < 0:
             raise ValueError("lambda must be non-negative")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be non-negative")
         if self.loss_mode not in ("CE", "BCE"):
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
 

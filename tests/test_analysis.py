@@ -130,7 +130,8 @@ class TestActivationHistogram:
         u = np.concatenate([rng.uniform(-1.3, 1.3, size=200),
                             [-1.0, 0.0, 1.0, -2.0, 2.0, 0.5, -0.5]])
         u = u.reshape(9, 23)  # a batch of activations, as the CLI passes it
-        counts, edges = activation_histogram(u, bins)
+        counts, edges = activation_histogram(u, np.arange(9), lambda b: b,
+                                             bins)
         assert edges.tolist() == np.linspace(-1.0, 1.0, bins + 1).tolist()
         expected = [0] * bins
         for value in np.ravel(u).tolist():
@@ -146,4 +147,5 @@ class TestActivationHistogram:
 
     def test_rejects_no_bins(self):
         with pytest.raises(ValueError, match="bins"):
-            activation_histogram(np.zeros(3), 0)
+            activation_histogram(np.zeros((3, 2)), np.arange(3),
+                                 lambda b: b, 0)

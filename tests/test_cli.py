@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 import subprocess
@@ -98,7 +99,7 @@ class TestEncodeCommand:
             self, inputs, tmp_path, monkeypatch, use_split):
         features, split, net, paths = inputs
         rows = features.values[split.database] if use_split else features.values
-        u, _ = model.forward(net, rows)
+        u = model.forward(net, rows)
         expected = tmp_path / "expected.hcbc"
         save_codes(binarize(u, mode="mean_centered_sign",
                             reference_means=u.mean(axis=0)), expected)
@@ -131,7 +132,7 @@ class TestEncodeCommand:
         net = build_network(NetworkSpec(6, (12,), 40, 5), seed=5)
         save_features(features, tmp_path / "f.hcfs")
         save_network(net, tmp_path / "m.hcmd")
-        u, _ = model.forward(net, features.values)
+        u = model.forward(net, features.values)
         expected = binarize(u) if not mean_centered else binarize(
             u, mode="mean_centered_sign", reference_means=u.mean(axis=0))
         seen = []
@@ -163,8 +164,8 @@ class TestEncodeCommand:
 
     def test_mean_centered_query_uses_database_means(self, inputs, tmp_path):
         features, split, net, paths = inputs
-        u, _ = model.forward(net, features.values[split.query])
-        reference, _ = model.forward(net, features.values[split.database])
+        u = model.forward(net, features.values[split.query])
+        reference = model.forward(net, features.values[split.database])
         expected = tmp_path / "expected.hcbc"
         save_codes(binarize(u, mode="mean_centered_sign",
                             reference_means=reference.mean(axis=0)), expected)
@@ -427,6 +428,58 @@ def test_set_padding_bit_is_exit_three(pipeline_files, capsys, target, bit):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("hidden", ["0", "4,0"])
+def test_zero_width_layer_is_exit_two(pipeline_files, capsys, hidden):
+    _, paths, tmp_path = pipeline_files
+    out = tmp_path / "zero.hcmd"
+    argv = _commands(paths, str(out))["train"] + ["--hidden", hidden]
+    assert cli.main(argv) == 2
+    assert "has width 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--lr", "nan"], "base_lr must be finite"),
+    ("train", ["--lr", "inf"], "base_lr must be finite"),
+    ("train", ["--momentum", "nan"], "momentum must be finite"),
+    ("train", ["--momentum", "-5"], "momentum must be non-negative"),
+    ("train", ["--weight-decay", "inf"], "weight_decay must be finite"),
+    ("train", ["--weight-decay", "-0.1"], "weight_decay must be non-negative"),
+    ("train", ["--lambda", "nan"], "lambda must be finite"),
+    ("train", ["--checkpoint-every", "-1"],
+     "checkpoint_every must be non-negative"),
+    ("sweep", ["--lambdas", "0,nan"], "lambda must be finite"),
+    ("sweep", ["--lambdas", "1,-1"], "lambda must be non-negative"),
+])
+def test_bad_train_config_is_exit_two_before_training(
+        pipeline_files, capsys, monkeypatch, command, flags, message):
+    _, paths, tmp_path = pipeline_files
+    epochs = []
+    monkeypatch.setattr(trainer, "_run_epochs",
+                        lambda *args, **kwargs: epochs.append(args))
+    out = tmp_path / "out"
+    argv = [command, "--features", paths["features.hcfs"],
+            "--labels", paths["labels.hcls"], "--split", paths["split.txt"],
+            "--codebook", paths["book.hccb"], "--hidden", "5",
+            "--epochs", "1", "--out", str(out), *flags]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert epochs == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["encode", "analyze-activations"])
+def test_subset_without_split_is_exit_two(pipeline_files, capsys, command):
+    _, paths, tmp_path = pipeline_files
+    out = tmp_path / "out"
+    argv = _commands(paths, str(out))[command]
+    at = argv.index("--split")
+    del argv[at:at + 2]
+    assert cli.main(argv + ["--subset", "query"]) == 2
+    assert capsys.readouterr().err == "error: --subset needs --split\n"
+    assert not out.exists()
+
+
 class TestConfigFile:
     def test_removed_threads_flag_is_exit_two(self, pipeline_files):
         _, paths, tmp_path = pipeline_files
@@ -531,6 +584,45 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err.endswith(
             f"also needs {', '.join(missing)}\n")
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("bins", [7, 50])
+    def test_streamed_histogram_matches_one_forward(self, tmp_path,
+                                                    monkeypatch, bins):
+        # 2 * 1024 + 1 database rows, the default subset of a split: blocks
+        # of 1024 and 1025 rows give the files of one pass over every row.
+        features, labels = make_synthetic_blobs(3, 700, 6, 0.5, seed=5)
+        split = split_protocol(labels, 17, 10, seed=5)
+        assert split.database.size == 2 * model.ENCODE_BLOCK_ROWS + 1
+        net = build_network(NetworkSpec(6, (12,), 16, 3), seed=6)
+        save_features(features, tmp_path / "f.hcfs")
+        save_split(split, tmp_path / "s.txt")
+        save_network(net, tmp_path / "m.hcmd")
+        u = model.forward(net, features.values[split.database])
+        counts, edges = np.histogram(np.clip(u, -1.0, 1.0), bins=bins,
+                                     range=(-1.0, 1.0))
+        outer = max(1, round(bins * 0.05))
+        mass = (counts[:outer].sum() + counts[-outer:].sum()) / counts.sum()
+
+        seen = []
+        real_forward = model.forward
+
+        def counting_forward(net, x):
+            seen.append(x.shape[0])
+            return real_forward(net, x)
+
+        monkeypatch.setattr(model, "forward", counting_forward)
+        outdir = tmp_path / "reports"
+        assert cli.main(["analyze", "--model", str(tmp_path / "m.hcmd"),
+                         "--features", str(tmp_path / "f.hcfs"),
+                         "--split", str(tmp_path / "s.txt"),
+                         "--bins", str(bins), "--outdir", str(outdir)]) == 0
+        assert seen == [model.ENCODE_BLOCK_ROWS, model.ENCODE_BLOCK_ROWS + 1]
+        csv_text = (outdir / f"activation_hist_k16_b{bins}.csv").read_text()
+        assert csv_text.splitlines() == ["bin_low,bin_high,count"] + [
+            f"{float(edges[i])!r},{float(edges[i + 1])!r},{c}"
+            for i, c in enumerate(counts.tolist())]
+        assert (outdir / "summary.json").read_text() == json.dumps(
+            {"activation_outer_mass": float(mass)}, indent=2) + "\n"
 
     def test_database_codes_must_match_split(self, pipeline_files, capsys):
         split, paths, tmp_path = pipeline_files

@@ -12,7 +12,8 @@ from hadahash.data import (FeatureSet, LabelSet, Split, load_features,
                            load_labels, load_split, make_synthetic_blobs,
                            save_features, save_labels, save_split,
                            split_protocol)
-from hadahash.io import BadMagicError, BadVersionError, TruncatedFileError
+from hadahash.io import (BadMagicError, BadVersionError, TruncatedFileError,
+                         write_header)
 from hadahash.rng import make_rng
 
 
@@ -112,6 +113,16 @@ class TestFeatureFiles:
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) - 7])
         with pytest.raises(TruncatedFileError):
+            load_features(path)
+
+    def test_no_columns_is_rejected_on_load(self, tmp_path):
+        # Zero-dimensional items would train a hash layer of input width 0,
+        # whose codes ignore the input.
+        path = tmp_path / "f.hcfs"
+        with open(path, "wb") as f:
+            write_header(f, data.FEATURES_MAGIC, data.FORMAT_VERSION,
+                         data.MATRIX_HEADER, 20, 0)
+        with pytest.raises(ValueError, match="at least one column"):
             load_features(path)
 
     def test_rejects_non_finite(self):

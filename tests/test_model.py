@@ -7,8 +7,7 @@ from hadahash.io import BadMagicError, TruncatedFileError
 from hadahash.model import (DenseLayer, HashNetwork, LossBreakdown,
                             NetworkSpec, backward, bce_loss, build_network,
                             cross_entropy_loss, forward, hadamard_loss,
-                            hash_activations, load_network, save_network,
-                            sgd_step)
+                            load_network, save_network, sgd_step)
 from hadahash import model
 
 
@@ -83,52 +82,53 @@ def _random_case(rng, mode):
     return net, x, tv, tm, labels, lam
 
 
+def _golden_two_layer():
+    """A relu and a tanh layer under a two-class classifier, and one row."""
+    w0 = np.array([[0.5, -1.0], [0.25, 0.75]])
+    b0 = np.array([0.1, -0.2])
+    w1 = np.array([[1.5], [-0.5]])
+    b1 = np.array([0.05])
+    net = HashNetwork(
+        layers=[DenseLayer(w0, b0, "relu"), DenseLayer(w1, b1, "tanh")],
+        classifier=DenseLayer(np.array([[2.0], [0.0]]).T, np.array([0.3, -0.3]),
+                              "identity"))
+    return net, np.array([[1.0, 2.0]])
+
+
+# The golden network's hash output and logits for its row, computed with
+# scalar math, independent of the vectorized path.
+_GOLDEN_Z0 = [1.0 * 0.5 + 2.0 * 0.25 + 0.1, 1.0 * -1.0 + 2.0 * 0.75 - 0.2]
+_GOLDEN_U = math.tanh(max(_GOLDEN_Z0[0], 0.0) * 1.5
+                      + max(_GOLDEN_Z0[1], 0.0) * -0.5 + 0.05)
+_GOLDEN_LOGITS = [_GOLDEN_U * 2.0 + 0.3, _GOLDEN_U * 0.0 - 0.3]
+
+
 class TestForward:
     def test_zero_network_outputs_zero(self):
         net = _zero_network()
-        u, logits = forward(net, np.ones((4, 3)))
+        u = forward(net, np.ones((4, 3)))
+        assert u.shape == (4, 2)
         assert np.all(u == 0.0)
-        assert np.all(logits == 0.0)
 
     def test_hash_activations_inside_unit_interval(self):
         net = build_network(NetworkSpec(5, (8,), 6, 4), seed=0)
         rng = np.random.default_rng(0)
-        u, _ = forward(net, rng.normal(scale=2.0, size=(20, 5)))
+        u = forward(net, rng.normal(scale=2.0, size=(20, 5)))
         assert np.all(np.abs(u) < 1.0)
         # extreme inputs saturate to 1.0 exactly in float64, never beyond
-        u_big, _ = forward(net, rng.normal(scale=1e6, size=(20, 5)))
+        u_big = forward(net, rng.normal(scale=1e6, size=(20, 5)))
         assert np.all(np.abs(u_big) <= 1.0)
 
     def test_golden_two_layer_forward(self):
-        # Expected values computed with scalar math, independent of the
-        # vectorized path.
-        w0 = np.array([[0.5, -1.0], [0.25, 0.75]])
-        b0 = np.array([0.1, -0.2])
-        w1 = np.array([[1.5], [-0.5]])
-        b1 = np.array([0.05])
-        net = HashNetwork(
-            layers=[DenseLayer(w0, b0, "relu"), DenseLayer(w1, b1, "tanh")],
-            classifier=DenseLayer(np.array([[2.0], [0.0]]).T, np.array([0.3, -0.3]),
-                                  "identity"))
-        x = np.array([[1.0, 2.0]])
-        z0 = [1.0 * 0.5 + 2.0 * 0.25 + 0.1, 1.0 * -1.0 + 2.0 * 0.75 - 0.2]
-        a0 = [max(z0[0], 0.0), max(z0[1], 0.0)]
-        z1 = a0[0] * 1.5 + a0[1] * -0.5 + 0.05
-        u_expected = math.tanh(z1)
-        logits_expected = [u_expected * 2.0 + 0.3, u_expected * 0.0 - 0.3]
-        u, logits = forward(net, x)
-        assert u[0, 0] == pytest.approx(u_expected, rel=1e-15)
-        assert logits[0].tolist() == pytest.approx(logits_expected, rel=1e-15)
+        net, x = _golden_two_layer()
+        assert forward(net, x)[0, 0] == pytest.approx(_GOLDEN_U, rel=1e-15)
 
     def test_batch_permutation_equivariance(self):
         net = build_network(NetworkSpec(4, (6,), 5, 3), seed=1)
         rng = np.random.default_rng(2)
         x = rng.normal(size=(10, 4))
         perm = rng.permutation(10)
-        u, logits = forward(net, x)
-        u_perm, logits_perm = forward(net, x[perm])
-        assert np.array_equal(u[perm], u_perm)
-        assert np.array_equal(logits[perm], logits_perm)
+        assert np.array_equal(forward(net, x)[perm], forward(net, x[perm]))
 
     def test_rejects_width_mismatch_and_empty_batch(self):
         net = build_network(NetworkSpec(4, (6,), 5, 3), seed=1)
@@ -262,6 +262,23 @@ class TestBceLoss:
 
 
 class TestBackward:
+    @pytest.mark.parametrize("mode, labels", [
+        ("CE", [0]), ("CE", [1]), ("BCE", [[1.0, 0.0]]), ("BCE", [[0.0, 1.0]])])
+    def test_golden_two_layer_classification_loss(self, mode, labels):
+        # Only backward makes the logits: its classification loss must be
+        # the loss of the scalar-computed logits.
+        net, x = _golden_two_layer()
+        breakdown, _ = backward(net, x, np.zeros((1, 1)),
+                                np.zeros((1, 1), dtype=bool),
+                                np.array(labels), 1.0, mode=mode)
+        if mode == "CE":
+            log_norm = math.log(sum(math.exp(v) for v in _GOLDEN_LOGITS))
+            expected = log_norm - _GOLDEN_LOGITS[labels[0]]
+        else:
+            expected = sum(math.log1p(math.exp(v)) - v * y for v, y
+                           in zip(_GOLDEN_LOGITS, labels[0])) / 2
+        assert breakdown.classification == pytest.approx(expected, rel=1e-14)
+
     def test_lambda_zero_equals_codeword_term_alone(self):
         rng = np.random.default_rng(9)
         net = build_network(NetworkSpec(4, (5,), 3, 2), seed=3)
@@ -368,27 +385,6 @@ class TestSgdStep:
         assert np.allclose(p, [0.95, -1.05])
 
 
-class TestHashActivations:
-    def test_forwards_in_blocks(self, monkeypatch):
-        net = build_network(NetworkSpec(6, (5,), 8, 3), seed=2)
-        x = np.random.default_rng(3).normal(
-            size=(2 * model.ENCODE_BLOCK_ROWS + 7, 6))
-        seen = []
-        real_forward = model.forward
-
-        def counting_forward(net, rows):
-            seen.append(rows.shape[0])
-            return real_forward(net, rows)
-
-        monkeypatch.setattr(model, "forward", counting_forward)
-        u = hash_activations(net, x)
-        assert seen == [model.ENCODE_BLOCK_ROWS, model.ENCODE_BLOCK_ROWS, 7]
-        blocks = [real_forward(net, x[lo:lo + model.ENCODE_BLOCK_ROWS])[0]
-                  for lo in range(0, x.shape[0], model.ENCODE_BLOCK_ROWS)]
-        assert np.array_equal(u, np.vstack(blocks))
-        assert np.allclose(u, real_forward(net, x)[0], rtol=1e-12, atol=1e-15)
-
-
 class TestRowBlocks:
     @pytest.mark.parametrize("n, bounds", [
         (1, [(0, 1)]),
@@ -433,6 +429,22 @@ class TestCheckpoint:
         path.write_bytes(raw[:len(raw) - 16])
         with pytest.raises(TruncatedFileError):
             load_network(path)
+
+    @pytest.mark.parametrize("hidden", [(0,), (4, 0)])
+    def test_zero_width_layer_is_rejected(self, tmp_path, hidden):
+        with pytest.raises(ValueError, match="width 0"):
+            build_network(NetworkSpec(6, hidden, 5, 3), seed=4)
+        # A checkpoint whose records declare such a layer fails on load.
+        widths = (6, *hidden, 5)
+        net = build_network(NetworkSpec(6, (), 5, 3), seed=4)
+        net.layers = [DenseLayer(np.zeros(widths[i:i + 2]),
+                                 np.zeros(widths[i + 1]),
+                                 "relu" if i < len(hidden) else "tanh")
+                      for i in range(len(widths) - 1)]
+        save_network(net, tmp_path / "net.hcmd")
+        with pytest.raises(ValueError,
+                           match=f"layer {len(hidden) - 1} has width 0"):
+            load_network(tmp_path / "net.hcmd")
 
     def test_network_invariants_enforced(self):
         with pytest.raises(ValueError, match="tanh"):
