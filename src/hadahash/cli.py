@@ -223,6 +223,13 @@ def cmd_analyze(args) -> int:
         if any(flags.values()) and missing:
             raise ValueError(f"the {report} report also needs "
                              f"{', '.join(missing)}")
+    # --split picks the rows of the histogram and the confusion report,
+    # --subset only those of the histogram; no other report reads them.
+    for flag, value, readers in (
+            ("--split", args.split, (args.model, args.query_codes)),
+            ("--subset", args.subset, (args.model,))):
+        if value and not any(readers):
+            raise ValueError(f"no report given reads {flag}")
 
     # Every report is computed before the output directory is made, so a
     # rejected input leaves nothing behind.

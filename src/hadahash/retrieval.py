@@ -1,8 +1,10 @@
 """Bit-packed binary codes, exact Hamming ranking, and retrieval metrics."""
 
+import functools
 import json
+import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +23,12 @@ _MODE_TO_TAG = {"sign": 0, "mean_centered_sign": 1}
 _TAG_TO_MODE = {tag: name for name, tag in _MODE_TO_TAG.items()}
 
 DEFAULT_PRECISION_KS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
+
+# Full rankings of several queries over at least this many items run on
+# threads (see `search`). A short ranking is dozens of small numpy calls
+# that contend for the GIL: on a 2-core VM two threads ran 0.5-0.9x as
+# fast as one at 7k-12k items.
+PARALLEL_MIN_ITEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -147,6 +155,14 @@ class RankedList:
     distances: np.ndarray  # uint32, parallel to indices
 
 
+@functools.lru_cache(maxsize=4)
+def _positions(n: int, dtype: np.dtype) -> np.ndarray:
+    """0 .. n-1 in a key type, made once and shared read-only by rankings."""
+    positions = np.arange(n, dtype=dtype)
+    positions.setflags(write=False)
+    return positions
+
+
 def _rank_one(distances: np.ndarray, limit: int,
               max_distance: int) -> RankedList:
     n = distances.shape[0]
@@ -160,7 +176,7 @@ def _rank_one(distances: np.ndarray, limit: int,
         shift = (n - 1).bit_length()
         keys = np.left_shift(distances, shift, dtype=np.min_scalar_type(
             (max_distance << shift) | (n - 1)))
-        keys |= np.arange(n, dtype=keys.dtype)
+        keys |= _positions(n, keys.dtype)
         keys.sort()
         return RankedList(
             indices=np.bitwise_and(keys, (1 << shift) - 1, dtype=np.int64),
@@ -178,9 +194,62 @@ def _rank_one(distances: np.ndarray, limit: int,
     return RankedList(indices=top, distances=distances[top])
 
 
+def _worker_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _map_queries(make_worker: Callable[[], Callable], num_queries: int,
+                 parallel: bool) -> Iterable:
+    """`worker(qi)` for every query index, in query order.
+
+    With `parallel`, the indices are cut into one contiguous chunk per
+    worker thread, and each chunk calls `make_worker()` once, so a
+    worker's scratch arrays are its own. Otherwise, or with a single query
+    or a single CPU, it returns a lazy map in the calling thread, which
+    holds one result at a time. A worker's exception reaches the caller,
+    and no thread outlives the call.
+    """
+    workers = min(_worker_count(), num_queries) if parallel else 1
+    if workers < 2:
+        return map(make_worker(), range(num_queries))
+    # Imported here: with the logging module it pulls in, it would add
+    # about 0.7 MB to every process that never starts a pool.
+    from concurrent.futures import ThreadPoolExecutor
+
+    def run(chunk: range) -> list:
+        return list(map(make_worker(), chunk))
+
+    bounds = [num_queries * w // workers for w in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        chunks = list(pool.map(run, [range(lo, hi) for lo, hi
+                                     in zip(bounds, bounds[1:])]))
+    return [result for chunk in chunks for result in chunk]
+
+
 def search(queries: BinaryCodeSet, database: BinaryCodeSet,
            limit: Optional[int] = None) -> List[RankedList]:
-    """Exact top-`limit` scan per query (all items when limit is None)."""
+    """Exact top-`limit` scan per query (all items when limit is None).
+
+    Full rankings (limit None or at least the database size) of two or
+    more queries against a database of at least `PARALLEL_MIN_ITEMS` items
+    run on one thread per available CPU, each over a contiguous chunk of
+    the queries; numpy releases the GIL in the popcount and the sort.
+    Smaller databases and single queries run in the calling thread: below
+    the cutoff the threads lose to one (on a 2-core VM, full rankings
+    break even near 16k items). Top-R scans always run in the calling
+    thread: a partition and a short sort, about 0.25 ms per query at 100k
+    items, leave too little work between GIL handoffs. On a 2-core VM two
+    threads scanned 285 top-100 queries over 99,872 items 1.2-1.4x as
+    fast in the median, but the interquartile range of their throughput
+    over repeated calls was two to three times one thread's, too wide to
+    measure. Besides the rankings it returns, each worker holds one
+    query's distances and sort keys, about 8 B per database item. The
+    rankings are the same on any number of threads.
+    """
     if queries.code_bits != database.code_bits:
         raise ValueError(
             f"code length mismatch: {queries.code_bits} vs {database.code_bits}")
@@ -190,8 +259,14 @@ def search(queries: BinaryCodeSet, database: BinaryCodeSet,
     if database.num_items == 0:
         raise ValueError("the database is empty")
     max_distance = 64 * database.words.shape[1]
-    return [_rank_one(_distances_to(words, database.words), r, max_distance)
-            for words in queries.words]
+
+    def rank(qi: int) -> RankedList:
+        return _rank_one(_distances_to(queries.words[qi], database.words), r,
+                         max_distance)
+
+    return list(_map_queries(
+        lambda: rank, queries.num_items,
+        r == database.num_items and r >= PARALLEL_MIN_ITEMS))
 
 
 @dataclass(frozen=True)
@@ -237,12 +312,22 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
     averaged over queries.
 
     Both label matrices are packed into 64-bit bitsets once per call. Each
-    query is then ranked and scored on its own: memory holds one ranking of
-    the database, its relevance mask, and the precisions at its n_rel
+    query is then ranked and scored on its own: a worker holds one ranking
+    of the database, its relevance mask, and the precisions at its n_rel
     relevant ranks, which are all the scores need. The highest precision at
     recall >= r always falls on a relevant rank, and AP is summed over the
     same R-long array as a dense pass would, so every score is the one a
     pass over all N ranks gives, to the last bit.
+
+    Databases of at least `PARALLEL_MIN_ITEMS` items score the queries on
+    one thread per available CPU, as `search` does its full rankings
+    (below it the threads lose; they break even near 16k items). Each
+    worker ranks through the module's single-query `search` and keeps its
+    own R-long AP scratch, so memory holds about 20 B per database item
+    per worker (the 12 B ranking and the 8 B scratch), plus, on threads,
+    the PR-101 and P@k rows of every query until they are summed. The
+    rows are summed in query order, as one thread sums them, so every
+    report is the same to the last bit on any number of threads.
     """
     query_labels = np.asarray(query_labels)
     db_labels = np.asarray(db_labels)
@@ -268,38 +353,53 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
     q_label_words = pack_codes(query_labels != 0).words
     # Word-major, so the AND for one word reads contiguous memory.
     db_label_words = np.ascontiguousarray(pack_codes(db_labels != 0).words.T)
-    # Precision at the relevant ranks below R, zero elsewhere: the AP sum
-    # runs over this R-long array, as over a dense one.
-    ap_terms = np.zeros(r_cut)
+
+    def make_worker():
+        # Precision at the relevant ranks below R, zero elsewhere: the AP
+        # sum runs over this R-long array, as over a dense one.
+        ap_terms = np.zeros(r_cut)
+
+        def score(qi: int):
+            """(AP, PR-101 row, P@k row), or None with no relevant item."""
+            query = BinaryCodeSet(words=queries.words[qi:qi + 1],
+                                  code_bits=queries.code_bits,
+                                  mode=queries.mode)
+            ranked = search(query, database)[0]
+            q = q_label_words[qi]
+            relevant = (db_label_words[0] & q[0]) != 0
+            for w in range(1, q.shape[0]):
+                relevant |= (db_label_words[w] & q[w]) != 0
+            p = np.flatnonzero(relevant[ranked.indices])
+            n_rel = p.size
+            if n_rel == 0:
+                return None
+            hits = np.arange(1, n_rel + 1)
+            prec = hits / (p + 1)
+            denom = min(r_cut, n_rel) if denominator == "cutoff" else n_rel
+            within = p[:np.searchsorted(p, r_cut)]
+            ap_terms[within] = prec[:within.size]
+            ap = float(ap_terms.sum() / denom)
+            ap_terms[within] = 0.0
+            best_from = np.maximum.accumulate(prec[::-1])[::-1]
+            return (ap,
+                    best_from[np.searchsorted(hits / n_rel, grid, side="left")],
+                    np.searchsorted(p, ks, side="left") / ks)
+
+        return score
 
     aps = []
     pr_sum = np.zeros(101)
     prec_at_sum = np.zeros(ks.size)
     skipped = 0
-    for qi in range(queries.num_items):
-        query = BinaryCodeSet(words=queries.words[qi:qi + 1],
-                              code_bits=queries.code_bits, mode=queries.mode)
-        ranked = search(query, database)[0]
-        q = q_label_words[qi]
-        relevant = (db_label_words[0] & q[0]) != 0
-        for w in range(1, q.shape[0]):
-            relevant |= (db_label_words[w] & q[w]) != 0
-        p = np.flatnonzero(relevant[ranked.indices])
-        n_rel = p.size
-        if n_rel == 0:
+    for scores in _map_queries(make_worker, queries.num_items,
+                               n_db >= PARALLEL_MIN_ITEMS):
+        if scores is None:
             skipped += 1
             continue
-        hits = np.arange(1, n_rel + 1)
-        prec = hits / (p + 1)
-        denom = min(r_cut, n_rel) if denominator == "cutoff" else n_rel
-        within = p[:np.searchsorted(p, r_cut)]
-        ap_terms[within] = prec[:within.size]
-        aps.append(float(ap_terms.sum() / denom))
-        ap_terms[within] = 0.0
-
-        best_from = np.maximum.accumulate(prec[::-1])[::-1]
-        pr_sum += best_from[np.searchsorted(hits / n_rel, grid, side="left")]
-        prec_at_sum += np.searchsorted(p, ks, side="left") / ks
+        ap, pr_row, prec_at_row = scores
+        aps.append(ap)
+        pr_sum += pr_row
+        prec_at_sum += prec_at_row
 
     if not aps:
         raise ValueError("no query has a relevant database item")

@@ -585,6 +585,32 @@ class TestAnalyzeCommand:
             f"also needs {', '.join(missing)}\n")
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("given, unused", [
+        (["--codes", "--split"], "--split"),
+        (["--codes", "--split", "--subset"], "--split"),
+        (["--codebook", "--split"], "--split"),
+        # The confusion report reads --split, never --subset.
+        (["--query-codes", "--database-codes", "--labels", "--split",
+          "--subset"], "--subset"),
+    ])
+    def test_flag_no_report_reads_is_exit_two(self, pipeline_files, capsys,
+                                              given, unused):
+        _, paths, tmp_path = pipeline_files
+        values = {"--codes": paths["database.hcbc"],
+                  "--codebook": paths["book.hccb"],
+                  "--query-codes": paths["query.hcbc"],
+                  "--database-codes": paths["database.hcbc"],
+                  "--labels": paths["labels.hcls"],
+                  "--split": paths["split.txt"], "--subset": "query"}
+        outdir = tmp_path / "reports"
+        argv = ["analyze", "--outdir", str(outdir)]
+        for flag in given:
+            argv += [flag, values[flag]]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: no report given reads {unused}\n")
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("bins", [7, 50])
     def test_streamed_histogram_matches_one_forward(self, tmp_path,
                                                     monkeypatch, bins):

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -425,3 +427,182 @@ class TestBlockEncoder:
             finally:
                 tracemalloc.stop()
         assert peaks[40000] - peaks[4000] <= 36000 * 8 + 64 * 1024
+
+
+class TestThreadedQueries:
+    """Several queries over a large database run on worker threads."""
+
+    @pytest.fixture
+    def rank_threads(self, monkeypatch):
+        """The idents of the threads that call `_rank_one`."""
+        threads = set()
+        real_rank_one = retrieval._rank_one
+
+        def recording_rank_one(*args):
+            threads.add(threading.get_ident())
+            return real_rank_one(*args)
+
+        monkeypatch.setattr(retrieval, "_rank_one", recording_rank_one)
+        return threads
+
+    @pytest.fixture
+    def threaded(self, monkeypatch, rank_threads):
+        """Force three workers and the threaded path on any database; the
+        threads that rank are recorded from then on."""
+        def force():
+            monkeypatch.setattr(retrieval, "_worker_count", lambda: 3)
+            monkeypatch.setattr(retrieval, "PARALLEL_MIN_ITEMS", 1)
+            rank_threads.clear()
+            return rank_threads
+
+        return force
+
+    @staticmethod
+    def _problem(num_queries, k, multilabel):
+        # 300 items over eight bits tie dozens of items at every distance;
+        # 70 bits take two words. The database never carries the last class,
+        # so the queries of the middle chunk of three have no relevant item.
+        classes = 6
+        rng = np.random.default_rng(num_queries + k)
+        q_pm1, db_pm1 = (_random_pm1(num_queries, k, seed=k),
+                         _random_pm1(300, k, seed=k + 1))
+        q_labels = np.zeros((num_queries, classes), dtype=np.uint8)
+        db_labels = np.zeros((300, classes), dtype=np.uint8)
+        for labels in (q_labels, db_labels):
+            per_item = rng.integers(1, 4 if multilabel else 2, labels.shape[0])
+            for row, count in zip(labels, per_item):
+                row[rng.choice(classes - 1, count, replace=False)] = 1
+        dead = slice(num_queries // 3, 2 * num_queries // 3)
+        q_labels[dead] = 0
+        q_labels[dead, classes - 1] = 1
+        return pack_codes(q_pm1), pack_codes(db_pm1), q_labels, db_labels
+
+    @staticmethod
+    def _check_threads(threads, num_queries, pooled=True):
+        # One query, or none, never starts a pool.
+        assert ((threading.main_thread().ident in threads)
+                == (num_queries == 1 or (num_queries > 1 and not pooled)))
+        assert len(threads) <= 3
+
+    @pytest.mark.parametrize("num_queries", [0, 1, 2, 5, 13])
+    @pytest.mark.parametrize("limit", [None, 7, 40])
+    @pytest.mark.parametrize("k, multilabel", [(8, False), (70, True)])
+    def test_search_matches_serial(self, threaded, num_queries, limit, k,
+                                   multilabel):
+        queries, database, _, _ = self._problem(num_queries, k, multilabel)
+        serial = search(queries, database, limit)
+        threads = threaded()
+        baseline = threading.active_count()
+        rankings = search(queries, database, limit)
+        assert threading.active_count() == baseline
+        # Top-R scans (7 and 40 of 300 items) stay in the calling thread.
+        self._check_threads(threads, num_queries, pooled=limit is None)
+        assert len(rankings) == len(serial) == num_queries
+        for got, expected in zip(rankings, serial):
+            assert got.indices.tobytes() == expected.indices.tobytes()
+            assert got.distances.tobytes() == expected.distances.tobytes()
+
+    @pytest.mark.parametrize("num_queries", [1, 2, 5, 13])
+    @pytest.mark.parametrize("limit", [None, 7, 40])
+    @pytest.mark.parametrize("denominator", ["cutoff", "relevant"])
+    @pytest.mark.parametrize("k, multilabel", [(8, False), (70, True)])
+    def test_evaluate_matches_serial(self, threaded, num_queries, limit,
+                                     denominator, k, multilabel):
+        args = (*self._problem(num_queries, k, multilabel), limit, denominator)
+        serial = evaluate(*args)
+        threads = threaded()
+        baseline = threading.active_count()
+        report = evaluate(*args)
+        assert threading.active_count() == baseline
+        self._check_threads(threads, num_queries)
+        assert report.skipped_queries == serial.skipped_queries
+        assert (report.average_precisions.tobytes()
+                == serial.average_precisions.tobytes())
+        assert report.to_json() == serial.to_json()
+        assert report.pr_csv_rows() == serial.pr_csv_rows()
+        assert report.precision_at_csv_rows() == serial.precision_at_csv_rows()
+
+    def test_a_chunk_without_relevant_items_is_skipped(self, threaded):
+        # Three workers over five queries: the chunk of queries 1 and 2.
+        args = self._problem(5, 8, False)
+        threaded()
+        report = evaluate(*args)
+        assert report.skipped_queries == 2
+        assert report.average_precisions.size == 3
+
+    def test_no_queries_evaluate_as_before(self, threaded):
+        args = self._problem(0, 8, False)
+        threaded()
+        baseline = threading.active_count()
+        with pytest.raises(ValueError, match="no query"):
+            evaluate(*args)
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("call", ["search", "evaluate"])
+    def test_worker_exception_reaches_the_caller(self, threaded, monkeypatch,
+                                                 call):
+        class Boom(Exception):
+            pass
+
+        queries, database, q_labels, db_labels = self._problem(5, 8, False)
+        threaded()
+        real_distances_to = retrieval._distances_to
+
+        def failing_distances_to(query_words, database_words):
+            if query_words.tobytes() == queries.words[3].tobytes():
+                raise Boom("query 3")
+            return real_distances_to(query_words, database_words)
+
+        monkeypatch.setattr(retrieval, "_distances_to", failing_distances_to)
+        baseline = threading.active_count()
+        with pytest.raises(Boom, match="query 3"):
+            if call == "search":
+                search(queries, database)
+            else:
+                evaluate(queries, database, q_labels, db_labels)
+        assert threading.active_count() == baseline
+
+    def test_stress_more_workers_than_cores(self, threaded, monkeypatch):
+        # Eight workers on a short switch interval: a scratch array or a
+        # position table shared by mistake would garble some AP or ranking.
+        args = self._problem(40, 70, True)
+        serial_report = evaluate(*args)
+        serial_rankings = search(*args[:2])
+        threaded()
+        monkeypatch.setattr(retrieval, "_worker_count", lambda: 8)
+        retrieval._positions.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                report = evaluate(*args)
+                rankings = search(*args[:2])
+                assert (report.average_precisions.tobytes()
+                        == serial_report.average_precisions.tobytes())
+                assert report.pr_csv_rows() == serial_report.pr_csv_rows()
+                assert all(
+                    got.indices.tobytes() == expected.indices.tobytes()
+                    for got, expected in zip(rankings, serial_rankings))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("extra, limit, pooled", [
+        (-1, None, False), (0, None, True), (0, 1 << 20, True),
+        (0, 10, False), (100, 100, False)])
+    def test_cutoff_is_the_database_size(self, monkeypatch, rank_threads,
+                                         extra, limit, pooled):
+        # Only full rankings of a large database start a pool; a top-R
+        # scan stays in the calling thread at any database size.
+        monkeypatch.setattr(retrieval, "_worker_count", lambda: 3)
+        n = retrieval.PARALLEL_MIN_ITEMS + extra
+        words = np.random.default_rng(n).integers(0, 2**16, (n + 3, 1),
+                                                  dtype=np.uint64)
+        search(BinaryCodeSet(words=words[:3], code_bits=16),
+               BinaryCodeSet(words=words[3:], code_bits=16), limit=limit)
+        assert (threading.main_thread().ident not in rank_threads) == pooled
+
+    def test_full_ranking_positions_are_shared_and_read_only(self):
+        positions = retrieval._positions(300, np.dtype(np.uint16))
+        assert retrieval._positions(300, np.dtype(np.uint16)) is positions
+        assert not positions.flags.writeable
+        assert positions.tolist() == list(range(300))
