@@ -16,7 +16,7 @@ from .retrieval import (BinaryCodeSet, EvalReport, RankedList, binarize,
                         mean_activations, pack_codes, save_codes, search,
                         unpack_codes)
 from .trainer import (NumericError, TrainConfig, TrainHistory, learning_rate,
-                      resume, train)
+                      train)
 from .analysis import (ablate, activation_histogram, bit_balance,
                        codebook_gram, confusion_matrix, lambda_sweep)
 

@@ -119,16 +119,9 @@ def _load_training_inputs(args):
 def cmd_train(args) -> int:
     features, labels, split, book = _load_training_inputs(args)
     config = _train_config(args)
-    hidden = _parse_hidden(args.hidden)
-    if args.resume:
-        net, history = trainer.resume(args.out, config, features, labels,
-                                      split, book, hidden=hidden)
-    else:
-        net, history = trainer.train(config, features, labels, split, book,
-                                     hidden=hidden, checkpoint_path=args.out)
-    # A checkpointing run has already saved its last epoch to args.out.
-    if not (history.records and (args.resume or config.checkpoint_every > 0)):
-        model.save_network(net, args.out)
+    _, history = trainer.train(config, features, labels, split, book,
+                               hidden=_parse_hidden(args.hidden),
+                               out=args.out, resume=args.resume)
     if history.records:
         _log(f"epoch {history.records[-1].epoch}: "
              f"total loss {history.records[-1].loss.total:.6f}")
@@ -362,7 +355,9 @@ def _add_train_flags(parser) -> None:
                         help=f"training seed (default: {defaults.seed})")
     parser.add_argument("--checkpoint-every", type=int,
                         default=defaults.checkpoint_every,
-                        help="save every N epochs; 0 disables (default: 0)")
+                        help="save the model and the optimizer state every "
+                             "N epochs and after the last one; 0 disables, "
+                             "but --resume always checkpoints (default: 0)")
 
 
 def _add_data_flags(parser) -> None:

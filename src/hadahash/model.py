@@ -113,21 +113,25 @@ class NetworkSpec:
     code_bits: int
     num_classes: int
 
+    def architecture(self) -> Tuple[Tuple[int, int, str], ...]:
+        """(fan_in, fan_out, activation) of each layer built from this
+        spec, as `HashNetwork.architecture` lists them."""
+        widths = (self.input_dim, *self.hidden, self.code_bits)
+        activations = ("relu",) * len(self.hidden) + ("tanh",)
+        return (*zip(widths[:-1], widths[1:], activations),
+                (self.code_bits, self.num_classes, "identity"))
+
 
 def build_network(spec: NetworkSpec, seed: int) -> HashNetwork:
     """Glorot-uniform weights from the seeded generator, zero biases."""
     rng = make_rng(seed)
-
-    def dense(fan_in, fan_out, activation):
+    layers = []
+    for fan_in, fan_out, activation in spec.architecture():
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        return DenseLayer(weights=weights, bias=np.zeros(fan_out), activation=activation)
-
-    widths = [spec.input_dim, *spec.hidden]
-    layers = [dense(widths[i], widths[i + 1], "relu") for i in range(len(widths) - 1)]
-    layers.append(dense(widths[-1], spec.code_bits, "tanh"))
-    classifier = dense(spec.code_bits, spec.num_classes, "identity")
-    return HashNetwork(layers=layers, classifier=classifier)
+        layers.append(DenseLayer(weights=weights, bias=np.zeros(fan_out),
+                                 activation=activation))
+    return HashNetwork(layers=layers[:-1], classifier=layers[-1])
 
 
 def _apply(activation: str, z: np.ndarray) -> np.ndarray:

@@ -46,6 +46,9 @@ class BinaryCodeSet:
     def __post_init__(self):
         if self.mode not in BINARIZATION_MODES:
             raise ValueError(f"unknown binarization mode {self.mode!r}")
+        if self.code_bits < 1:
+            raise ValueError(f"codes need at least one bit, got "
+                             f"{self.code_bits}")
         expected = (self.code_bits + 63) // 64
         if self.words.ndim != 2 or self.words.shape[1] != expected:
             raise ValueError(
@@ -234,6 +237,9 @@ def search(queries: BinaryCodeSet, database: BinaryCodeSet,
            limit: Optional[int] = None) -> List[RankedList]:
     """Exact top-`limit` scan per query (all items when limit is None).
 
+    Both sets must have the same code length and binarization mode: codes
+    thresholded at different points do not share a Hamming space.
+
     Full rankings (limit None or at least the database size) of two or
     more queries against a database of at least `PARALLEL_MIN_ITEMS` items
     run on one thread per available CPU, each over a contiguous chunk of
@@ -253,6 +259,9 @@ def search(queries: BinaryCodeSet, database: BinaryCodeSet,
     if queries.code_bits != database.code_bits:
         raise ValueError(
             f"code length mismatch: {queries.code_bits} vs {database.code_bits}")
+    if queries.mode != database.mode:
+        raise ValueError(
+            f"binarization mode mismatch: {queries.mode} vs {database.mode}")
     r = database.num_items if limit is None else min(limit, database.num_items)
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
@@ -431,6 +440,9 @@ def lsh_codes(features: np.ndarray, code_bits: int, seed: int,
     features = np.asarray(features)
     if features.ndim != 2:
         raise ValueError(f"expected an (N, D) feature matrix, got {features.shape}")
+    if code_bits < 1:
+        raise ValueError(f"LSH codes need at least one bit, got {code_bits} "
+                         f"bits")
     if rows is None:
         rows = np.arange(features.shape[0])
     planes = standard_normal(make_rng(seed), (features.shape[1], code_bits))
@@ -451,6 +463,9 @@ def load_codes(path) -> BinaryCodeSet:
         n, k, tag = read_header(f, CODES_MAGIC, CODES_VERSION, CODES_HEADER)
         if tag not in _TAG_TO_MODE:
             raise FileFormatError(f"{path}: unknown mode tag {tag}")
+        if k < 1:
+            raise FileFormatError(f"{path}: code length {k}; codes need at "
+                                  f"least one bit")
         n_words = (k + 63) // 64
         words = read_array(f, "<u8", n * n_words, "code words")
     words = words.reshape(n, n_words)

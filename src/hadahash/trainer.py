@@ -13,8 +13,9 @@ from .codebook import Codebook, target_batch
 from .data import FeatureSet, LabelSet, Split, check_split
 from .io import (FileFormatError, read_array, read_header, write_array,
                  write_header)
-from .model import (HashNetwork, LossBreakdown, NetworkSpec, backward,
-                    build_network, load_network, save_network, sgd_step)
+from .model import (VARIANTS, HashNetwork, LossBreakdown, NetworkSpec,
+                    backward, build_network, load_network, save_network,
+                    sgd_step)
 from .rng import make_rng
 
 TRAIN_STATE_MAGIC = b"HCTS"
@@ -67,6 +68,8 @@ class TrainConfig:
             raise ValueError("checkpoint_every must be non-negative")
         if self.loss_mode not in ("CE", "BCE"):
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}")
 
 
 @dataclass(frozen=True)
@@ -94,22 +97,6 @@ class TrainHistory:
 def learning_rate(config: TrainConfig, epoch: int) -> float:
     """Base rate halved once per halving period (epochs are 0-based)."""
     return config.base_lr * 0.5 ** (epoch // config.lr_halving_period_epochs)
-
-
-def _validate_inputs(config: TrainConfig, features: FeatureSet, labels: LabelSet,
-                     split: Split, codebook: Codebook) -> None:
-    if features.num_items != labels.num_items:
-        raise ValueError(
-            f"feature count {features.num_items} != label count {labels.num_items}")
-    if codebook.num_classes != labels.num_classes:
-        raise ValueError(
-            f"codebook has {codebook.num_classes} classes, labels have "
-            f"{labels.num_classes}")
-    if split.train.size == 0:
-        raise ValueError("training split is empty")
-    check_split(split, features.num_items)
-    if config.loss_mode == "CE" and np.any(labels.values.sum(axis=1) != 1):
-        raise ValueError("CE mode requires single-label data; use BCE")
 
 
 def _run_epochs(net: HashNetwork, velocity: List[np.ndarray],
@@ -159,7 +146,56 @@ def _run_epochs(net: HashNetwork, velocity: List[np.ndarray],
     return history
 
 
-def _prepare(config, features, labels, split, codebook):
+def train(config: TrainConfig, features: FeatureSet, labels: LabelSet,
+          split: Split, codebook: Codebook, hidden: Tuple[int, ...] = (256,),
+          out=None, resume: bool = False):
+    """Train a network; returns (network, history).
+
+    A fresh run draws its weights from the config seed, with zero velocity.
+    With `resume`, the run continues from the checkpoint at `out`, whose
+    epoch counter and velocity make it bit-identical to an uninterrupted
+    run; a checkpoint past `config.epochs` or of another architecture is a
+    ValueError. Each epoch's shuffle is reseeded from (seed, epoch).
+
+    Save policy: with `out` given, the file there ends holding the last
+    epoch's model. A checkpointing run (`config.checkpoint_every` > 0, or a
+    resume) saves the model and its optimizer state, at
+    `train_state_path(out)`, every `checkpoint_every` epochs and after its
+    last epoch, so both files come from the same epoch. A run that trains
+    no epoch saves the model alone.
+    """
+    if resume and out is None:
+        raise ValueError("resume needs out, the checkpoint path")
+    if features.num_items != labels.num_items:
+        raise ValueError(
+            f"feature count {features.num_items} != label count {labels.num_items}")
+    if codebook.num_classes != labels.num_classes:
+        raise ValueError(
+            f"codebook has {codebook.num_classes} classes, labels have "
+            f"{labels.num_classes}")
+    if split.train.size == 0:
+        raise ValueError("training split is empty")
+    check_split(split, features.num_items)
+    if config.loss_mode == "CE" and np.any(labels.values.sum(axis=1) != 1):
+        raise ValueError("CE mode requires single-label data; use BCE")
+    spec = NetworkSpec(input_dim=features.dim, hidden=tuple(hidden),
+                       code_bits=codebook.code_bits,
+                       num_classes=labels.num_classes)
+    if resume:
+        net, velocity, first_epoch = load_checkpoint(out)
+        if first_epoch > config.epochs:
+            raise ValueError(
+                f"checkpoint {out} is at epoch {first_epoch}, past "
+                f"the {config.epochs} epochs requested")
+        if net.architecture() != spec.architecture():
+            raise ValueError(
+                f"checkpoint architecture {net.architecture()} does not match "
+                f"requested {spec.architecture()}")
+    else:
+        net = build_network(spec, config.seed)
+        velocity = [np.zeros_like(p) for p in net.param_arrays()]
+        first_epoch = 0
+
     train_idx = split.train
     train_x = features.values[train_idx].astype(np.float64)
     train_targets = target_batch(codebook, labels.values[train_idx])
@@ -167,63 +203,12 @@ def _prepare(config, features, labels, split, codebook):
         train_labels = np.argmax(labels.values[train_idx], axis=1).astype(np.int64)
     else:
         train_labels = labels.values[train_idx].astype(np.float64)
-    return train_x, train_targets, train_labels
-
-
-def train(config: TrainConfig, features: FeatureSet, labels: LabelSet,
-          split: Split, codebook: Codebook, hidden: Tuple[int, ...] = (256,),
-          checkpoint_path=None):
-    """Train a fresh network; returns (network, history).
-
-    Deterministic given the config: weights are initialized from the config
-    seed and each epoch's shuffle is reseeded from (seed, epoch). With
-    `config.checkpoint_every` > 0 a checkpoint goes to `checkpoint_path`
-    every that many epochs and after the last one.
-    """
-    _validate_inputs(config, features, labels, split, codebook)
-    spec = NetworkSpec(input_dim=features.dim, hidden=tuple(hidden),
-                       code_bits=codebook.code_bits,
-                       num_classes=labels.num_classes)
-    net = build_network(spec, config.seed)
-    velocity = [np.zeros_like(p) for p in net.param_arrays()]
-    train_x, train_targets, train_labels = _prepare(
-        config, features, labels, split, codebook)
-    history = _run_epochs(net, velocity, config, 0, train_x, train_targets,
-                          train_labels,
-                          checkpoint_path if config.checkpoint_every > 0
-                          else None)
-    return net, history
-
-
-def resume(checkpoint_path, config: TrainConfig, features: FeatureSet,
-           labels: LabelSet, split: Split, codebook: Codebook,
-           hidden: Tuple[int, ...] = (256,)):
-    """Continue training from a checkpoint written by save_checkpoint.
-
-    The restored epoch counter and velocity state make the continuation
-    bit-identical to an uninterrupted run with the same config. The run
-    checkpoints back to `checkpoint_path` as `train` does, and always after
-    its last epoch. A checkpoint already past `config.epochs` is a
-    ValueError.
-    """
-    _validate_inputs(config, features, labels, split, codebook)
-    net, velocity, next_epoch = load_checkpoint(checkpoint_path)
-    if next_epoch > config.epochs:
-        raise ValueError(
-            f"checkpoint {checkpoint_path} is at epoch {next_epoch}, past "
-            f"the {config.epochs} epochs requested")
-    expected = NetworkSpec(input_dim=features.dim, hidden=tuple(hidden),
-                           code_bits=codebook.code_bits,
-                           num_classes=labels.num_classes)
-    fresh = build_network(expected, 0)
-    if net.architecture() != fresh.architecture():
-        raise ValueError(
-            f"checkpoint architecture {net.architecture()} does not match "
-            f"requested {fresh.architecture()}")
-    train_x, train_targets, train_labels = _prepare(
-        config, features, labels, split, codebook)
-    history = _run_epochs(net, velocity, config, next_epoch, train_x,
+    checkpoint_path = out if resume or config.checkpoint_every > 0 else None
+    history = _run_epochs(net, velocity, config, first_epoch, train_x,
                           train_targets, train_labels, checkpoint_path)
+    # A checkpointing run that trained has saved its last epoch already.
+    if out is not None and (checkpoint_path is None or not history.records):
+        save_network(net, out)
     return net, history
 
 

@@ -428,6 +428,44 @@ def test_set_padding_bit_is_exit_three(pipeline_files, capsys, target, bit):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, bits", [
+    ("lsh-baseline", "0"), ("lsh-baseline", "-3"), ("eval", "0"),
+    ("analyze", "0")])
+def test_codes_of_fewer_than_one_bit_are_rejected(pipeline_files, capsys,
+                                                  command, bits):
+    split, paths, tmp_path = pipeline_files
+    out = tmp_path / "out"
+    if command == "lsh-baseline":
+        argv = _commands(paths, str(out))[command]
+        argv[argv.index("--bits") + 1] = bits
+        code, message = 2, f"LSH codes need at least one bit, got {bits} bits"
+    else:
+        # A well-formed header of zero-bit codes, so no payload follows.
+        with open(paths["query.hcbc"], "wb") as f:
+            f.write(b"HCBC" + struct.pack("<IIIB", 1, split.query.size, 0, 0))
+        argv = (_commands(paths, str(out))["eval"] if command == "eval" else
+                ["analyze", "--codes", paths["query.hcbc"], "--outdir",
+                 str(out)])
+        code, message = 3, (f"{paths['query.hcbc']}: code length 0; codes "
+                            f"need at least one bit")
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_mixed_binarization_modes_are_exit_two(pipeline_files, capsys):
+    _, paths, tmp_path = pipeline_files
+    db = load_codes(paths["database.hcbc"])
+    save_codes(BinaryCodeSet(words=db.words, code_bits=db.code_bits,
+                             mode="mean_centered_sign"),
+               paths["database.hcbc"])
+    out = tmp_path / "out"
+    assert cli.main(_commands(paths, str(out))["eval"]) == 2
+    assert capsys.readouterr().err == (
+        "error: binarization mode mismatch: sign vs mean_centered_sign\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("hidden", ["0", "4,0"])
 def test_zero_width_layer_is_exit_two(pipeline_files, capsys, hidden):
     _, paths, tmp_path = pipeline_files
@@ -773,3 +811,58 @@ class TestGoldenPipeline:
         assert resumed.read_bytes() == straight.read_bytes()
         assert (Path(f"{resumed}.state").read_bytes()
                 == Path(f"{straight}.state").read_bytes())
+
+
+class TestSavePolicy:
+    """The files each train run leaves at --out, against straight runs.
+
+    The model always holds the last epoch. The optimizer state is left by
+    a checkpointing run that trains an epoch, and by every resume.
+    """
+
+    @pytest.fixture(scope="class")
+    def straight(self, tmp_path_factory):
+        """The input directory, and the model and optimizer-state bytes of
+        a straight run after 0 and after 4 epochs."""
+        d = tmp_path_factory.mktemp("policy") / "inputs"
+        TestGoldenPipeline()._run(d)
+        assert cli.main(TestGoldenPipeline._train(
+            d, "--epochs", "4", "--checkpoint-every", "1",
+            "--out", str(d / "ck4.hcmd"))) == 0
+        # What a fresh run starts from: the seeded weights, zero velocity.
+        net = build_network(NetworkSpec(10, (12,), 16, 5), seed=4)
+        save_checkpoint(net, [np.zeros_like(p) for p in net.param_arrays()],
+                        0, d / "ck0.hcmd")
+        return d, {epochs: ((d / name).read_bytes(),
+                            (d / f"ck{epochs}.hcmd.state").read_bytes())
+                   for epochs, name in ((0, "ck0.hcmd"), (4, "m.hcmd"))}
+
+    @pytest.mark.parametrize("epochs, flags, resume_from", [
+        (0, (), None),
+        (4, (), None),
+        (0, ("--checkpoint-every", "2"), None),
+        (4, ("--checkpoint-every", "2"), None),
+        (0, ("--checkpoint-every", "3"), None),
+        (4, ("--checkpoint-every", "3"), None),
+        (0, ("--resume",), 0),
+        (4, ("--resume",), 2),
+        (4, ("--resume",), 4),
+    ])
+    def test_files_hold_the_straight_runs_bytes(self, straight, tmp_path,
+                                                epochs, flags, resume_from):
+        d, reference = straight
+        out = tmp_path / "m.hcmd"
+        if resume_from == 0:
+            out.write_bytes((d / "ck0.hcmd").read_bytes())
+            Path(f"{out}.state").write_bytes(reference[0][1])
+        elif resume_from is not None:
+            assert cli.main(TestGoldenPipeline._train(
+                d, "--epochs", str(resume_from), "--checkpoint-every",
+                str(resume_from), "--out", str(out))) == 0
+        assert cli.main(TestGoldenPipeline._train(
+            d, "--epochs", str(epochs), *flags, "--out", str(out))) == 0
+        model_bytes, state_bytes = reference[epochs]
+        expected = {"m.hcmd": model_bytes}
+        if resume_from is not None or flags and epochs:
+            expected["m.hcmd.state"] = state_bytes
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == expected

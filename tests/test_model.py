@@ -9,6 +9,7 @@ from hadahash.model import (DenseLayer, HashNetwork, LossBreakdown,
                             cross_entropy_loss, forward, hadamard_loss,
                             load_network, save_network, sgd_step)
 from hadahash import model
+from hadahash.rng import make_rng
 
 
 def _zero_network(input_dim=3, hidden=4, code_bits=2, num_classes=3):
@@ -403,6 +404,26 @@ class TestRowBlocks:
     def test_no_rows_is_an_error(self):
         with pytest.raises(ValueError, match="no rows to encode"):
             model.row_blocks(0)
+
+
+class TestBuildNetwork:
+    @pytest.mark.parametrize("hidden", [(), (8,), (8, 4)])
+    def test_spec_architecture_is_the_built_one(self, hidden):
+        spec = NetworkSpec(6, hidden, 5, 3)
+        assert spec.architecture() == build_network(spec, seed=4).architecture()
+
+    def test_draws_glorot_weights_layer_by_layer(self):
+        # The reference draw order: feature layers input to hash, then the
+        # classifier, each fan_in x fan_out from one seeded stream.
+        spec = NetworkSpec(6, (8, 4), 5, 3)
+        net = build_network(spec, seed=4)
+        rng = make_rng(4)
+        for layer, (fan_in, fan_out) in zip(
+                net.all_layers(), [(6, 8), (8, 4), (4, 5), (5, 3)]):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            expected = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+            assert np.array_equal(layer.weights, expected)
+            assert np.array_equal(layer.bias, np.zeros(fan_out))
 
 
 class TestCheckpoint:

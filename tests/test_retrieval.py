@@ -247,6 +247,9 @@ class TestSearch:
             search(codes, codes, limit=0)
         with pytest.raises(ValueError, match="mismatch"):
             search(codes, pack_codes(_random_pm1(4, 9, seed=0)))
+        with pytest.raises(ValueError, match="binarization mode mismatch"):
+            search(codes, BinaryCodeSet(words=codes.words, code_bits=8,
+                                        mode="mean_centered_sign"))
 
 
 class TestEvaluate:
@@ -355,6 +358,13 @@ class TestEvaluate:
 def test_binary_code_set_rejects_wrong_word_count():
     with pytest.raises(ValueError, match="bits"):
         BinaryCodeSet(words=np.zeros((3, 2), dtype=np.uint64), code_bits=64)
+
+
+@pytest.mark.parametrize("bits", [0, -5])
+def test_binary_code_set_rejects_fewer_than_one_bit(bits):
+    # Both lengths need zero words, so the word count alone passes them.
+    with pytest.raises(ValueError, match="at least one bit"):
+        BinaryCodeSet(words=np.zeros((3, 0), dtype=np.uint64), code_bits=bits)
 
 
 class TestBlockEncoder:

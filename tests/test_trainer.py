@@ -6,9 +6,9 @@ import pytest
 
 from hadahash.codebook import build_codebook
 from hadahash.data import LabelSet, make_synthetic_blobs, split_protocol
-from hadahash.model import NetworkSpec, build_network, sgd_step
+from hadahash.model import NetworkSpec, build_network, load_network, sgd_step
 from hadahash.trainer import (NumericError, TrainConfig, learning_rate,
-                              load_checkpoint, resume, save_checkpoint, train)
+                              load_checkpoint, save_checkpoint, train)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,26 @@ class TestTrain:
             assert np.isfinite(record.loss.hadamard)
             assert np.isfinite(record.loss.classification)
 
+    def test_rejects_unknown_variant(self):
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            TrainConfig(variant="bogus")
+
+    def test_out_without_checkpointing_holds_the_model(self, small_setup,
+                                                       tmp_path):
+        features, labels, split, book = small_setup
+        out = tmp_path / "model.hcmd"
+        config = TrainConfig(epochs=2, base_lr=0.01, seed=3)
+        net, _ = train(config, features, labels, split, book, hidden=(8,),
+                       out=out)
+        assert _params_equal(load_network(out), net)
+        assert sorted(tmp_path.iterdir()) == [out]
+
+    def test_resume_needs_out(self, small_setup):
+        features, labels, split, book = small_setup
+        with pytest.raises(ValueError, match="checkpoint path"):
+            train(TrainConfig(epochs=1), features, labels, split, book,
+                  hidden=(8,), resume=True)
+
     def test_rejects_mismatched_codebook(self, small_setup):
         features, labels, split, _ = small_setup
         wrong = build_codebook(8, 6, seed=1)
@@ -130,11 +150,10 @@ class TestResume:
         features, labels, split, book = small_setup
         ckpt = tmp_path / "model.hcmd"
         short = TrainConfig(epochs=6, base_lr=0.01, seed=3, checkpoint_every=6)
-        train(short, features, labels, split, book, hidden=(8,),
-              checkpoint_path=ckpt)
+        train(short, features, labels, split, book, hidden=(8,), out=ckpt)
         full_config = TrainConfig(epochs=12, base_lr=0.01, seed=3)
-        resumed, more = resume(ckpt, full_config, features, labels, split,
-                               book, hidden=(8,))
+        resumed, more = train(full_config, features, labels, split, book,
+                              hidden=(8,), out=ckpt, resume=True)
         straight, whole = train(full_config, features, labels, split, book,
                                 hidden=(8,))
         assert _params_equal(resumed, straight)
@@ -146,27 +165,25 @@ class TestResume:
         features, labels, split, book = small_setup
         ckpt = tmp_path / "model.hcmd"
         config = TrainConfig(epochs=2, base_lr=0.01, seed=3, checkpoint_every=2)
-        train(config, features, labels, split, book, hidden=(8,),
-              checkpoint_path=ckpt)
+        train(config, features, labels, split, book, hidden=(8,), out=ckpt)
         wrong_book = build_codebook(16, 4, seed=1)
         with pytest.raises(ValueError, match="architecture"):
-            resume(ckpt, TrainConfig(epochs=4, seed=3), features, labels,
-                   split, wrong_book, hidden=(8,))
+            train(TrainConfig(epochs=4, seed=3), features, labels, split,
+                  wrong_book, hidden=(8,), out=ckpt, resume=True)
 
     def test_resume_rejects_a_checkpoint_past_the_epochs(self, small_setup,
                                                          tmp_path):
         features, labels, split, book = small_setup
         ckpt = tmp_path / "model.hcmd"
         config = TrainConfig(epochs=4, base_lr=0.01, seed=3, checkpoint_every=4)
-        train(config, features, labels, split, book, hidden=(8,),
-              checkpoint_path=ckpt)
+        train(config, features, labels, split, book, hidden=(8,), out=ckpt)
         with pytest.raises(ValueError) as err:
-            resume(ckpt, TrainConfig(epochs=3, seed=3), features, labels,
-                   split, book, hidden=(8,))
+            train(TrainConfig(epochs=3, seed=3), features, labels, split,
+                  book, hidden=(8,), out=ckpt, resume=True)
         assert str(err.value) == (f"checkpoint {ckpt} is at epoch 4, past "
                                   f"the 3 epochs requested")
-        _, history = resume(ckpt, TrainConfig(epochs=4, seed=3), features,
-                            labels, split, book, hidden=(8,))
+        _, history = train(TrainConfig(epochs=4, seed=3), features, labels,
+                           split, book, hidden=(8,), out=ckpt, resume=True)
         assert history.records == []
 
     def test_checkpoint_round_trip(self, small_setup, tmp_path):
