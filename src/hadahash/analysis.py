@@ -48,10 +48,12 @@ def confusion_matrix(rankings: Sequence[RankedList], query_labels: np.ndarray,
     ranked database items carrying class b within the top `top_r`. Early
     ranks count more: w(r) = 1 / log2(r + 1) with ranks starting at 1, or
     uniformly when weighted is False. Rows are normalized to sum to one;
-    a class with no queries keeps an all-zero row.
+    a class with no queries keeps an all-zero row. Labels are 0/1; only
+    the top-R label rows of each query are read and converted, never the
+    whole database's.
     """
     query_labels = np.asarray(query_labels, dtype=np.int64)
-    db_labels = np.asarray(db_labels, dtype=np.int64)
+    db_labels = np.asarray(db_labels)
     n_classes = query_labels.shape[1]
     if len(rankings) != query_labels.shape[0]:
         raise ValueError("one ranking per query row is required")

@@ -36,7 +36,14 @@ def _parse_hidden(text: str):
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(tok) for tok in text.split(","))
+    widths = []
+    for i, token in enumerate(text.split(",")):
+        try:
+            widths.append(int(token))
+        except ValueError:
+            raise ValueError(f"--hidden: layer {i} width {token!r} is not an "
+                             f"integer") from None
+    return tuple(widths)
 
 
 def _load_split(split_path, num_items: int):
@@ -377,10 +384,12 @@ def _add_eval_flags(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No abbreviations: `_apply_config_file` reads only --config itself.
     parser = argparse.ArgumentParser(
         prog="hadahash",
         description="Balanced orthogonal codebooks, hash training, and "
-                    "Hamming retrieval.")
+                    "Hamming retrieval.",
+        allow_abbrev=False)
     parser.add_argument("--config", default=None,
                         help="key=value file of flag defaults, true or false "
                              "for switches; flags win")
@@ -501,14 +510,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv):
-    """Insert key=value entries from --config as flags right after the
-    subcommand, so explicit flags (parsed later) win."""
-    if "--config" not in argv:
+    """Insert key=value entries from --config PATH or --config=PATH as
+    flags right after the subcommand, so explicit flags (parsed later)
+    win."""
+    for at, token in enumerate(argv):
+        if token == "--config" and at + 1 < len(argv):
+            path, rest = argv[at + 1], argv[:at] + argv[at + 2:]
+            break
+        if token.startswith("--config="):
+            path, rest = token[len("--config="):], argv[:at] + argv[at + 1:]
+            break
+    else:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        return argv
-    path = argv[at + 1]
     extra = []
     with open(path) as f:
         for line in f:
@@ -522,7 +535,6 @@ def _apply_config_file(argv):
                 extra.append(flag)
             elif value != "false":
                 extra.extend([flag, value])
-    rest = argv[:at] + argv[at + 2:]
     for i, token in enumerate(rest):
         if not token.startswith("-"):
             return rest[:i + 1] + extra + rest[i + 1:]

@@ -113,6 +113,12 @@ class NetworkSpec:
     code_bits: int
     num_classes: int
 
+    def __post_init__(self):
+        for i, (_, width, _) in enumerate(self.architecture()):
+            if width < 1:
+                raise ValueError(f"layer {i} has width {width}; every layer "
+                                 "needs at least one output")
+
     def architecture(self) -> Tuple[Tuple[int, int, str], ...]:
         """(fan_in, fan_out, activation) of each layer built from this
         spec, as `HashNetwork.architecture` lists them."""

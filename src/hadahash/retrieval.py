@@ -4,7 +4,7 @@ import functools
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -24,10 +24,10 @@ _TAG_TO_MODE = {tag: name for name, tag in _MODE_TO_TAG.items()}
 
 DEFAULT_PRECISION_KS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
-# Full rankings of several queries over at least this many items run on
-# threads (see `search`). A short ranking is dozens of small numpy calls
-# that contend for the GIL: on a 2-core VM two threads ran 0.5-0.9x as
-# fast as one at 7k-12k items.
+# `evaluate` scores several queries over at least this many items on
+# threads. A short ranking is dozens of small numpy calls that contend for
+# the GIL: on a 2-core VM two threads ran 0.5-0.9x as fast as one at
+# 7k-12k items.
 PARALLEL_MIN_ITEMS = 1 << 16
 
 
@@ -205,56 +205,15 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _map_queries(make_worker: Callable[[], Callable], num_queries: int,
-                 parallel: bool) -> Iterable:
-    """`worker(qi)` for every query index, in query order.
-
-    With `parallel`, the indices are cut into one contiguous chunk per
-    worker thread, and each chunk calls `make_worker()` once, so a
-    worker's scratch arrays are its own. Otherwise, or with a single query
-    or a single CPU, it returns a lazy map in the calling thread, which
-    holds one result at a time. A worker's exception reaches the caller,
-    and no thread outlives the call.
-    """
-    workers = min(_worker_count(), num_queries) if parallel else 1
-    if workers < 2:
-        return map(make_worker(), range(num_queries))
-    # Imported here: with the logging module it pulls in, it would add
-    # about 0.7 MB to every process that never starts a pool.
-    from concurrent.futures import ThreadPoolExecutor
-
-    def run(chunk: range) -> list:
-        return list(map(make_worker(), chunk))
-
-    bounds = [num_queries * w // workers for w in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(run, [range(lo, hi) for lo, hi
-                                     in zip(bounds, bounds[1:])]))
-    return [result for chunk in chunks for result in chunk]
-
-
 def search(queries: BinaryCodeSet, database: BinaryCodeSet,
            limit: Optional[int] = None) -> List[RankedList]:
     """Exact top-`limit` scan per query (all items when limit is None).
 
     Both sets must have the same code length and binarization mode: codes
-    thresholded at different points do not share a Hamming space.
-
-    Full rankings (limit None or at least the database size) of two or
-    more queries against a database of at least `PARALLEL_MIN_ITEMS` items
-    run on one thread per available CPU, each over a contiguous chunk of
-    the queries; numpy releases the GIL in the popcount and the sort.
-    Smaller databases and single queries run in the calling thread: below
-    the cutoff the threads lose to one (on a 2-core VM, full rankings
-    break even near 16k items). Top-R scans always run in the calling
-    thread: a partition and a short sort, about 0.25 ms per query at 100k
-    items, leave too little work between GIL handoffs. On a 2-core VM two
-    threads scanned 285 top-100 queries over 99,872 items 1.2-1.4x as
-    fast in the median, but the interquartile range of their throughput
-    over repeated calls was two to three times one thread's, too wide to
-    measure. Besides the rankings it returns, each worker holds one
-    query's distances and sort keys, about 8 B per database item. The
-    rankings are the same on any number of threads.
+    thresholded at different points do not share a Hamming space. Every
+    query is ranked in the calling thread, one after another; besides the
+    rankings it returns, the scan holds one query's distances and sort
+    keys, about 8 B per database item.
     """
     if queries.code_bits != database.code_bits:
         raise ValueError(
@@ -268,14 +227,8 @@ def search(queries: BinaryCodeSet, database: BinaryCodeSet,
     if database.num_items == 0:
         raise ValueError("the database is empty")
     max_distance = 64 * database.words.shape[1]
-
-    def rank(qi: int) -> RankedList:
-        return _rank_one(_distances_to(queries.words[qi], database.words), r,
-                         max_distance)
-
-    return list(_map_queries(
-        lambda: rank, queries.num_items,
-        r == database.num_items and r >= PARALLEL_MIN_ITEMS))
+    return [_rank_one(_distances_to(w, database.words), r, max_distance)
+            for w in queries.words]
 
 
 @dataclass(frozen=True)
@@ -328,15 +281,20 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
     same R-long array as a dense pass would, so every score is the one a
     pass over all N ranks gives, to the last bit.
 
-    Databases of at least `PARALLEL_MIN_ITEMS` items score the queries on
-    one thread per available CPU, as `search` does its full rankings
-    (below it the threads lose; they break even near 16k items). Each
-    worker ranks through the module's single-query `search` and keeps its
-    own R-long AP scratch, so memory holds about 20 B per database item
-    per worker (the 12 B ranking and the 8 B scratch), plus, on threads,
-    the PR-101 and P@k rows of every query until they are summed. The
-    rows are summed in query order, as one thread sums them, so every
-    report is the same to the last bit on any number of threads.
+    Two or more queries against a database of at least
+    `PARALLEL_MIN_ITEMS` items are scored on one thread per available CPU,
+    each over a contiguous chunk of the queries; numpy releases the GIL in
+    the popcount and the sort. Smaller databases and single queries are
+    scored lazily in the calling thread, one query at a time (below the
+    cutoff the threads lose; on a 2-core VM they break even near 16k
+    items). Each worker ranks through the module's single-query `search`
+    and keeps its own R-long AP scratch, so memory holds about 20 B per
+    database item per worker (the 12 B ranking and the 8 B scratch), plus,
+    on threads, the PR-101 and P@k rows of every query until they are
+    summed. The rows are summed in query order, as one thread sums them,
+    so every report is the same to the last bit on any number of threads.
+    A worker's exception reaches the caller, and no thread outlives the
+    call.
     """
     query_labels = np.asarray(query_labels)
     db_labels = np.asarray(db_labels)
@@ -396,12 +354,32 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
 
         return score
 
+    num_queries = queries.num_items
+    workers = (min(_worker_count(), num_queries)
+               if n_db >= PARALLEL_MIN_ITEMS else 1)
+    if workers < 2:
+        # Lazy: the loop below holds one query's scores at a time.
+        results = map(make_worker(), range(num_queries))
+    else:
+        # Imported here: with the logging module it pulls in, it would add
+        # about 0.7 MB to every process that never starts a pool.
+        from concurrent.futures import ThreadPoolExecutor
+
+        def run(chunk: range) -> list:
+            # One worker, so one AP scratch, per contiguous chunk.
+            return list(map(make_worker(), chunk))
+
+        bounds = [num_queries * w // workers for w in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(run, [range(lo, hi) for lo, hi
+                                         in zip(bounds, bounds[1:])]))
+        results = [scores for chunk in chunks for scores in chunk]
+
     aps = []
     pr_sum = np.zeros(101)
     prec_at_sum = np.zeros(ks.size)
     skipped = 0
-    for scores in _map_queries(make_worker, queries.num_items,
-                               n_db >= PARALLEL_MIN_ITEMS):
+    for scores in results:
         if scores is None:
             skipped += 1
             continue

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,24 @@ class TestConfusionMatrix:
         unweighted = confusion_matrix(rankings, np.array([[1, 0]]), db_labels,
                                       2, weighted=False)
         assert unweighted[0].tolist() == [0.5, 0.5]
+
+    def test_peak_does_not_grow_with_the_database(self):
+        # Only the top-R label rows of each query are converted: 100,000
+        # items of 32 classes would be 25.6 MB as int64.
+        rng = np.random.default_rng(6)
+        labels = (rng.random((100000, 32)) < 0.1).astype(np.uint8)
+        peaks = {}
+        for n in (10000, 100000):
+            rankings = [RankedList(indices=rng.permutation(n)[:100],
+                                   distances=np.zeros(100, dtype=np.uint32))
+                        for _ in range(16)]
+            tracemalloc.start()
+            try:
+                confusion_matrix(rankings, labels[:16], labels[:n], 100)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[100000] - peaks[10000] <= 64 * 1024
 
     def test_rejects_bad_arguments(self, case):
         rankings, query_labels, db_labels = case

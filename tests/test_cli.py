@@ -466,13 +466,16 @@ def test_mixed_binarization_modes_are_exit_two(pipeline_files, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("hidden", ["0", "4,0"])
+@pytest.mark.parametrize("hidden", ["0", "4,0", "-3", "8,"])
 def test_zero_width_layer_is_exit_two(pipeline_files, capsys, hidden):
     _, paths, tmp_path = pipeline_files
     out = tmp_path / "zero.hcmd"
     argv = _commands(paths, str(out))["train"] + ["--hidden", hidden]
     assert cli.main(argv) == 2
-    assert "has width 0" in capsys.readouterr().err
+    assert {"0": "layer 0 has width 0", "4,0": "layer 1 has width 0",
+            "-3": "layer 0 has width -3",
+            "8,": "--hidden: layer 1 width '' is not an integer"}[hidden] \
+        in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -551,6 +554,37 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exit_info:
             cli.main(argv)
         assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("spelling", [
+        ["--config={}"], ["--conf", "{}"], ["--conf={}"], ["--c", "{}"]])
+    def test_no_spelling_ignores_the_file(self, pipeline_files, spelling):
+        # As with `--config PATH`, the equals form reads the file; argparse
+        # takes no abbreviation of --config, so a shorter spelling is an
+        # error too.
+        _, paths, tmp_path = pipeline_files
+        config = tmp_path / "encode.cfg"
+        config.write_text("no_such_switch=true\n")
+        out = tmp_path / "out.hcbc"
+        argv = [token.format(config) for token in spelling]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, *_commands(paths, str(out))["encode"]])
+        assert exit_info.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_equals_form_applies_the_file(self, pipeline_files, where):
+        _, paths, tmp_path = pipeline_files
+        config = tmp_path / "encode.cfg"
+        config.write_text("mean_centered=true\n")
+        encode = _commands(paths, str(tmp_path / "config.hcbc"))["encode"]
+        option = f"--config={config}"
+        argv = ([option, *encode] if where == "before"
+                else [encode[0], option, *encode[1:]])
+        assert cli.main(argv) == 0
+        encode = _commands(paths, str(tmp_path / "flag.hcbc"))["encode"]
+        assert cli.main([*encode, "--mean-centered"]) == 0
+        assert ((tmp_path / "config.hcbc").read_bytes()
+                == (tmp_path / "flag.hcbc").read_bytes())
 
 
 def test_oversized_quota_is_exit_two(pipeline_files, capsys):

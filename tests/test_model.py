@@ -426,6 +426,17 @@ class TestBuildNetwork:
             assert np.array_equal(layer.bias, np.zeros(fan_out))
 
 
+    @pytest.mark.parametrize("hidden, code_bits, num_classes, message", [
+        ((-3,), 5, 3, "layer 0 has width -3"),
+        ((4, 0), 5, 3, "layer 1 has width 0"),
+        ((), 0, 3, "layer 0 has width 0"),
+        ((8,), 5, 0, "layer 2 has width 0")])
+    def test_spec_rejects_widths_below_one(self, hidden, code_bits,
+                                           num_classes, message):
+        with pytest.raises(ValueError, match=message):
+            NetworkSpec(6, hidden, code_bits, num_classes)
+
+
 class TestCheckpoint:
     def test_round_trip_is_exact(self, tmp_path):
         net = build_network(NetworkSpec(6, (8, 4), 5, 3), seed=4)

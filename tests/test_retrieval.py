@@ -440,7 +440,8 @@ class TestBlockEncoder:
 
 
 class TestThreadedQueries:
-    """Several queries over a large database run on worker threads."""
+    """`evaluate` scores several queries over a large database on worker
+    threads; `search` ranks every query in the calling thread."""
 
     @pytest.fixture
     def rank_threads(self, monkeypatch):
@@ -487,26 +488,21 @@ class TestThreadedQueries:
         q_labels[dead, classes - 1] = 1
         return pack_codes(q_pm1), pack_codes(db_pm1), q_labels, db_labels
 
-    @staticmethod
-    def _check_threads(threads, num_queries, pooled=True):
-        # One query, or none, never starts a pool.
-        assert ((threading.main_thread().ident in threads)
-                == (num_queries == 1 or (num_queries > 1 and not pooled)))
-        assert len(threads) <= 3
-
     @pytest.mark.parametrize("num_queries", [0, 1, 2, 5, 13])
     @pytest.mark.parametrize("limit", [None, 7, 40])
     @pytest.mark.parametrize("k, multilabel", [(8, False), (70, True)])
     def test_search_matches_serial(self, threaded, num_queries, limit, k,
                                    multilabel):
+        # Even with the pool forced on, full rankings and top-R scans alike
+        # stay in the calling thread.
         queries, database, _, _ = self._problem(num_queries, k, multilabel)
         serial = search(queries, database, limit)
         threads = threaded()
         baseline = threading.active_count()
         rankings = search(queries, database, limit)
         assert threading.active_count() == baseline
-        # Top-R scans (7 and 40 of 300 items) stay in the calling thread.
-        self._check_threads(threads, num_queries, pooled=limit is None)
+        assert threads <= {threading.main_thread().ident}
+        assert len(threads) == min(num_queries, 1)
         assert len(rankings) == len(serial) == num_queries
         for got, expected in zip(rankings, serial):
             assert got.indices.tobytes() == expected.indices.tobytes()
@@ -524,7 +520,10 @@ class TestThreadedQueries:
         baseline = threading.active_count()
         report = evaluate(*args)
         assert threading.active_count() == baseline
-        self._check_threads(threads, num_queries)
+        # One query never starts a pool.
+        assert ((threading.main_thread().ident in threads)
+                == (num_queries == 1))
+        assert len(threads) <= 3
         assert report.skipped_queries == serial.skipped_queries
         assert (report.average_precisions.tobytes()
                 == serial.average_precisions.tobytes())
@@ -548,9 +547,7 @@ class TestThreadedQueries:
             evaluate(*args)
         assert threading.active_count() == baseline
 
-    @pytest.mark.parametrize("call", ["search", "evaluate"])
-    def test_worker_exception_reaches_the_caller(self, threaded, monkeypatch,
-                                                 call):
+    def test_worker_exception_reaches_the_caller(self, threaded, monkeypatch):
         class Boom(Exception):
             pass
 
@@ -566,18 +563,14 @@ class TestThreadedQueries:
         monkeypatch.setattr(retrieval, "_distances_to", failing_distances_to)
         baseline = threading.active_count()
         with pytest.raises(Boom, match="query 3"):
-            if call == "search":
-                search(queries, database)
-            else:
-                evaluate(queries, database, q_labels, db_labels)
+            evaluate(queries, database, q_labels, db_labels)
         assert threading.active_count() == baseline
 
     def test_stress_more_workers_than_cores(self, threaded, monkeypatch):
         # Eight workers on a short switch interval: a scratch array or a
-        # position table shared by mistake would garble some AP or ranking.
+        # position table shared by mistake would garble some AP.
         args = self._problem(40, 70, True)
         serial_report = evaluate(*args)
-        serial_rankings = search(*args[:2])
         threaded()
         monkeypatch.setattr(retrieval, "_worker_count", lambda: 8)
         retrieval._positions.cache_clear()
@@ -586,29 +579,27 @@ class TestThreadedQueries:
         try:
             for _ in range(5):
                 report = evaluate(*args)
-                rankings = search(*args[:2])
                 assert (report.average_precisions.tobytes()
                         == serial_report.average_precisions.tobytes())
                 assert report.pr_csv_rows() == serial_report.pr_csv_rows()
-                assert all(
-                    got.indices.tobytes() == expected.indices.tobytes()
-                    for got, expected in zip(rankings, serial_rankings))
         finally:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("extra, limit, pooled", [
         (-1, None, False), (0, None, True), (0, 1 << 20, True),
-        (0, 10, False), (100, 100, False)])
+        (0, 10, True), (100, 100, True)])
     def test_cutoff_is_the_database_size(self, monkeypatch, rank_threads,
                                          extra, limit, pooled):
-        # Only full rankings of a large database start a pool; a top-R
-        # scan stays in the calling thread at any database size.
+        # The database size alone starts the pool: `evaluate` ranks the
+        # whole database whatever its cutoff R.
         monkeypatch.setattr(retrieval, "_worker_count", lambda: 3)
         n = retrieval.PARALLEL_MIN_ITEMS + extra
         words = np.random.default_rng(n).integers(0, 2**16, (n + 3, 1),
                                                   dtype=np.uint64)
-        search(BinaryCodeSet(words=words[:3], code_bits=16),
-               BinaryCodeSet(words=words[3:], code_bits=16), limit=limit)
+        labels = np.ones((n + 3, 1), dtype=np.uint8)
+        evaluate(BinaryCodeSet(words=words[:3], code_bits=16),
+                 BinaryCodeSet(words=words[3:], code_bits=16), labels[:3],
+                 labels[3:], limit=limit)
         assert (threading.main_thread().ident not in rank_threads) == pooled
 
     def test_full_ranking_positions_are_shared_and_read_only(self):
