@@ -2,7 +2,8 @@
 codebook structure, and the lambda/ablation sweeps."""
 
 from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from itertools import zip_longest
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +40,7 @@ def activation_histogram(values: np.ndarray, rows: np.ndarray, activations,
     return counts, edges
 
 
-def confusion_matrix(rankings: Sequence[RankedList], query_labels: np.ndarray,
+def confusion_matrix(rankings: Iterable[RankedList], query_labels: np.ndarray,
                      db_labels: np.ndarray, top_r: int,
                      weighted: bool = True) -> np.ndarray:
     """Row-stochastic class confusion from retrieval results.
@@ -51,17 +52,21 @@ def confusion_matrix(rankings: Sequence[RankedList], query_labels: np.ndarray,
     a class with no queries keeps an all-zero row. Labels are 0/1; only
     the top-R label rows of each query are read and converted, never the
     whole database's.
+
+    The rankings, one per query row in order, may be any iterable, a
+    generator too: they are consumed one at a time, and a count that is
+    not the query count is a ValueError once it shows.
     """
     query_labels = np.asarray(query_labels, dtype=np.int64)
     db_labels = np.asarray(db_labels)
     n_classes = query_labels.shape[1]
-    if len(rankings) != query_labels.shape[0]:
-        raise ValueError("one ranking per query row is required")
     if top_r < 1:
         raise ValueError("top_r must be positive")
 
     matrix = np.zeros((n_classes, n_classes))
-    for ranked, query_row in zip(rankings, query_labels):
+    for ranked, query_row in zip_longest(rankings, query_labels):
+        if ranked is None or query_row is None:
+            raise ValueError("one ranking per query row is required")
         r = min(top_r, ranked.indices.size)
         ranks = np.arange(1, r + 1)
         weights = 1.0 / np.log2(ranks + 1) if weighted else np.ones(r)

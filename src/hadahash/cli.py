@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -267,10 +268,20 @@ def cmd_analyze(args) -> int:
         labels = data.load_labels(args.labels)
         split = _load_split(args.split, labels.num_items)
         _check_code_counts(query_codes, db_codes, split)
-        rankings = retrieval.search(query_codes, db_codes, limit=args.top)
+        # No query: search checks the codes and --top and ranks nothing.
+        retrieval.search(replace(query_codes, words=query_codes.words[:0]),
+                         db_codes, limit=args.top)
+
+        def rankings():
+            # One query at a time, so a report holds one ranking, not Q.
+            for qi in range(query_codes.num_items):
+                yield retrieval.search(
+                    replace(query_codes, words=query_codes.words[qi:qi + 1]),
+                    db_codes, limit=args.top)[0]
+
         for weighted, name in ((True, "confusion"), (False, "confusion_unweighted")):
             matrix = analysis.confusion_matrix(
-                rankings, labels.values[split.query],
+                rankings(), labels.values[split.query],
                 labels.values[split.database], args.top, weighted=weighted)
             reports.append((name, f"{name}_k{query_codes.code_bits}_top{args.top}.csv",
                             [f"class_{j}" for j in range(matrix.shape[1])],
@@ -427,7 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output HCMD checkpoint")
     p.add_argument("--history", default=None, help="per-epoch CSV path")
     p.add_argument("--resume", action="store_true",
-                   help="continue from the checkpoint at --out")
+                   help="continue from the checkpoint at --out; --seed, "
+                        "--batch-size, --lr, --lr-halve-every, --momentum, "
+                        "--weight-decay, --lambda, --loss-mode and "
+                        "--variant must be the checkpoint's, while "
+                        "--epochs and --checkpoint-every may differ")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("encode", help="binarize model outputs into codes")

@@ -168,33 +168,26 @@ def _positions(n: int, dtype: np.dtype) -> np.ndarray:
 
 def _rank_one(distances: np.ndarray, limit: int,
               max_distance: int) -> RankedList:
+    # Each item becomes one key (distance << shift) | index. The keys are
+    # distinct, so ordering them orders by (distance, index), ties included,
+    # and numpy's plain sort and partition need no stability. A top-R scan
+    # partitions the keys at R - 1 and sorts the first R; its work stays
+    # O(N + R log R) however many items tie. `max_distance` bounds every
+    # distance and 2**shift < 2N, so for N items of W words a key is below
+    # 2N(64W + 1), 17 times the bytes of the code words: under 2**64 for
+    # any database that fits in memory.
     n = distances.shape[0]
-    if limit == n:
-        # Full ranking, which evaluate asks for on every query: pack each
-        # item into one key (distance << shift) | index. The keys are
-        # distinct, so numpy's plain SIMD sort gives exactly the (distance,
-        # index) order, in about half the time of a stable argsort on the
-        # distances, and no partition is needed. `max_distance` bounds
-        # every distance, so the key type cannot overflow.
-        shift = (n - 1).bit_length()
-        keys = np.left_shift(distances, shift, dtype=np.min_scalar_type(
-            (max_distance << shift) | (n - 1)))
-        keys |= _positions(n, keys.dtype)
-        keys.sort()
-        return RankedList(
-            indices=np.bitwise_and(keys, (1 << shift) - 1, dtype=np.int64),
-            distances=(keys >> shift).astype(np.uint32))
-    # Exact top-R under (distance, index): keep everything at or below the
-    # R-th smallest distance, in index order, then sort stably by distance.
-    # Keys of 8 or 16 bits make numpy's stable sort a radix sort; the method
-    # form skips np.argsort's dispatch, about two microseconds per call.
-    # Packed keys would add two to four microseconds per call here, where
-    # few candidates are sorted, so this path keeps the stable argsort.
-    kth = np.partition(distances, limit - 1)[limit - 1]
-    candidates = np.flatnonzero(distances <= kth)
-    keys = distances[candidates].astype(np.min_scalar_type(kth))
-    top = candidates[keys.argsort(kind="stable")[:limit]]
-    return RankedList(indices=top, distances=distances[top])
+    shift = (n - 1).bit_length()
+    keys = np.left_shift(distances, shift, dtype=np.min_scalar_type(
+        (max_distance << shift) | (n - 1)))
+    keys |= _positions(n, keys.dtype)
+    if limit < n:
+        keys.partition(limit - 1)
+        keys = keys[:limit]
+    keys.sort()
+    return RankedList(
+        indices=np.bitwise_and(keys, (1 << shift) - 1, dtype=np.int64),
+        distances=(keys >> shift).astype(np.uint32))
 
 
 def _worker_count() -> int:
@@ -211,9 +204,12 @@ def search(queries: BinaryCodeSet, database: BinaryCodeSet,
 
     Both sets must have the same code length and binarization mode: codes
     thresholded at different points do not share a Hamming space. Every
-    query is ranked in the calling thread, one after another; besides the
-    rankings it returns, the scan holds one query's distances and sort
-    keys, about 8 B per database item.
+    query is ranked in the calling thread, one after another. At any limit
+    the scan holds one query's distances and packed sort keys: 4 B and a
+    1 to 8 B key per database item, 8 B in all for codes of up to 128 bits
+    over fewer than 2**24 items. Each returned ranking holds 12 B per
+    ranked item: 12 B per database item per query for a full ranking, and
+    12 * limit B per query for a top-`limit` one.
     """
     if queries.code_bits != database.code_bits:
         raise ValueError(

@@ -19,9 +19,17 @@ from .model import (VARIANTS, HashNetwork, LossBreakdown, NetworkSpec,
 from .rng import make_rng
 
 TRAIN_STATE_MAGIC = b"HCTS"
-TRAIN_STATE_VERSION = 1
-# Next epoch, total velocity entries.
-TRAIN_STATE_HEADER = "IQ"
+TRAIN_STATE_VERSION = 2
+# Next epoch, total velocity entries, then the `RESUME_FIELDS` in order,
+# loss mode and variant as tags.
+TRAIN_STATE_HEADER = "IQQQdQdddBB"
+# The config fields a resumed run must share with its checkpoint; epochs
+# and checkpoint_every may differ.
+RESUME_FIELDS = ("seed", "batch_size", "base_lr", "lr_halving_period_epochs",
+                 "momentum", "weight_decay", "lambda_", "loss_mode",
+                 "variant")
+_LOSS_MODES = ("CE", "BCE")
+_MAX_U64 = 2**64 - 1
 
 HISTORY_COLUMNS = ("epoch", "lr", "hadamard_loss", "classification_loss",
                    "total_loss", "seconds")
@@ -66,10 +74,15 @@ class TrainConfig:
             raise ValueError("lambda must be non-negative")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
-        if self.loss_mode not in ("CE", "BCE"):
+        if self.loss_mode not in _LOSS_MODES:
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        # The checkpoint sidecar stores these as unsigned 64-bit fields.
+        for name in ("seed", "batch_size", "lr_halving_period_epochs"):
+            if not 0 <= getattr(self, name) <= _MAX_U64:
+                raise ValueError(f"{name} must fit in 64 bits, got "
+                                 f"{getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +155,7 @@ def _run_epochs(net: HashNetwork, velocity: List[np.ndarray],
         if checkpoint_path is not None and (
                 epoch + 1 == config.epochs
                 or every > 0 and (epoch + 1) % every == 0):
-            save_checkpoint(net, velocity, epoch + 1, checkpoint_path)
+            save_checkpoint(net, velocity, epoch + 1, checkpoint_path, config)
     return history
 
 
@@ -154,8 +167,13 @@ def train(config: TrainConfig, features: FeatureSet, labels: LabelSet,
     A fresh run draws its weights from the config seed, with zero velocity.
     With `resume`, the run continues from the checkpoint at `out`, whose
     epoch counter and velocity make it bit-identical to an uninterrupted
-    run; a checkpoint past `config.epochs` or of another architecture is a
-    ValueError. Each epoch's shuffle is reseeded from (seed, epoch).
+    run. The checkpoint must have been trained with this config's
+    `RESUME_FIELDS` (seed, batch_size, base_lr, lr_halving_period_epochs,
+    momentum, weight_decay, lambda_, loss_mode and variant); only epochs
+    and checkpoint_every may differ. A mismatch, a checkpoint past
+    `config.epochs` or one of another architecture is a ValueError, raised
+    before any epoch trains. Each epoch's shuffle is reseeded from (seed,
+    epoch).
 
     Save policy: with `out` given, the file there ends holding the last
     epoch's model. A checkpointing run (`config.checkpoint_every` > 0, or a
@@ -182,7 +200,12 @@ def train(config: TrainConfig, features: FeatureSet, labels: LabelSet,
                        code_bits=codebook.code_bits,
                        num_classes=labels.num_classes)
     if resume:
-        net, velocity, first_epoch = load_checkpoint(out)
+        net, velocity, first_epoch, trained_with = load_checkpoint(out)
+        for name, value in trained_with.items():
+            if getattr(config, name) != value:
+                raise ValueError(
+                    f"checkpoint {out} was trained with {name} {value!r}, "
+                    f"not the requested {getattr(config, name)!r}")
         if first_epoch > config.epochs:
             raise ValueError(
                 f"checkpoint {out} is at epoch {first_epoch}, past "
@@ -217,24 +240,35 @@ def train_state_path(checkpoint_path) -> str:
 
 
 def save_checkpoint(net: HashNetwork, velocity: List[np.ndarray],
-                    next_epoch: int, path) -> None:
-    """Model checkpoint plus a sidecar with the optimizer state."""
+                    next_epoch: int, path, config: TrainConfig) -> None:
+    """Model checkpoint plus a sidecar with the optimizer state and the
+    `RESUME_FIELDS` of the config that trained it."""
+    fields = [getattr(config, name) for name in RESUME_FIELDS]
+    fields[-2:] = _LOSS_MODES.index(config.loss_mode), VARIANTS.index(
+        config.variant)
     save_network(net, path)
     with open(train_state_path(path), "wb") as f:
         write_header(f, TRAIN_STATE_MAGIC, TRAIN_STATE_VERSION,
                      TRAIN_STATE_HEADER, next_epoch,
-                     sum(v.size for v in velocity))
+                     sum(v.size for v in velocity), *fields)
         for v in velocity:
             write_array(f, v, "<f8")
 
 
 def load_checkpoint(path):
-    """Returns (network, velocity, next_epoch)."""
+    """Returns (network, velocity, next_epoch, trained_with), the last a
+    dict of the `RESUME_FIELDS` the checkpoint was trained with."""
     net = load_network(path)
-    with open(train_state_path(path), "rb") as f:
-        next_epoch, total = read_header(f, TRAIN_STATE_MAGIC,
-                                        TRAIN_STATE_VERSION, TRAIN_STATE_HEADER)
+    state_path = train_state_path(path)
+    with open(state_path, "rb") as f:
+        next_epoch, total, *fields = read_header(
+            f, TRAIN_STATE_MAGIC, TRAIN_STATE_VERSION, TRAIN_STATE_HEADER)
         flat = read_array(f, "<f8", total, "velocity payload")
+    mode_tag, variant_tag = fields[-2:]
+    if mode_tag >= len(_LOSS_MODES) or variant_tag >= len(VARIANTS):
+        raise FileFormatError(f"{state_path}: unknown loss mode tag "
+                              f"{mode_tag} or variant tag {variant_tag}")
+    fields[-2:] = _LOSS_MODES[mode_tag], VARIANTS[variant_tag]
     params = net.param_arrays()
     if total != sum(p.size for p in params):
         raise FileFormatError(
@@ -244,4 +278,4 @@ def load_checkpoint(path):
     for p in params:
         velocity.append(flat[offset:offset + p.size].reshape(p.shape))
         offset += p.size
-    return net, velocity, next_epoch
+    return net, velocity, next_epoch, dict(zip(RESUME_FIELDS, fields))

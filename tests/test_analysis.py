@@ -101,10 +101,28 @@ class TestConfusionMatrix:
                 tracemalloc.stop()
         assert peaks[100000] - peaks[10000] <= 64 * 1024
 
-    def test_rejects_bad_arguments(self, case):
+    def test_consumes_a_generator_one_ranking_at_a_time(self, case):
         rankings, query_labels, db_labels = case
-        with pytest.raises(ValueError, match="one ranking per query"):
-            confusion_matrix(rankings[1:], query_labels, db_labels, 5)
+        consumed = []
+
+        def one_at_a_time():
+            for ranked in rankings:
+                consumed.append(ranked)
+                yield ranked
+
+        matrix = confusion_matrix(one_at_a_time(), query_labels, db_labels, 5)
+        assert np.array_equal(
+            matrix, confusion_matrix(rankings, query_labels, db_labels, 5))
+        assert consumed == rankings
+
+    def test_rejects_bad_arguments(self, case):
+        # Seven queries; a list or a generator of 0, 6 or 8 rankings.
+        rankings, query_labels, db_labels = case
+        extended = rankings + rankings[:1]
+        for count in (0, 6, 8):
+            for given in (extended[:count], iter(extended[:count])):
+                with pytest.raises(ValueError, match="one ranking per query"):
+                    confusion_matrix(given, query_labels, db_labels, 5)
         with pytest.raises(ValueError, match="top_r"):
             confusion_matrix(rankings, query_labels, db_labels, 0)
 

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,13 @@ import hadahash
 from hadahash import cli, model, trainer
 from hadahash.codebook import (build_codebook, load_codebook,
                                sample_projection, save_codebook, select_order)
-from hadahash.data import (Split, make_synthetic_blobs, save_features,
-                           save_labels, save_split, split_protocol)
+from hadahash.analysis import confusion_matrix
+from hadahash.data import (LabelSet, Split, load_labels,
+                           make_synthetic_blobs, save_features, save_labels,
+                           save_split, split_protocol)
 from hadahash.model import NetworkSpec, build_network, save_network
 from hadahash.retrieval import (BinaryCodeSet, binarize, load_codes,
-                                pack_codes, save_codes)
+                                pack_codes, save_codes, search)
 from hadahash.rng import make_rng
 from hadahash.trainer import save_checkpoint
 
@@ -337,7 +340,7 @@ def _save_fresh_checkpoint(paths, next_epoch):
     """A checkpoint at `next_epoch` that the "train" command can resume."""
     net = build_network(NetworkSpec(6, (5,), 8, 4), seed=3)
     save_checkpoint(net, [np.zeros_like(p) for p in net.param_arrays()],
-                    next_epoch, paths["model.hcmd"])
+                    next_epoch, paths["model.hcmd"], trainer.TrainConfig())
     return _commands(paths, paths["model.hcmd"])["train"] + ["--resume"]
 
 
@@ -411,6 +414,41 @@ def test_resume_past_the_requested_epochs(pipeline_files, capsys, epochs,
         assert Path(paths["model.hcmd"]).read_bytes() == before
     else:
         assert err.endswith(f"after {epochs} epochs\n")
+
+
+@pytest.mark.parametrize("flags, name, saved, requested", [
+    (["--lr", "0.5"], "base_lr", "0.0001", "0.5"),
+    (["--seed", "9"], "seed", "0", "9"),
+    (["--loss-mode", "BCE"], "loss_mode", "'CE'", "'BCE'"),
+    (["--variant", "codebook-only"], "variant", "'full'", "'codebook_only'"),
+])
+def test_resume_with_another_config_is_exit_two_writing_nothing(
+        pipeline_files, capsys, flags, name, saved, requested):
+    _, paths, tmp_path = pipeline_files
+    history = tmp_path / "history.csv"
+    argv = _save_fresh_checkpoint(paths, 0) + ["--history", str(history)]
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert cli.main(argv + flags) == 2
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {paths['model.hcmd']} was trained with {name} "
+        f"{saved}, not the requested {requested}\n")
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+    # --epochs and --checkpoint-every may differ from the checkpoint's run.
+    assert cli.main(argv + ["--epochs", "2", "--checkpoint-every", "1"]) == 0
+
+
+def test_version_one_train_state_is_exit_three(pipeline_files, capsys):
+    _, paths, _ = pipeline_files
+    argv = _save_fresh_checkpoint(paths, 0)
+    state = Path(paths["model.hcmd"] + ".state")
+    raw = bytearray(state.read_bytes())
+    raw[4:8] = struct.pack("<I", 1)
+    state.write_bytes(bytes(raw))
+    before = Path(paths["model.hcmd"]).read_bytes()
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"error: {state}: unsupported version 1, expected 2\n")
+    assert Path(paths["model.hcmd"]).read_bytes() == before
 
 
 @pytest.mark.parametrize("target", ["query.hcbc", "database.hcbc"])
@@ -491,6 +529,10 @@ def test_zero_width_layer_is_exit_two(pipeline_files, capsys, hidden):
      "checkpoint_every must be non-negative"),
     ("sweep", ["--lambdas", "0,nan"], "lambda must be finite"),
     ("sweep", ["--lambdas", "1,-1"], "lambda must be non-negative"),
+    ("train", ["--seed", "-1"], "seed must fit in 64 bits, got -1"),
+    ("train", ["--seed", str(2**64)], f"seed must fit in 64 bits, got {2**64}"),
+    ("train", ["--batch-size", str(2**64)],
+     f"batch_size must fit in 64 bits, got {2**64}"),
 ])
 def test_bad_train_config_is_exit_two_before_training(
         pipeline_files, capsys, monkeypatch, command, flags, message):
@@ -722,6 +764,59 @@ class TestAnalyzeCommand:
         assert (outdir / "summary.json").read_text() == json.dumps(
             {"activation_outer_mass": float(mass)}, indent=2) + "\n"
 
+    @staticmethod
+    def _confusion_inputs(d, n_query, n_db):
+        """Multi-label labels, codes of 16 bits and a split of `n_query`
+        queries over a database of `n_db` items; argv without --top."""
+        rng = np.random.default_rng(0)
+        n = n_query + n_db + 1
+        labels = (rng.random((n, 5)) < 0.4).astype(np.uint8)
+        labels[np.arange(n), rng.integers(0, 5, n)] = 1
+        d.mkdir()
+        save_labels(LabelSet(values=labels), d / "l.hcls")
+        save_split(Split(query=np.arange(n_query), train=np.array([n - 1]),
+                         database=np.arange(n_query, n - 1)), d / "s.txt")
+        save_codes(pack_codes(rng.random((n_query, 16)) < 0.5), d / "q.hcbc")
+        save_codes(pack_codes(rng.random((n_db, 16)) < 0.5), d / "db.hcbc")
+        return ["analyze", "--query-codes", str(d / "q.hcbc"),
+                "--database-codes", str(d / "db.hcbc"),
+                "--labels", str(d / "l.hcls"), "--split", str(d / "s.txt"),
+                "--outdir", str(d / "reports")]
+
+    @pytest.mark.parametrize("top", [1, 7, 60, 61, 1000])
+    def test_streamed_confusion_matches_every_ranking_at_once(self, tmp_path,
+                                                              top):
+        # 60 database items: --top 60 and above rank all of them.
+        d = tmp_path / "inputs"
+        argv = self._confusion_inputs(d, 9, 60)
+        assert cli.main(argv + ["--top", str(top)]) == 0
+        labels = load_labels(d / "l.hcls").values
+        rankings = search(load_codes(d / "q.hcbc"), load_codes(d / "db.hcbc"),
+                          limit=top)
+        for weighted, name in ((True, "confusion"),
+                               (False, "confusion_unweighted")):
+            matrix = confusion_matrix(rankings, labels[:9], labels[9:69], top,
+                                      weighted=weighted)
+            expected = [",".join(f"class_{j}" for j in range(5))] + [
+                ",".join(repr(float(v)) for v in row) for row in matrix]
+            path = d / "reports" / f"{name}_k16_top{top}.csv"
+            assert path.read_text().splitlines() == expected
+
+    def test_confusion_peak_does_not_grow_with_the_queries(self, tmp_path):
+        # At --top >= N each ranking is 12 B per database item: 56 more
+        # queries held at once would add 4 MB over 6,000 items.
+        # The first run warms up what a first call allocates once.
+        peaks = {}
+        for run, n_query in enumerate((8, 8, 64)):
+            argv = self._confusion_inputs(tmp_path / str(run), n_query, 6000)
+            tracemalloc.start()
+            try:
+                assert cli.main(argv + ["--top", "10000"]) == 0
+                peaks[n_query] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] - peaks[8] <= 64 * 1024
+
     def test_database_codes_must_match_split(self, pipeline_files, capsys):
         split, paths, tmp_path = pipeline_files
         save_codes(pack_codes(np.ones((split.database.size + 1, 8), dtype=bool)),
@@ -866,7 +961,8 @@ class TestSavePolicy:
         # What a fresh run starts from: the seeded weights, zero velocity.
         net = build_network(NetworkSpec(10, (12,), 16, 5), seed=4)
         save_checkpoint(net, [np.zeros_like(p) for p in net.param_arrays()],
-                        0, d / "ck0.hcmd")
+                        0, d / "ck0.hcmd", trainer.TrainConfig(
+                            batch_size=16, base_lr=0.05, seed=4))
         return d, {epochs: ((d / name).read_bytes(),
                             (d / f"ck{epochs}.hcmd.state").read_bytes())
                    for epochs, name in ((0, "ck0.hcmd"), (4, "m.hcmd"))}

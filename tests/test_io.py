@@ -10,7 +10,7 @@ from hadahash.io import (BadMagicError, BadVersionError, TruncatedFileError,
                          read_array, read_header, write_array, write_header)
 from hadahash.model import NetworkSpec, build_network
 from hadahash.retrieval import binarize, save_codes
-from hadahash.trainer import save_checkpoint
+from hadahash.trainer import TrainConfig, save_checkpoint
 
 
 def _values(dtype, count):
@@ -170,14 +170,20 @@ class TestGoldenHeaders:
         net = build_network(NetworkSpec(6, (5,), 8, 4), seed=3)
         path = tmp_path / "m.hcmd"
         velocity = [np.zeros_like(p) for p in net.param_arrays()]
-        save_checkpoint(net, velocity, 7, path)
+        config = TrainConfig(batch_size=16, base_lr=0.05,
+                             lr_halving_period_epochs=3, momentum=0.5,
+                             weight_decay=1e-3, lambda_=2.0, loss_mode="BCE",
+                             variant="classifier_only", seed=2**40 + 5)
+        save_checkpoint(net, velocity, 7, path, config)
         header = (b"HCMD" + struct.pack("<II", 1, 3) + _layer(6, 5, 0)
                   + _layer(5, 8, 1) + _layer(8, 4, 2))
         params = 6 * 5 + 5 + 5 * 8 + 8 + 8 * 4 + 4
         raw = path.read_bytes()
         assert raw[:len(header)] == header
         assert len(raw) == len(header) + params * 8
-        header = b"HCTS" + struct.pack("<IIQ", 1, 7, params)
+        header = b"HCTS" + struct.pack("<IIQQQdQdddBB", 2, 7, params,
+                                       2**40 + 5, 16, 0.05, 3, 0.5, 1e-3, 2.0,
+                                       1, 2)
         raw = (tmp_path / "m.hcmd.state").read_bytes()
         assert raw[:len(header)] == header
         assert len(raw) == len(header) + params * 8

@@ -158,6 +158,17 @@ class TestPacking:
             load_codes(path)
 
 
+def _at_limits(cases):
+    """Each (k, n, key_type) case at limits 1, 100, n - 1 and n; a limit
+    below 1 is left out, and the full ranking keeps the case's own id."""
+    for k, n, key_type in cases:
+        case = f"{k}-{n}-{np.dtype(key_type).name}"
+        for name, limit in (("1", 1), ("100", 100), ("n-1", n - 1)):
+            if limit >= 1:
+                yield pytest.param(k, n, key_type, limit, id=f"{case}-{name}")
+        yield pytest.param(k, n, key_type, n, id=case)
+
+
 class TestSearch:
     @pytest.mark.parametrize("k", [6, 70, 130])
     @pytest.mark.parametrize("limit", [None, 1, 10, 59, 60, 75])
@@ -183,23 +194,24 @@ class TestSearch:
             assert ranked.indices.tolist() == order[:limit]
             assert ranked.distances.tolist() == distances[:limit]
 
-    @pytest.mark.parametrize("k, n, key_type", [
+    @pytest.mark.parametrize("k, n, key_type, limit", _at_limits([
         (64, 2, np.uint8), (130, 1, np.uint8), (130, 200, np.uint16),
-        (130, 300, np.uint32), (130, 600, np.uint32)])
-    def test_full_ranking_for_every_key_width(self, k, n, key_type):
-        # A full ranking sorts (distance << shift) | index keys of the
-        # smallest type that holds 64 bits per word and n - 1.
+        (130, 300, np.uint32), (130, 600, np.uint32)]))
+    def test_full_ranking_for_every_key_width(self, k, n, key_type, limit):
+        # Every ranking, full or top-R, orders (distance << shift) | index
+        # keys of the smallest type that holds 64 bits per word and n - 1.
         shift = (n - 1).bit_length()
         max_distance = 64 * ((k + 63) // 64)
         assert np.min_scalar_type((max_distance << shift) | (n - 1)) == key_type
         q_pm1, db_pm1 = _random_pm1(3, k, seed=n), _random_pm1(n, k, seed=n + 1)
+        r = min(limit, n)
         for query, ranked in zip(q_pm1, search(pack_codes(q_pm1),
-                                               pack_codes(db_pm1))):
+                                               pack_codes(db_pm1), limit)):
             order, distances = _brute_force_ranking(query, db_pm1)
             assert ranked.indices.dtype == np.int64
             assert ranked.distances.dtype == np.uint32
-            assert ranked.indices.tolist() == order
-            assert ranked.distances.tolist() == distances
+            assert ranked.indices.tolist() == order[:r]
+            assert ranked.distances.tolist() == distances[:r]
 
     @pytest.mark.parametrize("n", [128, 300])
     def test_full_ranking_keys_hold_set_padding_bits(self, n):
@@ -214,7 +226,9 @@ class TestSearch:
         assert np.array_equal(ranked.indices, order)
         assert np.array_equal(ranked.distances, distances[order])
 
-    def test_full_ranking_with_64_bit_keys(self):
+    @pytest.mark.parametrize("limit", [1, 100, 999, 1000],
+                             ids=["1", "100", "n-1", "n"])
+    def test_full_ranking_with_64_bit_keys(self, limit):
         n, max_distance = 1000, 2**31
         rng = np.random.default_rng(0)
         distances = rng.integers(0, max_distance, n, dtype=np.uint32)
@@ -222,10 +236,24 @@ class TestSearch:
         distances[[5, 500]] = max_distance
         assert (np.min_scalar_type((max_distance << 10) | (n - 1))
                 == np.uint64)
-        ranked = _rank_one(distances, n, max_distance)
-        order = np.lexsort((np.arange(n), distances))
+        ranked = _rank_one(distances, limit, max_distance)
+        order = np.lexsort((np.arange(n), distances))[:limit]
         assert ranked.indices.dtype == np.int64
         assert ranked.distances.dtype == np.uint32
+        assert np.array_equal(ranked.indices, order)
+        assert np.array_equal(ranked.distances, distances[order])
+
+    @pytest.mark.parametrize("limit", [1, 100, 99_871])
+    @pytest.mark.parametrize("levels", [(17,), (3, 9, 20)],
+                             ids=["one-distance", "three-distances"])
+    def test_top_r_over_heavy_ties(self, levels, limit):
+        # Every item shares one of one or three distances: the top R is the
+        # (distance, index) order's prefix, cut inside a tie.
+        n = 99_872
+        distances = np.random.default_rng(len(levels)).choice(
+            np.array(levels, dtype=np.uint32), n)
+        ranked = _rank_one(distances, limit, 64)
+        order = np.lexsort((np.arange(n), distances))[:limit]
         assert np.array_equal(ranked.indices, order)
         assert np.array_equal(ranked.distances, distances[order])
 

@@ -1,14 +1,18 @@
 import csv
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hadahash import trainer
 from hadahash.codebook import build_codebook
 from hadahash.data import LabelSet, make_synthetic_blobs, split_protocol
+from hadahash.io import FileFormatError
 from hadahash.model import NetworkSpec, build_network, load_network, sgd_step
-from hadahash.trainer import (NumericError, TrainConfig, learning_rate,
-                              load_checkpoint, save_checkpoint, train)
+from hadahash.trainer import (RESUME_FIELDS, NumericError, TrainConfig,
+                              learning_rate, load_checkpoint, save_checkpoint,
+                              train)
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +95,18 @@ class TestTrain:
         with pytest.raises(ValueError, match="unknown variant 'bogus'"):
             TrainConfig(variant="bogus")
 
+    @pytest.mark.parametrize("name, value", [
+        ("seed", -1), ("seed", 2**64), ("batch_size", 2**64),
+        ("lr_halving_period_epochs", 2**64)])
+    def test_rejects_fields_past_64_bits(self, name, value):
+        with pytest.raises(ValueError) as err:
+            TrainConfig(**{name: value})
+        assert str(err.value) == f"{name} must fit in 64 bits, got {value}"
+
+    def test_accepts_the_largest_64_bit_fields(self):
+        TrainConfig(seed=2**64 - 1, batch_size=2**64 - 1,
+                    lr_halving_period_epochs=2**64 - 1)
+
     def test_out_without_checkpointing_holds_the_model(self, small_setup,
                                                        tmp_path):
         features, labels, split, book = small_setup
@@ -168,7 +184,7 @@ class TestResume:
         train(config, features, labels, split, book, hidden=(8,), out=ckpt)
         wrong_book = build_codebook(16, 4, seed=1)
         with pytest.raises(ValueError, match="architecture"):
-            train(TrainConfig(epochs=4, seed=3), features, labels, split,
+            train(replace(config, epochs=4), features, labels, split,
                   wrong_book, hidden=(8,), out=ckpt, resume=True)
 
     def test_resume_rejects_a_checkpoint_past_the_epochs(self, small_setup,
@@ -178,13 +194,40 @@ class TestResume:
         config = TrainConfig(epochs=4, base_lr=0.01, seed=3, checkpoint_every=4)
         train(config, features, labels, split, book, hidden=(8,), out=ckpt)
         with pytest.raises(ValueError) as err:
-            train(TrainConfig(epochs=3, seed=3), features, labels, split,
+            train(replace(config, epochs=3), features, labels, split,
                   book, hidden=(8,), out=ckpt, resume=True)
         assert str(err.value) == (f"checkpoint {ckpt} is at epoch 4, past "
                                   f"the 3 epochs requested")
-        _, history = train(TrainConfig(epochs=4, seed=3), features, labels,
-                           split, book, hidden=(8,), out=ckpt, resume=True)
+        _, history = train(config, features, labels, split, book,
+                           hidden=(8,), out=ckpt, resume=True)
         assert history.records == []
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 4), ("batch_size", 7), ("base_lr", 0.5),
+        ("lr_halving_period_epochs", 2), ("momentum", 0.5),
+        ("weight_decay", 0.0), ("lambda_", 0.5), ("loss_mode", "BCE"),
+        ("variant", "codebook_only")])
+    def test_resume_rejects_another_config(self, small_setup, tmp_path,
+                                           monkeypatch, name, value):
+        features, labels, split, book = small_setup
+        ckpt = tmp_path / "model.hcmd"
+        config = TrainConfig(epochs=2, base_lr=0.01, seed=3,
+                             checkpoint_every=2)
+        train(config, features, labels, split, book, hidden=(8,), out=ckpt)
+        files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        epochs = []
+        monkeypatch.setattr(trainer, "_run_epochs",
+                            lambda *args, **kwargs: epochs.append(args))
+        with pytest.raises(ValueError) as err:
+            train(replace(config, epochs=4, checkpoint_every=0,
+                          **{name: value}),
+                  features, labels, split, book, hidden=(8,), out=ckpt,
+                  resume=True)
+        assert str(err.value) == (
+            f"checkpoint {ckpt} was trained with {name} "
+            f"{getattr(config, name)!r}, not the requested {value!r}")
+        assert epochs == []
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
 
     def test_checkpoint_round_trip(self, small_setup, tmp_path):
         features, labels, split, book = small_setup
@@ -193,12 +236,30 @@ class TestResume:
         velocity = [np.random.default_rng(0).normal(size=p.shape)
                     for p in net.param_arrays()]
         path = tmp_path / "ck.hcmd"
-        save_checkpoint(net, velocity, 4, path)
-        loaded_net, loaded_velocity, epoch = load_checkpoint(path)
+        save_checkpoint(net, velocity, 4, path, config)
+        loaded_net, loaded_velocity, epoch, trained_with = load_checkpoint(
+            path)
         assert epoch == 4
+        assert trained_with == {name: getattr(config, name)
+                                for name in RESUME_FIELDS}
         assert _params_equal(loaded_net, net)
         for a, b in zip(loaded_velocity, velocity):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("at, tag", [(-2, 2), (-1, 3)])
+    def test_unknown_loss_mode_or_variant_tag_is_a_format_error(
+            self, tmp_path, at, tag):
+        net = build_network(NetworkSpec(8, (8,), 8, 4), seed=1)
+        path = tmp_path / "ck.hcmd"
+        save_checkpoint(net, [np.zeros_like(p) for p in net.param_arrays()],
+                        0, path, TrainConfig())
+        state = tmp_path / "ck.hcmd.state"
+        raw = bytearray(state.read_bytes())
+        # The two tags end the 78-byte header.
+        raw[78 + at] = tag
+        state.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="unknown loss mode tag"):
+            load_checkpoint(path)
 
     def test_loaded_velocity_updates_in_place(self, small_setup, tmp_path):
         features, labels, split, book = small_setup
@@ -206,8 +267,8 @@ class TestResume:
         net, _ = train(config, features, labels, split, book, hidden=(8,))
         velocity = [np.full(p.shape, 0.5) for p in net.param_arrays()]
         path = tmp_path / "ck.hcmd"
-        save_checkpoint(net, velocity, 1, path)
-        loaded_net, loaded_velocity, _ = load_checkpoint(path)
+        save_checkpoint(net, velocity, 1, path, config)
+        loaded_net, loaded_velocity, _, _ = load_checkpoint(path)
         for param, v in zip(loaded_net.param_arrays(), loaded_velocity):
             assert param.flags.writeable and v.flags.writeable
             before = param.copy()
