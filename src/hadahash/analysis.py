@@ -16,11 +16,19 @@ from .trainer import TrainConfig, train
 
 
 def bit_balance(codes: BinaryCodeSet) -> np.ndarray:
-    """Fraction of +1 bits per position, a length-K vector in [0, 1]."""
+    """Fraction of +1 bits per position, a length-K vector in [0, 1].
+
+    The +1 bits are counted exactly one row block at a time, so memory
+    holds one block of unpacked bits, and the fractions are those of
+    `(unpack_codes(codes) == 1).mean(axis=0)` to the last bit.
+    """
     if codes.num_items < 1:
         raise ValueError("need at least one code")
-    bits = unpack_codes(codes)
-    return (bits == 1).mean(axis=0)
+    ones = np.zeros(codes.code_bits, dtype=np.int64)
+    for lo, hi in row_blocks(codes.num_items):
+        bits = unpack_codes(replace(codes, words=codes.words[lo:hi]))
+        ones += np.count_nonzero(bits == 1, axis=0)
+    return ones / codes.num_items
 
 
 def activation_histogram(values: np.ndarray, rows: np.ndarray, activations,

@@ -31,11 +31,13 @@ _TAG_TO_ACTIVATION = {tag: name for name, tag in ACTIVATION_TAGS.items()}
 
 VARIANTS = ("full", "codebook_only", "classifier_only")
 
-# Rows per block when a whole set is encoded or hashed, so memory holds one
-# block of activations per layer and the set's packed codes, never N x width
-# floats. A one-row tail joins the block before it: BLAS multiplies a single
-# row through another kernel (gemv), whose last bit can differ from the
-# GEMM's, so every row of a set of two or more goes through a GEMM.
+# Rows per block when a whole set is encoded or hashed. Memory holds the
+# set's packed codes and, per worker thread, one block of rows and the
+# activations of one layer at a time (two while a layer multiplies), never
+# N x width floats. A one-row tail joins the block before it: BLAS
+# multiplies a single row through another kernel (gemv), whose last bit can
+# differ from the GEMM's, so every row of a set of two or more goes through
+# a GEMM.
 ENCODE_BLOCK_ROWS = 1024
 
 
@@ -161,12 +163,23 @@ def _forward_cached(net: HashNetwork, x: np.ndarray):
 
 def forward(net: HashNetwork, x: np.ndarray) -> np.ndarray:
     """Hash activations in [-1, 1] for a batch; the classifier is not run."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError(f"batch must be a non-empty 2-D array, got shape {x.shape}")
-    if x.shape[1] != net.input_dim:
-        raise ValueError(f"batch width {x.shape[1]} != network input {net.input_dim}")
-    return _forward_cached(net, x)[1]
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] == 0:
+        raise ValueError(f"batch must be a non-empty 2-D array, got shape {a.shape}")
+    if a.shape[1] != net.input_dim:
+        raise ValueError(f"batch width {a.shape[1]} != network input {net.input_dim}")
+    # Each layer's product is biased and activated in place, and the layer
+    # before it is dropped: memory holds one activation per layer in turn,
+    # not the (z, a) cache `backward` needs. Every element goes through the
+    # operations of `_forward_cached` in the same order, so the bits match.
+    for layer in net.layers:
+        a = a @ layer.weights
+        a += layer.bias
+        if layer.activation == "relu":
+            np.maximum(a, 0.0, out=a)
+        elif layer.activation == "tanh":
+            np.tanh(a, out=a)
+    return a
 
 
 def row_blocks(n: int):
@@ -187,7 +200,8 @@ def row_blocks(n: int):
 def hash_layer(net: HashNetwork):
     """The map from a block of feature rows to its hash activations.
 
-    It calls the module's `forward`, so a wrapper put there sees every block.
+    It calls the module's `forward`, so a wrapper put there sees every block,
+    from whichever thread of `retrieval.encode_rows` encodes it.
     """
     return lambda rows: forward(net, rows)
 

@@ -27,7 +27,9 @@ DEFAULT_PRECISION_KS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 # `evaluate` scores several queries over at least this many items on
 # threads. A short ranking is dozens of small numpy calls that contend for
 # the GIL: on a 2-core VM two threads ran 0.5-0.9x as fast as one at
-# 7k-12k items.
+# 7k-12k items. The cutoff is `evaluate`'s alone: `encode_rows` splits any
+# set of two or more row blocks, whose GEMMs release the GIL for the whole
+# block.
 PARALLEL_MIN_ITEMS = 1 << 16
 
 
@@ -73,9 +75,12 @@ def pack_codes(values: np.ndarray, mode: str = "sign") -> BinaryCodeSet:
 def unpack_codes(codes: BinaryCodeSet) -> np.ndarray:
     """Unpack to an (N, K) int8 matrix of +-1 bits."""
     octets = np.ascontiguousarray(codes.words, dtype="<u8").view(np.uint8)
+    # 0/1 becomes -1/+1 in place, so memory holds the one N x K byte array.
     bits = np.unpackbits(octets, axis=1, count=codes.code_bits,
-                         bitorder="little")
-    return np.where(bits == 1, 1, -1).astype(np.int8)
+                         bitorder="little").view(np.int8)
+    bits *= 2
+    bits -= 1
+    return bits
 
 
 def binarize(u: np.ndarray, mode: str = "sign",
@@ -111,13 +116,25 @@ def encode_rows(values: np.ndarray, rows: np.ndarray, activations,
 
     Each block is gathered through the index array, mapped to (B, K)
     activations and binarized into its rows of one preallocated word
-    array, so memory holds one block of rows and activations besides the
-    packed codes, never the N gathered rows or N x K floats.
+    array. The blocks are split into one contiguous run per available CPU:
+    the calling thread encodes the first run and pool threads the others,
+    and a single block or CPU starts no pool. `activations` must therefore
+    be safe to call from several threads at once. Memory holds the packed
+    codes and one block of rows and activations per thread, never the N
+    gathered rows or N x K floats. The blocks and their products are the
+    same on any number of threads, so the codes are too, to the last bit.
+    A worker's exception reaches the caller, and no thread outlives the
+    call.
     """
     words = np.empty((rows.size, (code_bits + 63) // 64), dtype=np.uint64)
-    for lo, hi in row_blocks(rows.size):
-        words[lo:hi] = binarize(activations(values[rows[lo:hi]]), mode,
-                                reference_means).words
+    blocks = row_blocks(rows.size)
+
+    def encode(run) -> None:
+        for lo, hi in run:
+            words[lo:hi] = binarize(activations(values[rows[lo:hi]]), mode,
+                                    reference_means).words
+
+    _map_runs(encode, blocks, _worker_count(), in_caller=True)
     return BinaryCodeSet(words=words, code_bits=code_bits, mode=mode)
 
 
@@ -196,6 +213,33 @@ def _worker_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         return os.cpu_count() or 1
+
+
+def _map_runs(task, items: Sequence, workers: int, in_caller: bool) -> list:
+    """[task(run) for run in runs], each run on a thread of its own.
+
+    The runs cut `items` into min(workers, len(items)) contiguous pieces
+    whose lengths differ by at most one. With `in_caller`, the calling
+    thread takes the first run while pool threads take the rest, and a
+    single run starts no pool; otherwise the caller waits while pool
+    threads take every run. The results come back in run order. Every
+    thread is joined before the call returns, and an exception raised by a
+    task reaches the caller.
+    """
+    workers = min(workers, len(items))
+    bounds = [len(items) * w // workers for w in range(workers + 1)]
+    runs = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    first = 1 if in_caller else 0
+    if len(runs) <= first:
+        return [task(run) for run in runs]
+    # Imported here: with the logging module it pulls in, it would add
+    # about 0.7 MB to every process that never starts a pool.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=len(runs) - first) as pool:
+        futures = [pool.submit(task, run) for run in runs[first:]]
+        head = [task(run) for run in runs[:first]]
+        return head + [future.result() for future in futures]
 
 
 def search(queries: BinaryCodeSet, database: BinaryCodeSet,
@@ -278,19 +322,19 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
     pass over all N ranks gives, to the last bit.
 
     Two or more queries against a database of at least
-    `PARALLEL_MIN_ITEMS` items are scored on one thread per available CPU,
-    each over a contiguous chunk of the queries; numpy releases the GIL in
-    the popcount and the sort. Smaller databases and single queries are
-    scored lazily in the calling thread, one query at a time (below the
-    cutoff the threads lose; on a 2-core VM they break even near 16k
-    items). Each worker ranks through the module's single-query `search`
-    and keeps its own R-long AP scratch, so memory holds about 20 B per
-    database item per worker (the 12 B ranking and the 8 B scratch), plus,
-    on threads, the PR-101 and P@k rows of every query until they are
-    summed. The rows are summed in query order, as one thread sums them,
-    so every report is the same to the last bit on any number of threads.
-    A worker's exception reaches the caller, and no thread outlives the
-    call.
+    `PARALLEL_MIN_ITEMS` items are scored on one pool thread per available
+    CPU, each over a contiguous chunk of the queries, while the calling
+    thread waits; numpy releases the GIL in the popcount and the sort.
+    Smaller databases and single queries are scored lazily in the calling
+    thread, one query at a time (below the cutoff the threads lose; on a
+    2-core VM they break even near 16k items). Each worker ranks through
+    the module's single-query `search` and keeps its own R-long AP scratch,
+    so memory holds about 20 B per database item per worker (the 12 B
+    ranking and the 8 B scratch), plus, on threads, the PR-101 and P@k rows
+    of every query until they are summed. The rows are summed in query
+    order, as one thread sums them, so every report is the same to the
+    last bit on any number of threads. A worker's exception reaches the
+    caller, and no thread outlives the call.
     """
     query_labels = np.asarray(query_labels)
     db_labels = np.asarray(db_labels)
@@ -357,18 +401,11 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
         # Lazy: the loop below holds one query's scores at a time.
         results = map(make_worker(), range(num_queries))
     else:
-        # Imported here: with the logging module it pulls in, it would add
-        # about 0.7 MB to every process that never starts a pool.
-        from concurrent.futures import ThreadPoolExecutor
-
         def run(chunk: range) -> list:
             # One worker, so one AP scratch, per contiguous chunk.
             return list(map(make_worker(), chunk))
 
-        bounds = [num_queries * w // workers for w in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run, [range(lo, hi) for lo, hi
-                                         in zip(bounds, bounds[1:])]))
+        chunks = _map_runs(run, range(num_queries), workers, in_caller=False)
         results = [scores for chunk in chunks for scores in chunk]
 
     aps = []
@@ -406,10 +443,12 @@ def lsh_codes(features: np.ndarray, code_bits: int, seed: int,
 
     Encodes `features[rows]` (every row when rows is None); each block of
     `ENCODE_BLOCK_ROWS` rows is cast to float64 on its own before it meets
-    the planes. The codes equal those of one float64 product over the set
-    for the benchmark's shapes. A block's product can differ from it in
-    the last bit for D >= 384 or K <= 3, so a code bit can differ only
-    where a projection lies within one rounding of 0.
+    the planes, on `encode_rows`'s threads. The codes equal those of one
+    float64 product over the set for the benchmark's shapes. A block's
+    product can differ from it in the last bit for D >= 384 or K <= 3, so
+    a code bit can differ only where a projection lies within one rounding
+    of 0. The blocks are the same on any number of threads, and so are the
+    codes.
     """
     features = np.asarray(features)
     if features.ndim != 2:

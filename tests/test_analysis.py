@@ -1,13 +1,21 @@
+import csv
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hadahash.analysis import (activation_histogram, bit_balance,
-                               codebook_gram, confusion_matrix)
-from hadahash.codebook import build_codebook
-from hadahash.retrieval import RankedList, pack_codes, search
+from hadahash import cli, retrieval
+from hadahash.analysis import (ablate, activation_histogram, bit_balance,
+                               codebook_gram, confusion_matrix, lambda_sweep)
+from hadahash.codebook import build_codebook, save_codebook
+from hadahash.data import (make_synthetic_blobs, save_features, save_labels,
+                           save_split, split_protocol)
+from hadahash.model import hash_layer
+from hadahash.retrieval import (RankedList, encode_rows, evaluate, pack_codes,
+                                search)
+from hadahash.trainer import TrainConfig, train
 
 
 def _confusion_loops(rankings, query_labels, db_labels, top_r, weighted):
@@ -137,6 +145,28 @@ class TestBitBalance:
         assert bit_balance(pack_codes(bits)).tolist() == pytest.approx(
             expected, rel=0, abs=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 2, 1025, 2049, 5000])
+    def test_blocks_give_the_whole_set_mean(self, n):
+        # Counted block by block, divided once: the float64 fractions of
+        # one mean over every row, to the last bit.
+        rng = np.random.default_rng(n)
+        bits = rng.random((n, 70)) < rng.random(70)
+        assert (bit_balance(pack_codes(bits)).tobytes()
+                == bits.mean(axis=0).tobytes())
+
+    def test_peak_does_not_grow_with_the_set(self):
+        # One block of unpacked bits at a time, never N x K of them.
+        peaks = {}
+        for n in (2048, 32768):
+            codes = pack_codes(np.random.default_rng(n).random((n, 64)) < 0.5)
+            tracemalloc.start()
+            try:
+                bit_balance(codes)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[32768] - peaks[2048] <= 16 * 1024
+
     def test_rejects_empty_set(self):
         with pytest.raises(ValueError, match="at least one code"):
             bit_balance(pack_codes(np.zeros((0, 8), dtype=bool)))
@@ -186,3 +216,102 @@ class TestActivationHistogram:
         with pytest.raises(ValueError, match="bins"):
             activation_histogram(np.zeros((3, 2)), np.arange(3),
                                  lambda b: b, 0)
+
+
+class TestSweeps:
+    """`lambda_sweep` and `ablate` rows against a hand-run pipeline: train,
+    encode both subsets, evaluate."""
+
+    # 2,388 database items take three row blocks, so the runs encode on
+    # threads.
+    CONFIG = TrainConfig(epochs=2, batch_size=16, base_lr=0.05, seed=1)
+    FLAGS = ["--hidden", "8", "--epochs", "2", "--batch-size", "16",
+             "--lr", "0.05", "--seed", "1"]
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        features, labels = make_synthetic_blobs(4, 600, 6, 0.5, seed=2)
+        split = split_protocol(labels, 3, 10, seed=2)
+        return features, labels, split, build_codebook(8, 4, seed=0)
+
+    @staticmethod
+    def _hand_map(config, problem, map_at):
+        features, labels, split, book = problem
+        net, _ = train(config, features, labels, split, book, hidden=(8,))
+        encode = hash_layer(net)
+        db_codes = encode_rows(features.values, split.database, encode, 8)
+        query_codes = encode_rows(features.values, split.query, encode, 8)
+        return evaluate(query_codes, db_codes, labels.values[split.query],
+                        labels.values[split.database], limit=map_at).mean_ap
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """Set the worker count `encode_rows` and `evaluate` see."""
+        return lambda n: monkeypatch.setattr(retrieval, "_worker_count",
+                                             lambda: n)
+
+    @staticmethod
+    def _cli_rows(problem, tmp_path, command, flags):
+        features, labels, split, book = problem
+        paths = {name: str(tmp_path / name) for name in (
+            "f.hcfs", "l.hcls", "s.txt", "b.hccb", "out.csv")}
+        save_features(features, paths["f.hcfs"])
+        save_labels(labels, paths["l.hcls"])
+        save_split(split, paths["s.txt"])
+        save_codebook(book, paths["b.hccb"])
+        argv = [command, "--features", paths["f.hcfs"],
+                "--labels", paths["l.hcls"], "--split", paths["s.txt"],
+                "--codebook", paths["b.hccb"], *TestSweeps.FLAGS, *flags,
+                "--out", paths["out.csv"]]
+        assert cli.main(argv) == 0
+        with open(paths["out.csv"], newline="") as f:
+            return list(csv.reader(f))
+
+    @pytest.mark.parametrize("map_at", [None, 7])
+    def test_lambda_sweep_rows_are_hand_runs(self, problem, threads, map_at):
+        lambdas = [0, 0.5, 2]
+        threads(1)
+        expected = [(float(lam), self._hand_map(
+            replace(self.CONFIG, lambda_=float(lam)), problem, map_at))
+            for lam in lambdas]
+        threads(3)
+        # The config's variant is overridden: every sweep run is "full".
+        rows = lambda_sweep(replace(self.CONFIG, variant="codebook_only"),
+                            lambdas, *problem, hidden=(8,), map_at=map_at)
+        assert rows == expected
+        assert [type(lam) for lam, _ in rows] == [float] * 3
+        assert [lam for lam, _ in rows] == [0.0, 0.5, 2.0]
+        assert len({value for _, value in rows}) > 1
+
+    @pytest.mark.parametrize("map_at", [None, 7])
+    def test_ablate_rows_are_hand_runs(self, problem, threads, map_at):
+        threads(1)
+        expected = [(variant, self._hand_map(
+            replace(self.CONFIG, variant=variant), problem, map_at))
+            for variant in ("full", "codebook_only", "classifier_only")]
+        threads(3)
+        assert ablate(self.CONFIG, *problem, hidden=(8,),
+                      map_at=map_at) == expected
+
+    @pytest.mark.parametrize("map_at", [None, 7])
+    def test_sweep_csv_is_the_rows(self, problem, threads, tmp_path, map_at):
+        threads(1)
+        rows = lambda_sweep(self.CONFIG, [0, 0.5, 2], *problem, hidden=(8,),
+                            map_at=map_at)
+        threads(3)
+        flags = ["--lambdas", "0,0.5,2"]
+        if map_at is not None:
+            flags += ["--map-at", str(map_at)]
+        assert self._cli_rows(problem, tmp_path, "sweep", flags) == [
+            ["lambda", "map"], *([repr(lam), repr(value)]
+                                 for lam, value in rows)]
+
+    @pytest.mark.parametrize("map_at", [None, 7])
+    def test_ablate_csv_is_the_rows(self, problem, threads, tmp_path, map_at):
+        threads(1)
+        rows = ablate(self.CONFIG, *problem, hidden=(8,), map_at=map_at)
+        threads(3)
+        flags = [] if map_at is None else ["--map-at", str(map_at)]
+        assert self._cli_rows(problem, tmp_path, "ablate", flags) == [
+            ["variant", "map"], *([variant, repr(value)]
+                                  for variant, value in rows)]

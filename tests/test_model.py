@@ -131,6 +131,23 @@ class TestForward:
         perm = rng.permutation(10)
         assert np.array_equal(forward(net, x)[perm], forward(net, x[perm]))
 
+    @pytest.mark.parametrize("hidden", [(), (12,), (256, 64)])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 1025])
+    def test_matches_the_cached_forward_bitwise(self, hidden, rows):
+        # The in-place layers keep every bit of the (z, a) cache's output,
+        # with a checkpoint's identity layer among them too.
+        net = build_network(NetworkSpec(40, hidden, 33, 4), seed=len(hidden))
+        x = np.random.default_rng(rows).normal(scale=2.0, size=(rows, 40))
+        expected = model._forward_cached(net, x)[1]
+        assert forward(net, x).tobytes() == expected.tobytes()
+        assert forward(net, x.astype(np.float32)).tobytes() == \
+            model._forward_cached(net, x.astype(np.float32).astype(
+                np.float64))[1].tobytes()
+        if hidden:
+            net.layers[0].activation = "identity"
+            assert forward(net, x).tobytes() == \
+                model._forward_cached(net, x)[1].tobytes()
+
     def test_rejects_width_mismatch_and_empty_batch(self):
         net = build_network(NetworkSpec(4, (6,), 5, 3), seed=1)
         with pytest.raises(ValueError, match="width"):
