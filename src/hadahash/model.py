@@ -6,8 +6,9 @@ training objective is a masked mean-squared error pulling hash activations
 toward their class codewords, plus an optional classification loss weighted
 by lambda. All parameters are 64-bit during training.
 
-`forward` stops at the hash layer, all that encoding reads; the classifier
-only trains it, so only `backward` computes the logits.
+One layer loop, `_activations`, feeds both `forward`, which keeps only the
+hash layer that encoding reads, and `backward`, which keeps every layer's
+activation and alone computes the logits: the classifier only trains.
 """
 
 from dataclasses import dataclass
@@ -33,8 +34,8 @@ VARIANTS = ("full", "codebook_only", "classifier_only")
 
 # Rows per block when a whole set is encoded or hashed. Memory holds the
 # set's packed codes and, per worker thread, one block of rows and the
-# activations of one layer at a time (two while a layer multiplies), never
-# N x width floats. A one-row tail joins the block before it: BLAS
+# activation of one layer at a time (two while `_activations` multiplies),
+# never N x width floats. A one-row tail joins the block before it: BLAS
 # multiplies a single row through another kernel (gemv), whose last bit can
 # differ from the GEMM's, so every row of a set of two or more goes through
 # a GEMM.
@@ -142,23 +143,21 @@ def build_network(spec: NetworkSpec, seed: int) -> HashNetwork:
     return HashNetwork(layers=layers[:-1], classifier=layers[-1])
 
 
-def _apply(activation: str, z: np.ndarray) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    if activation == "tanh":
-        return np.tanh(z)
-    return z
+def _activations(net: HashNetwork, a: np.ndarray):
+    """Each feature layer's activation of the float64 batch a, in order.
 
-
-def _forward_cached(net: HashNetwork, x: np.ndarray):
-    """Feature-path (z, a) per layer, and the hash output."""
-    a = x
-    cache = []
+    Each product is biased and activated in place, and rebinding `a` drops
+    the layer before (the batch too). A relu is positive exactly where its
+    pre-activation is, so `a > 0` is its derivative mask, bit for bit.
+    """
     for layer in net.layers:
-        z = a @ layer.weights + layer.bias
-        a = _apply(layer.activation, z)
-        cache.append((z, a))
-    return cache, a
+        a = a @ layer.weights
+        a += layer.bias
+        if layer.activation == "relu":
+            np.maximum(a, 0.0, out=a)
+        elif layer.activation == "tanh":
+            np.tanh(a, out=a)
+        yield a
 
 
 def forward(net: HashNetwork, x: np.ndarray) -> np.ndarray:
@@ -168,17 +167,8 @@ def forward(net: HashNetwork, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"batch must be a non-empty 2-D array, got shape {a.shape}")
     if a.shape[1] != net.input_dim:
         raise ValueError(f"batch width {a.shape[1]} != network input {net.input_dim}")
-    # Each layer's product is biased and activated in place, and the layer
-    # before it is dropped: memory holds one activation per layer in turn,
-    # not the (z, a) cache `backward` needs. Every element goes through the
-    # operations of `_forward_cached` in the same order, so the bits match.
-    for layer in net.layers:
-        a = a @ layer.weights
-        a += layer.bias
-        if layer.activation == "relu":
-            np.maximum(a, 0.0, out=a)
-        elif layer.activation == "tanh":
-            np.tanh(a, out=a)
+    for a in _activations(net, a):
+        pass
     return a
 
 
@@ -200,8 +190,9 @@ def row_blocks(n: int):
 def hash_layer(net: HashNetwork):
     """The map from a block of feature rows to its hash activations.
 
-    It calls the module's `forward`, so a wrapper put there sees every block,
-    from whichever thread of `retrieval.encode_rows` encodes it.
+    It calls the module's `forward`, so a wrapper put there sees every block
+    that `retrieval.encode_rows` encodes, on any thread, and no training
+    batch: `backward` runs `_activations` itself.
     """
     return lambda rows: forward(net, rows)
 
@@ -286,9 +277,10 @@ def backward(net: HashNetwork, x: np.ndarray, target_values: np.ndarray,
 
     The classification gradient flows through the classifier into the hash
     activations, where the codeword-regression gradient is added; both then
-    backpropagate through the feature path. `variant` selects the ablations:
-    "codebook_only" drops the classification term from the objective and
-    "classifier_only" drops the codeword term.
+    backpropagate through the activations `_activations` keeps for
+    `forward` too. `variant` selects the ablations: "codebook_only" drops
+    the classification term from the objective and "classifier_only" drops
+    the codeword term.
     """
     if mode not in ("CE", "BCE"):
         raise ValueError(f"unknown loss mode {mode!r}")
@@ -296,8 +288,10 @@ def backward(net: HashNetwork, x: np.ndarray, target_values: np.ndarray,
         raise ValueError(f"unknown variant {variant!r}")
     if lambda_ < 0:
         raise ValueError(f"lambda must be non-negative, got {lambda_}")
-    x = np.asarray(x, dtype=np.float64)
-    cache, u = _forward_cached(net, x)
+    # The batch itself is the activation below the first layer.
+    acts = [np.asarray(x, dtype=np.float64)]
+    acts.extend(_activations(net, acts[0]))
+    u = acts[-1]
     logits = u @ net.classifier.weights + net.classifier.bias
 
     hadamard_value, grad_u_hadamard = hadamard_loss(u, target_values, target_mask)
@@ -321,16 +315,15 @@ def backward(net: HashNetwork, x: np.ndarray, target_values: np.ndarray,
         grad_a = grad_a + grad_u_hadamard
 
     for i in range(len(net.layers) - 1, -1, -1):
-        z, a = cache[i]
+        a = acts[i + 1]
         layer = net.layers[i]
         if layer.activation == "tanh":
             grad_z = grad_a * (1.0 - a * a)
         elif layer.activation == "relu":
-            grad_z = grad_a * (z > 0.0)
+            grad_z = grad_a * (a > 0.0)
         else:
             grad_z = grad_a
-        a_prev = x if i == 0 else cache[i - 1][1]
-        grads[:0] = [a_prev.T @ grad_z, grad_z.sum(axis=0)]
+        grads[:0] = [acts[i].T @ grad_z, grad_z.sum(axis=0)]
         if i > 0:
             grad_a = grad_z @ layer.weights.T
 

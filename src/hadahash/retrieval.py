@@ -116,15 +116,15 @@ def encode_rows(values: np.ndarray, rows: np.ndarray, activations,
 
     Each block is gathered through the index array, mapped to (B, K)
     activations and binarized into its rows of one preallocated word
-    array. The blocks are split into one contiguous run per available CPU:
-    the calling thread encodes the first run and pool threads the others,
-    and a single block or CPU starts no pool. `activations` must therefore
-    be safe to call from several threads at once. Memory holds the packed
-    codes and one block of rows and activations per thread, never the N
-    gathered rows or N x K floats. The blocks and their products are the
-    same on any number of threads, so the codes are too, to the last bit.
-    A worker's exception reaches the caller, and no thread outlives the
-    call.
+    array. `_map_runs` splits the blocks into one contiguous run per
+    available CPU: the calling thread encodes the first run and pool
+    threads the others, and a single block or CPU starts no pool.
+    `activations` must therefore be safe to call from several threads at
+    once. Memory holds the packed codes and one block of rows and its
+    activations per thread, never the N gathered rows or N x K floats.
+    The blocks and their products are the same on any number of threads,
+    so the codes are too, to the last bit. A worker's exception reaches the
+    caller, and no thread outlives the call.
     """
     words = np.empty((rows.size, (code_bits + 63) // 64), dtype=np.uint64)
     blocks = row_blocks(rows.size)
@@ -134,7 +134,7 @@ def encode_rows(values: np.ndarray, rows: np.ndarray, activations,
             words[lo:hi] = binarize(activations(values[rows[lo:hi]]), mode,
                                     reference_means).words
 
-    _map_runs(encode, blocks, _worker_count(), in_caller=True)
+    _map_runs(encode, blocks, _worker_count())
     return BinaryCodeSet(words=words, code_bits=code_bits, mode=mode)
 
 
@@ -215,31 +215,28 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _map_runs(task, items: Sequence, workers: int, in_caller: bool) -> list:
+def _map_runs(task, items: Sequence, workers: int) -> list:
     """[task(run) for run in runs], each run on a thread of its own.
 
     The runs cut `items` into min(workers, len(items)) contiguous pieces
-    whose lengths differ by at most one. With `in_caller`, the calling
-    thread takes the first run while pool threads take the rest, and a
-    single run starts no pool; otherwise the caller waits while pool
-    threads take every run. The results come back in run order. Every
-    thread is joined before the call returns, and an exception raised by a
-    task reaches the caller.
+    whose lengths differ by at most one. The calling thread takes the first
+    run while pool threads take the rest, and a single run starts no pool.
+    The results come back in run order. Every thread is joined before the
+    call returns, and an exception raised by a task reaches the caller.
     """
     workers = min(workers, len(items))
     bounds = [len(items) * w // workers for w in range(workers + 1)]
     runs = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    first = 1 if in_caller else 0
-    if len(runs) <= first:
+    if len(runs) <= 1:
         return [task(run) for run in runs]
     # Imported here: with the logging module it pulls in, it would add
     # about 0.7 MB to every process that never starts a pool.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=len(runs) - first) as pool:
-        futures = [pool.submit(task, run) for run in runs[first:]]
-        head = [task(run) for run in runs[:first]]
-        return head + [future.result() for future in futures]
+    with ThreadPoolExecutor(max_workers=len(runs) - 1) as pool:
+        futures = [pool.submit(task, run) for run in runs[1:]]
+        head = task(runs[0])
+        return [head] + [future.result() for future in futures]
 
 
 def search(queries: BinaryCodeSet, database: BinaryCodeSet,
@@ -322,9 +319,9 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
     pass over all N ranks gives, to the last bit.
 
     Two or more queries against a database of at least
-    `PARALLEL_MIN_ITEMS` items are scored on one pool thread per available
-    CPU, each over a contiguous chunk of the queries, while the calling
-    thread waits; numpy releases the GIL in the popcount and the sort.
+    `PARALLEL_MIN_ITEMS` items are scored by `_map_runs`, over one
+    contiguous chunk of the queries per available CPU, the first in the
+    calling thread; numpy releases the GIL in the popcount and the sort.
     Smaller databases and single queries are scored lazily in the calling
     thread, one query at a time (below the cutoff the threads lose; on a
     2-core VM they break even near 16k items). Each worker ranks through
@@ -405,7 +402,7 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
             # One worker, so one AP scratch, per contiguous chunk.
             return list(map(make_worker(), chunk))
 
-        chunks = _map_runs(run, range(num_queries), workers, in_caller=False)
+        chunks = _map_runs(run, range(num_queries), workers)
         results = [scores for chunk in chunks for scores in chunk]
 
     aps = []

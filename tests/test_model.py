@@ -54,8 +54,68 @@ def _relative_error(analytic, numeric):
     return num / den
 
 
-def _random_case(rng, mode):
-    depth = rng.integers(0, 3)
+def _cached_forward(net, x):
+    """Textbook (z, a) of each feature layer: z = a @ W + b, then a = f(z)."""
+    a = np.asarray(x, dtype=np.float64)
+    cache = []
+    for layer in net.layers:
+        z = a @ layer.weights + layer.bias
+        if layer.activation == "relu":
+            a = np.maximum(z, 0.0)
+        elif layer.activation == "tanh":
+            a = np.tanh(z)
+        else:
+            a = z
+        cache.append((z, a))
+    return cache
+
+
+def _cached_backward(net, x, tv, tm, labels, lam, mode, variant,
+                     relu_passes=lambda z: z > 0.0):
+    """Reference backward over the (z, a) cache: a relu passes the gradient
+    where `relu_passes(z)`."""
+    x = np.asarray(x, dtype=np.float64)
+    cache = _cached_forward(net, x)
+    u = cache[-1][1]
+    logits = u @ net.classifier.weights + net.classifier.bias
+    hadamard_value, grad_u = hadamard_loss(u, tv, tm)
+    loss = cross_entropy_loss if mode == "CE" else bce_loss
+    cls_value, grad_logits = loss(logits, labels)
+    lam = {"full": lam, "codebook_only": 0.0, "classifier_only": 1.0}[variant]
+    grad_logits = grad_logits * lam
+    grads = [u.T @ grad_logits, grad_logits.sum(axis=0)]
+    grad_a = grad_logits @ net.classifier.weights.T
+    if variant != "classifier_only":
+        grad_a = grad_a + grad_u
+    for i in reversed(range(len(net.layers))):
+        z, a = cache[i]
+        layer = net.layers[i]
+        if layer.activation == "tanh":
+            grad_z = grad_a * (1.0 - a * a)
+        elif layer.activation == "relu":
+            grad_z = grad_a * relu_passes(z)
+        else:
+            grad_z = grad_a
+        a_prev = x if i == 0 else cache[i - 1][1]
+        grads[:0] = [a_prev.T @ grad_z, grad_z.sum(axis=0)]
+        grad_a = grad_z @ layer.weights.T
+    breakdown = LossBreakdown.compose(
+        hadamard=0.0 if variant == "classifier_only" else hadamard_value,
+        classification=cls_value, lambda_=lam)
+    return breakdown, grads
+
+
+def _assert_same_bits(got, expected):
+    assert got[0] == expected[0]
+    assert len(got[1]) == len(expected[1])
+    for g, e in zip(got[1], expected[1]):
+        assert g.dtype == e.dtype and g.shape == e.shape
+        assert g.tobytes() == e.tobytes()
+
+
+def _random_case(rng, mode, depth=None):
+    if depth is None:
+        depth = rng.integers(0, 3)
     hidden = tuple(int(rng.integers(2, 16)) for _ in range(depth))
     spec = NetworkSpec(input_dim=int(rng.integers(2, 10)), hidden=hidden,
                        code_bits=int(rng.integers(2, 12)),
@@ -134,19 +194,17 @@ class TestForward:
     @pytest.mark.parametrize("hidden", [(), (12,), (256, 64)])
     @pytest.mark.parametrize("rows", [1, 2, 7, 1025])
     def test_matches_the_cached_forward_bitwise(self, hidden, rows):
-        # The in-place layers keep every bit of the (z, a) cache's output,
-        # with a checkpoint's identity layer among them too.
+        # The in-place layers keep every bit of the textbook (z, a) cache's
+        # output, with a checkpoint's identity layer among them too.
         net = build_network(NetworkSpec(40, hidden, 33, 4), seed=len(hidden))
         x = np.random.default_rng(rows).normal(scale=2.0, size=(rows, 40))
-        expected = model._forward_cached(net, x)[1]
-        assert forward(net, x).tobytes() == expected.tobytes()
-        assert forward(net, x.astype(np.float32)).tobytes() == \
-            model._forward_cached(net, x.astype(np.float32).astype(
-                np.float64))[1].tobytes()
+        for batch in (x, x.astype(np.float32)):
+            assert forward(net, batch).tobytes() == \
+                _cached_forward(net, batch)[-1][1].tobytes()
         if hidden:
             net.layers[0].activation = "identity"
             assert forward(net, x).tobytes() == \
-                model._forward_cached(net, x)[1].tobytes()
+                _cached_forward(net, x)[-1][1].tobytes()
 
     def test_rejects_width_mismatch_and_empty_batch(self):
         net = build_network(NetworkSpec(4, (6,), 5, 3), seed=1)
@@ -346,6 +404,51 @@ class TestBackward:
                             variant="classifier_only")
         for g in grads[:-2]:  # weights and bias of each feature layer
             assert np.all(g == 0.0)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    @pytest.mark.parametrize("mode", ["CE", "BCE"])
+    def test_matches_the_cached_backward_bitwise(self, mode, variant, depth):
+        rng = np.random.default_rng([depth, len(variant), len(mode)])
+        for _ in range(3):
+            net, x, tv, tm, labels, lam = _random_case(rng, mode, depth)
+            _assert_same_bits(
+                backward(net, x, tv, tm, labels, lam, mode, variant),
+                _cached_backward(net, x, tv, tm, labels, lam, mode, variant))
+
+    @pytest.mark.parametrize("hidden", [(3,), (3, 4)])
+    @pytest.mark.parametrize("mode", ["CE", "BCE"])
+    def test_relu_blocks_the_gradient_at_signed_zeros(self, mode, hidden):
+        # Relu unit 0 of the first layer sits at +0.0 on every row, and unit
+        # 1 at -0.0 on row 0: a GEMM of two or more rows and inputs sums the
+        # underflowing products of its tiny inputs and weights to -0.0, and
+        # its bias is -0.0. Neither unit is on, so neither passes its
+        # nonzero upstream gradient.
+        rng = np.random.default_rng(len(hidden))
+        net = build_network(NetworkSpec(5, hidden, 6, 3), seed=4)
+        x = rng.normal(size=(4, 5))
+        tv = rng.choice([-1.0, 1.0], size=(4, 6))
+        tm = np.ones_like(tv, dtype=bool)
+        labels = (rng.integers(0, 3, size=4) if mode == "CE"
+                  else (rng.random((4, 3)) < 0.5).astype(np.float64))
+        lam = 0.5
+        first = net.layers[0]
+        first.weights[:, 0] = 0.0
+        first.bias[0] = 0.0
+        first.weights[:, 1] = 1e-200
+        first.bias[1] = -0.0
+        x[0] = -1e-200
+        z = _cached_forward(net, x)[0][0]
+        assert np.all(z[:, 0] == 0.0) and not np.any(np.signbit(z[:, 0]))
+        assert z[0, 1] == 0.0 and np.signbit(z[0, 1])
+        args = (net, x, tv, tm, labels, lam, mode, "full")
+        got = backward(*args)
+        _assert_same_bits(got, _cached_backward(*args))
+        for unit in (0, 1):
+            leaky = _cached_backward(
+                *args, relu_passes=lambda z: (z > 0.0) | (
+                    (z == 0.0) & (np.arange(z.shape[1]) == unit)))
+            assert got[1][1][unit] != leaky[1][1][unit]
 
     @pytest.mark.parametrize("mode", ["CE", "BCE"])
     def test_composed_gradients_match_finite_differences(self, mode):

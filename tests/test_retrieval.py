@@ -597,8 +597,9 @@ class TestThreadedEncoder:
 
 
 class TestThreadedQueries:
-    """`evaluate` scores several queries over a large database on worker
-    threads; `search` ranks every query in the calling thread."""
+    """`evaluate` scores several queries over a large database on the
+    calling thread and pool threads; `search` ranks every query in the
+    calling thread."""
 
     @pytest.fixture
     def rank_threads(self, monkeypatch):
@@ -677,10 +678,10 @@ class TestThreadedQueries:
         baseline = threading.active_count()
         report = evaluate(*args)
         assert threading.active_count() == baseline
-        # One query never starts a pool.
-        assert ((threading.main_thread().ident in threads)
-                == (num_queries == 1))
-        assert len(threads) <= 3
+        # The caller ranks the first chunk; one query never starts a pool.
+        assert threading.main_thread().ident in threads
+        assert (len(threads) > 1) == (num_queries > 1)
+        assert len(threads) <= min(num_queries, 3)
         assert report.skipped_queries == serial.skipped_queries
         assert (report.average_precisions.tobytes()
                 == serial.average_precisions.tobytes())
@@ -748,7 +749,7 @@ class TestThreadedQueries:
     def test_cutoff_is_the_database_size(self, monkeypatch, rank_threads,
                                          extra, limit, pooled):
         # The database size alone starts the pool: `evaluate` ranks the
-        # whole database whatever its cutoff R.
+        # whole database whatever its cutoff R. The caller always ranks.
         monkeypatch.setattr(retrieval, "_worker_count", lambda: 3)
         n = retrieval.PARALLEL_MIN_ITEMS + extra
         words = np.random.default_rng(n).integers(0, 2**16, (n + 3, 1),
@@ -757,7 +758,8 @@ class TestThreadedQueries:
         evaluate(BinaryCodeSet(words=words[:3], code_bits=16),
                  BinaryCodeSet(words=words[3:], code_bits=16), labels[:3],
                  labels[3:], limit=limit)
-        assert (threading.main_thread().ident not in rank_threads) == pooled
+        assert threading.main_thread().ident in rank_threads
+        assert (len(rank_threads) > 1) == pooled
 
     def test_full_ranking_positions_are_shared_and_read_only(self):
         positions = retrieval._positions(300, np.dtype(np.uint16))
