@@ -10,6 +10,7 @@ large for its type, 3 I/O error, 4 numeric failure.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -394,7 +395,12 @@ def _add_eval_flags(parser) -> None:
                              "(default: cutoff)")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it takes a few ms.
+
+    A subcommand's handler is `cmd_<command>`, looked up by `main` at call
+    time, so the parser holds no handler."""
     # No abbreviations: `_apply_config_file` reads only --config itself.
     parser = argparse.ArgumentParser(
         prog="hadahash",
@@ -411,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, required=True, help="class count C")
     p.add_argument("--seed", type=int, default=0, help="seed (default: 0)")
     p.add_argument("--out", required=True, help="output HCCB path")
-    p.set_defaults(func=cmd_codebook)
 
     p = sub.add_parser("synth", help="generate synthetic blob features")
     p.add_argument("--classes", type=int, required=True)
@@ -422,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed (default: 0)")
     p.add_argument("--features-out", required=True)
     p.add_argument("--labels-out", required=True)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("split", help="build the query/train/database split")
     p.add_argument("--labels", required=True)
@@ -430,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-per-class", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="seed (default: 0)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train the hash network")
     _add_data_flags(p)
@@ -443,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "--weight-decay, --lambda, --loss-mode and "
                         "--variant must be the checkpoint's, while "
                         "--epochs and --checkpoint-every may differ")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("encode", help="binarize model outputs into codes")
     p.add_argument("--model", required=True, help="HCMD checkpoint")
@@ -456,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-centered", action="store_true",
                    help="threshold at per-bit database means instead of zero")
     p.add_argument("--out", required=True, help="output HCBC path")
-    p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("eval", help="mAP and PR curve for encoded sets")
     p.add_argument("--query-codes", required=True)
@@ -467,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--pr-csv", default=None, help="PR curve CSV path")
     p.add_argument("--pk-csv", default=None, help="precision@k CSV path")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="balance/activation/confusion/gram reports")
     p.add_argument("--codes", default=None, help="HCBC codes for bit balance")
@@ -487,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="confusion cutoff (default: 100)")
     p.add_argument("--codebook", default=None)
     p.add_argument("--outdir", required=True)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="train and evaluate across lambda values")
     _add_data_flags(p)
@@ -497,14 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated lambda grid")
     p.add_argument("--map-at", type=int, default=None)
     p.add_argument("--out", required=True, help="output CSV")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ablate", help="compare full/codebook-only/classifier-only")
     _add_data_flags(p)
     _add_train_flags(p)
     p.add_argument("--map-at", type=int, default=None)
     p.add_argument("--out", required=True, help="output CSV")
-    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("lsh-baseline",
                        help="random-hyperplane codes over raw features, then eval")
@@ -519,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pk-csv", default=None)
     p.add_argument("--query-codes-out", default=None)
     p.add_argument("--database-codes-out", default=None)
-    p.set_defaults(func=cmd_lsh_baseline)
 
     return parser
 
@@ -561,7 +557,7 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(argv)
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ValueError as err:
         _log(f"error: {err}")
         return 2

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import numbers
 import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -24,13 +25,13 @@ _TAG_TO_MODE = {tag: name for name, tag in _MODE_TO_TAG.items()}
 
 DEFAULT_PRECISION_KS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
-# `evaluate` scores several queries over at least this many items on
-# threads. A short ranking is dozens of small numpy calls that contend for
-# the GIL: on a 2-core VM two threads ran 0.5-0.9x as fast as one at
-# 7k-12k items. The cutoff is `evaluate`'s alone: `encode_rows` splits any
-# set of two or more row blocks, whose GEMMs release the GIL for the whole
-# block.
-PARALLEL_MIN_ITEMS = 1 << 16
+# `evaluate` ranks a block of B = max(1, EVAL_BLOCK_KEYS // N) queries at a
+# time. A block costs ~15 numpy calls over B x N elements, most of which
+# release the GIL, where one query at a time cost as many calls over N,
+# each contending for it. A worker's block scratch, reused from block to
+# block, holds 12 to 19 B per key, 14 B for codes of up to 192 bits over
+# at most 2**23 items: about 1.8 MB at this size.
+EVAL_BLOCK_KEYS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -176,29 +177,55 @@ class RankedList:
 
 
 @functools.lru_cache(maxsize=4)
-def _positions(n: int, dtype: np.dtype) -> np.ndarray:
-    """0 .. n-1 in a key type, made once and shared read-only by rankings."""
-    positions = np.arange(n, dtype=dtype)
+def _positions(n: int, dtype: np.dtype, flag_bits: int) -> np.ndarray:
+    """index << flag_bits for 0 .. n-1 in a key type, made once and shared
+    read-only by rankings."""
+    positions = np.arange(n, dtype=dtype) << flag_bits
     positions.setflags(write=False)
     return positions
 
 
+@functools.lru_cache(maxsize=8)
+def _key_layout(n: int, max_distance: int, flag_bits: int):
+    """(dtype, shift) of the keys `_pack_keys` makes over n items; cached,
+    as one query's ranking takes only tens of microseconds."""
+    shift = (n - 1).bit_length() + flag_bits
+    return np.min_scalar_type(
+        (max_distance << shift) | ((n - 1) << flag_bits) | flag_bits), shift
+
+
+def _pack_keys(distances: np.ndarray, max_distance: int,
+               flags: Optional[np.ndarray] = None,
+               out: Optional[np.ndarray] = None):
+    """(keys, shift): one sort key per item along the last axis.
+
+    A key is (distance << shift) | index without flags and
+    (distance << shift) | (index << 1) | flag with them, in the smallest
+    unsigned type that holds every key. The keys of a row are distinct, so
+    sorting them orders by (distance, index), ties included, and numpy's
+    plain sort and partition need no stability; the flag rides along in
+    the low bit. `max_distance` bounds every distance and 2**shift is below
+    2N, or 4N with flags, so for N items of W words a key is below
+    2N(64W + 1), or 4N(64W + 1): under 2**64 for any database that fits in
+    memory. `out`, when given, is an array of the key type that receives
+    the keys.
+    """
+    flag_bits = 0 if flags is None else 1
+    n = distances.shape[-1]
+    dtype, shift = _key_layout(n, max_distance, flag_bits)
+    keys = np.left_shift(distances, shift, dtype=dtype, out=out)
+    keys |= _positions(n, dtype, flag_bits)
+    if flags is not None:
+        keys |= flags
+    return keys, shift
+
+
 def _rank_one(distances: np.ndarray, limit: int,
               max_distance: int) -> RankedList:
-    # Each item becomes one key (distance << shift) | index. The keys are
-    # distinct, so ordering them orders by (distance, index), ties included,
-    # and numpy's plain sort and partition need no stability. A top-R scan
-    # partitions the keys at R - 1 and sorts the first R; its work stays
-    # O(N + R log R) however many items tie. `max_distance` bounds every
-    # distance and 2**shift < 2N, so for N items of W words a key is below
-    # 2N(64W + 1), 17 times the bytes of the code words: under 2**64 for
-    # any database that fits in memory.
-    n = distances.shape[0]
-    shift = (n - 1).bit_length()
-    keys = np.left_shift(distances, shift, dtype=np.min_scalar_type(
-        (max_distance << shift) | (n - 1)))
-    keys |= _positions(n, keys.dtype)
-    if limit < n:
+    # A top-R scan partitions the keys at R - 1 and sorts the first R; its
+    # work stays O(N + R log R) however many items tie.
+    keys, shift = _pack_keys(distances, max_distance)
+    if limit < keys.shape[0]:
         keys.partition(limit - 1)
         keys = keys[:limit]
     keys.sort()
@@ -219,16 +246,17 @@ def _map_runs(task, items: Sequence, workers: int) -> list:
     """[task(run) for run in runs], each run on a thread of its own.
 
     The runs cut `items` into min(workers, len(items)) contiguous pieces
-    whose lengths differ by at most one. The calling thread takes the first
-    run while pool threads take the rest, and a single run starts no pool.
-    The results come back in run order. Every thread is joined before the
-    call returns, and an exception raised by a task reaches the caller.
+    whose lengths differ by at most one, so no items make no runs. The
+    calling thread takes the first run while pool threads take the rest,
+    and a single run starts no pool. The results come back in run order.
+    Every thread is joined before the call returns, and an exception raised
+    by a task reaches the caller.
     """
     workers = min(workers, len(items))
+    if workers <= 1:
+        return [task(items)] if workers else []
     bounds = [len(items) * w // workers for w in range(workers + 1)]
     runs = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    if len(runs) <= 1:
-        return [task(run) for run in runs]
     # Imported here: with the logging module it pulls in, it would add
     # about 0.7 MB to every process that never starts a pool.
     from concurrent.futures import ThreadPoolExecutor
@@ -239,25 +267,30 @@ def _map_runs(task, items: Sequence, workers: int) -> list:
         return [head] + [future.result() for future in futures]
 
 
-def search(queries: BinaryCodeSet, database: BinaryCodeSet,
-           limit: Optional[int] = None) -> List[RankedList]:
-    """Exact top-`limit` scan per query (all items when limit is None).
-
-    Both sets must have the same code length and binarization mode: codes
-    thresholded at different points do not share a Hamming space. Every
-    query is ranked in the calling thread, one after another. At any limit
-    the scan holds one query's distances and packed sort keys: 4 B and a
-    1 to 8 B key per database item, 8 B in all for codes of up to 128 bits
-    over fewer than 2**24 items. Each returned ranking holds 12 B per
-    ranked item: 12 B per database item per query for a full ranking, and
-    12 * limit B per query for a top-`limit` one.
-    """
+def _check_comparable(queries: BinaryCodeSet, database: BinaryCodeSet) -> None:
     if queries.code_bits != database.code_bits:
         raise ValueError(
             f"code length mismatch: {queries.code_bits} vs {database.code_bits}")
     if queries.mode != database.mode:
         raise ValueError(
             f"binarization mode mismatch: {queries.mode} vs {database.mode}")
+
+
+def search(queries: BinaryCodeSet, database: BinaryCodeSet,
+           limit: Optional[int] = None) -> List[RankedList]:
+    """Exact top-`limit` scan per query (all items when limit is None).
+
+    Both sets must have the same code length and binarization mode: codes
+    thresholded at different points do not share a Hamming space. Every
+    query is ranked in the calling thread, one after another, through
+    `_pack_keys` without a flag bit. At any limit the scan holds one
+    query's distances and packed sort keys: 4 B and a 1 to 8 B key per
+    database item, 8 B in all for codes of up to 128 bits over fewer than
+    2**24 items. Each returned ranking holds 12 B per ranked item: 12 B per
+    database item per query for a full ranking, and 12 * limit B per query
+    for a top-`limit` one.
+    """
+    _check_comparable(queries, database)
     r = database.num_items if limit is None else min(limit, database.num_items)
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
@@ -308,30 +341,32 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
     by the total relevant count ("relevant"). Queries without any relevant
     database item are skipped and counted. The precision-recall curve is
     the 101-point interpolation, precision(r) = max precision at recall >= r,
-    averaged over queries.
+    averaged over queries. Every precision cutoff k must be an integer
+    >= 1; those above the database size are left out.
 
-    Both label matrices are packed into 64-bit bitsets once per call. Each
-    query is then ranked and scored on its own: a worker holds one ranking
-    of the database, its relevance mask, and the precisions at its n_rel
-    relevant ranks, which are all the scores need. The highest precision at
-    recall >= r always falls on a relevant rank, and AP is summed over the
-    same R-long array as a dense pass would, so every score is the one a
-    pass over all N ranks gives, to the last bit.
+    Both label matrices are packed into 64-bit bitsets once per call. The
+    queries are ranked a block at a time: a (B, N) array of `_pack_keys`
+    keys (distance << shift) | (index << 1) | relevant, where the flag bit
+    says whether the item shares a class with the query, is sorted row by
+    row, and a query's relevant ranks are the positions of its set flag
+    bits. The keys order as `search`'s do, so the ranks are the ones a full
+    ranking gives. The scores need only the precisions at the n_rel
+    relevant ranks: the highest precision at recall >= r always falls on a
+    relevant rank, and AP is summed over the same R-long array as a dense
+    pass would, so every score is the one a pass over all N ranks gives, to
+    the last bit.
 
-    Two or more queries against a database of at least
-    `PARALLEL_MIN_ITEMS` items are scored by `_map_runs`, over one
-    contiguous chunk of the queries per available CPU, the first in the
-    calling thread; numpy releases the GIL in the popcount and the sort.
-    Smaller databases and single queries are scored lazily in the calling
-    thread, one query at a time (below the cutoff the threads lose; on a
-    2-core VM they break even near 16k items). Each worker ranks through
-    the module's single-query `search` and keeps its own R-long AP scratch,
-    so memory holds about 20 B per database item per worker (the 12 B
-    ranking and the 8 B scratch), plus, on threads, the PR-101 and P@k rows
-    of every query until they are summed. The rows are summed in query
-    order, as one thread sums them, so every report is the same to the
-    last bit on any number of threads. A worker's exception reaches the
-    caller, and no thread outlives the call.
+    `_map_runs` cuts the queries into one contiguous chunk per available
+    CPU, at every database size, the first in the calling thread; numpy
+    releases the GIL in the block's XOR, popcount, shifts and sort. Memory
+    holds no Q x N array: a worker reuses one block scratch of B x N keys,
+    12 to 19 B per key (see `EVAL_BLOCK_KEYS`), and one R-long AP scratch
+    of 8 B per item. The caller sums the scores of its own chunk as they
+    come; each other chunk holds the AP, PR-101 and P@k row of each of its
+    queries, about 1.2 KB, until the caller sums them in query order after
+    its own. One thread sums in the same order, so every report is the
+    same to the last bit on any number of threads. A worker's exception
+    reaches the caller, and no thread outlives the call.
     """
     query_labels = np.asarray(query_labels)
     db_labels = np.asarray(db_labels)
@@ -349,74 +384,101 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
         raise ValueError(f"unknown denominator {denominator!r}")
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
+    for k in precision_ks:
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise ValueError(
+                f"precision cutoffs must be integers >= 1, got {k!r}")
+    _check_comparable(queries, database)
+    if database.num_items == 0:
+        raise ValueError("the database is empty")
 
     n_db = database.num_items
     r_cut = n_db if limit is None else min(limit, n_db)
     grid = np.linspace(0.0, 1.0, 101)
     ks = np.array([k for k in precision_ks if k <= n_db], dtype=np.int64)
     q_label_words = pack_codes(query_labels != 0).words
-    # Word-major, so the AND for one word reads contiguous memory.
+    # Word-major, so each word's XOR or AND reads contiguous memory.
     db_label_words = np.ascontiguousarray(pack_codes(db_labels != 0).words.T)
+    db_code_words = np.ascontiguousarray(database.words.T)
+    max_distance = 64 * db_code_words.shape[0]
+    distance_type = np.min_scalar_type(max_distance)
+    key_type, _ = _key_layout(n_db, max_distance, 1)
+    block_rows = max(1, EVAL_BLOCK_KEYS // n_db)
 
-    def make_worker():
-        # Precision at the relevant ranks below R, zero elsewhere: the AP
-        # sum runs over this R-long array, as over a dense one.
-        ap_terms = np.zeros(r_cut)
-
-        def score(qi: int):
-            """(AP, PR-101 row, P@k row), or None with no relevant item."""
-            query = BinaryCodeSet(words=queries.words[qi:qi + 1],
-                                  code_bits=queries.code_bits,
-                                  mode=queries.mode)
-            ranked = search(query, database)[0]
-            q = q_label_words[qi]
-            relevant = (db_label_words[0] & q[0]) != 0
-            for w in range(1, q.shape[0]):
-                relevant |= (db_label_words[w] & q[w]) != 0
-            p = np.flatnonzero(relevant[ranked.indices])
-            n_rel = p.size
-            if n_rel == 0:
-                return None
-            hits = np.arange(1, n_rel + 1)
-            prec = hits / (p + 1)
-            denom = min(r_cut, n_rel) if denominator == "cutoff" else n_rel
-            within = p[:np.searchsorted(p, r_cut)]
-            ap_terms[within] = prec[:within.size]
-            ap = float(ap_terms.sum() / denom)
-            ap_terms[within] = 0.0
-            best_from = np.maximum.accumulate(prec[::-1])[::-1]
-            return (ap,
-                    best_from[np.searchsorted(hits / n_rel, grid, side="left")],
-                    np.searchsorted(p, ks, side="left") / ks)
-
-        return score
-
-    num_queries = queries.num_items
-    workers = (min(_worker_count(), num_queries)
-               if n_db >= PARALLEL_MIN_ITEMS else 1)
-    if workers < 2:
-        # Lazy: the loop below holds one query's scores at a time.
-        results = map(make_worker(), range(num_queries))
-    else:
-        def run(chunk: range) -> list:
-            # One worker, so one AP scratch, per contiguous chunk.
-            return list(map(make_worker(), chunk))
-
-        chunks = _map_runs(run, range(num_queries), workers)
-        results = [scores for chunk in chunks for scores in chunk]
+    def score(p: np.ndarray, ap_terms: np.ndarray):
+        """(AP, PR-101 row, P@k row) from the relevant ranks p, or None
+        with no relevant item."""
+        n_rel = p.size
+        if n_rel == 0:
+            return None
+        hits = np.arange(1, n_rel + 1)
+        prec = hits / (p + 1)
+        denom = min(r_cut, n_rel) if denominator == "cutoff" else n_rel
+        within = p[:np.searchsorted(p, r_cut)]
+        ap_terms[within] = prec[:within.size]
+        ap = float(ap_terms.sum() / denom)
+        ap_terms[within] = 0.0
+        best_from = np.maximum.accumulate(prec[::-1])[::-1]
+        return (ap,
+                best_from[np.searchsorted(hits / n_rel, grid, side="left")],
+                np.searchsorted(p, ks, side="left") / ks)
 
     aps = []
     pr_sum = np.zeros(101)
     prec_at_sum = np.zeros(ks.size)
     skipped = 0
-    for scores in results:
+
+    def add(scores) -> None:
+        nonlocal skipped
         if scores is None:
             skipped += 1
-            continue
+            return
         ap, pr_row, prec_at_row = scores
         aps.append(ap)
-        pr_sum += pr_row
-        prec_at_sum += prec_at_row
+        np.add(pr_sum, pr_row, out=pr_sum)
+        np.add(prec_at_sum, prec_at_row, out=prec_at_sum)
+
+    def run(chunk: range) -> list:
+        """Score the chunk's queries in order, a block at a time. The first
+        chunk comes first in query order, so its scores are summed as they
+        come; a later chunk holds its own until then."""
+        held = []
+        emit = add if chunk.start == 0 else held.append
+        rows = min(block_rows, len(chunk))
+        scratch = [np.empty((rows, n_db), dtype=dtype) for dtype in
+                   (np.uint64, distance_type, bool, key_type)]
+        # Precision at the relevant ranks below R, zero elsewhere: the AP
+        # sum runs over this R-long array, as over a dense one.
+        ap_terms = np.zeros(r_cut)
+        for lo in range(chunk.start, chunk.stop, rows):
+            hi = min(lo + rows, chunk.stop)
+            words, distances, flags, keys = (a[:hi - lo] for a in scratch)
+            codes = queries.words[lo:hi]
+            np.bitwise_count(np.bitwise_xor(db_code_words[0], codes[:, :1],
+                                            out=words), out=distances)
+            for w in range(1, codes.shape[1]):
+                distances += np.bitwise_count(np.bitwise_xor(
+                    db_code_words[w], codes[:, w:w + 1], out=words))
+            # An item is relevant when it shares a class with the query.
+            labels = q_label_words[lo:hi]
+            np.bitwise_and(db_label_words[0], labels[:, :1], out=words)
+            for w in range(1, labels.shape[1]):
+                words |= db_label_words[w] & labels[:, w:w + 1]
+            np.not_equal(words, 0, out=flags)
+            _pack_keys(distances, max_distance, flags, out=keys)
+            keys.sort(axis=1)
+            ranks = np.flatnonzero(np.bitwise_and(keys, 1, out=flags,
+                                                  casting="unsafe"))
+            bounds = np.searchsorted(ranks, range(0, (hi - lo + 1) * n_db,
+                                                  n_db))
+            for i in range(hi - lo):
+                emit(score(ranks[bounds[i]:bounds[i + 1]] - i * n_db,
+                           ap_terms))
+        return held
+
+    for held in _map_runs(run, range(queries.num_items), _worker_count()):
+        for scores in held:
+            add(scores)
 
     if not aps:
         raise ValueError("no query has a relevant database item")

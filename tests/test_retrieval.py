@@ -368,6 +368,37 @@ class TestEvaluate:
         assert report.precision_at == []
         assert report.precision_at_csv_rows() == []
 
+    def test_rejects_the_codes_search_rejects(self, problem):
+        # The messages `evaluate` gave when it ranked through `search`.
+        q_pm1, db_pm1, q_labels, db_labels = problem
+        queries, database = pack_codes(q_pm1), pack_codes(db_pm1)
+        for other, message in (
+                (pack_codes(_random_pm1(80, 9, seed=0)),
+                 "code length mismatch: 8 vs 9"),
+                (BinaryCodeSet(words=database.words, code_bits=8,
+                               mode="mean_centered_sign"),
+                 "binarization mode mismatch: sign vs mean_centered_sign"),
+                (pack_codes(db_pm1[:0]), "the database is empty")):
+            with pytest.raises(ValueError, match=message):
+                evaluate(queries, other, q_labels,
+                         db_labels[:other.num_items])
+
+    @pytest.mark.parametrize("k", [0, -3, 1.5, 2.0, "5", True, None])
+    def test_precision_cutoffs_must_be_positive_integers(self, problem, k):
+        # P@0 would be nan, P@-3 a count from the wrong end, and 1.5 was
+        # cut to 1.
+        q_pm1, db_pm1, q_labels, db_labels = problem
+        with pytest.raises(ValueError, match="precision cutoffs"):
+            evaluate(pack_codes(q_pm1), pack_codes(db_pm1), q_labels,
+                     db_labels, precision_ks=(1, k, 5))
+
+    def test_precision_cutoffs_may_be_numpy_integers(self, problem):
+        q_pm1, db_pm1, q_labels, db_labels = problem
+        args = (pack_codes(q_pm1), pack_codes(db_pm1), q_labels, db_labels)
+        report = evaluate(*args, precision_ks=np.array([1, 5, 500]))
+        assert report.precision_at == \
+            evaluate(*args, precision_ks=(1, 5)).precision_at
+
     @pytest.mark.parametrize("limit", [0, -3])
     def test_limit_must_be_positive(self, problem, limit):
         q_pm1, db_pm1, q_labels, db_labels = problem
@@ -597,32 +628,40 @@ class TestThreadedEncoder:
 
 
 class TestThreadedQueries:
-    """`evaluate` scores several queries over a large database on the
-    calling thread and pool threads; `search` ranks every query in the
-    calling thread."""
+    """`evaluate` ranks blocks of queries on the calling thread and pool
+    threads, one contiguous chunk of the queries per worker, at every
+    database size; `search` ranks every query in the calling thread."""
 
     @pytest.fixture
-    def rank_threads(self, monkeypatch):
-        """The idents of the threads that call `_rank_one`."""
-        threads = set()
-        real_rank_one = retrieval._rank_one
+    def key_calls(self, monkeypatch):
+        """(thread ident, distances) of each `_pack_keys` call: one per
+        query for `search`, one per block of queries for `evaluate`."""
+        calls = []
+        lock = threading.Lock()
+        real_pack_keys = retrieval._pack_keys
 
-        def recording_rank_one(*args):
-            threads.add(threading.get_ident())
-            return real_rank_one(*args)
+        def recording_pack_keys(distances, *args, **kwargs):
+            with lock:
+                calls.append((threading.get_ident(),
+                              np.atleast_2d(distances).astype(np.int64)))
+            return real_pack_keys(distances, *args, **kwargs)
 
-        monkeypatch.setattr(retrieval, "_rank_one", recording_rank_one)
-        return threads
+        monkeypatch.setattr(retrieval, "_pack_keys", recording_pack_keys)
+        return calls
 
     @pytest.fixture
-    def threaded(self, monkeypatch, rank_threads):
-        """Force three workers and the threaded path on any database; the
-        threads that rank are recorded from then on."""
-        def force():
-            monkeypatch.setattr(retrieval, "_worker_count", lambda: 3)
-            monkeypatch.setattr(retrieval, "PARALLEL_MIN_ITEMS", 1)
-            rank_threads.clear()
-            return rank_threads
+    def threaded(self, monkeypatch, key_calls):
+        """Force three workers (or `workers`) and `block` queries per block
+        of `evaluate` (the constant's own when None); the key calls are
+        recorded from then on."""
+        default = retrieval.EVAL_BLOCK_KEYS
+
+        def force(workers=3, block=None, n_db=300):
+            monkeypatch.setattr(retrieval, "_worker_count", lambda: workers)
+            monkeypatch.setattr(retrieval, "EVAL_BLOCK_KEYS",
+                                default if block is None else block * n_db)
+            key_calls.clear()
+            return key_calls
 
         return force
 
@@ -646,21 +685,38 @@ class TestThreadedQueries:
         q_labels[dead, classes - 1] = 1
         return pack_codes(q_pm1), pack_codes(db_pm1), q_labels, db_labels
 
+    @staticmethod
+    def _distances(queries, database):
+        """(Q, N) Hamming distances, one plain row per query."""
+        return np.array([np.bitwise_count(database.words ^ words).sum(axis=1)
+                         for words in queries.words], dtype=np.int64)
+
+    @staticmethod
+    def _assert_same_report(report, expected):
+        assert report.skipped_queries == expected.skipped_queries
+        assert (report.average_precisions.tobytes()
+                == expected.average_precisions.tobytes())
+        assert report.to_json() == expected.to_json()
+        assert report.pr_csv_rows() == expected.pr_csv_rows()
+        assert report.precision_at_csv_rows() == \
+            expected.precision_at_csv_rows()
+        assert report.precision_at == expected.precision_at
+
     @pytest.mark.parametrize("num_queries", [0, 1, 2, 5, 13])
     @pytest.mark.parametrize("limit", [None, 7, 40])
     @pytest.mark.parametrize("k, multilabel", [(8, False), (70, True)])
     def test_search_matches_serial(self, threaded, num_queries, limit, k,
                                    multilabel):
         # Even with the pool forced on, full rankings and top-R scans alike
-        # stay in the calling thread.
+        # stay in the calling thread, one key call per query.
         queries, database, _, _ = self._problem(num_queries, k, multilabel)
         serial = search(queries, database, limit)
-        threads = threaded()
+        calls = threaded()
         baseline = threading.active_count()
         rankings = search(queries, database, limit)
         assert threading.active_count() == baseline
-        assert threads <= {threading.main_thread().ident}
-        assert len(threads) == min(num_queries, 1)
+        assert {ident for ident, _ in calls} <= {threading.main_thread().ident}
+        assert [rows.shape[0] for _, rows in calls] == [1] * num_queries
         assert len(rankings) == len(serial) == num_queries
         for got, expected in zip(rankings, serial):
             assert got.indices.tobytes() == expected.indices.tobytes()
@@ -672,22 +728,41 @@ class TestThreadedQueries:
     @pytest.mark.parametrize("k, multilabel", [(8, False), (70, True)])
     def test_evaluate_matches_serial(self, threaded, num_queries, limit,
                                      denominator, k, multilabel):
+        # Every worker count and block size gives the one-worker report to
+        # the last bit: blocks of one query, of three (13 queries and the
+        # chunks of 13 cut into threes leave a short last block) and of the
+        # constant's size, which holds every query here.
         args = (*self._problem(num_queries, k, multilabel), limit, denominator)
+        distances = self._distances(args[0], args[1])
+        threaded(workers=1)
         serial = evaluate(*args)
-        threads = threaded()
-        baseline = threading.active_count()
-        report = evaluate(*args)
-        assert threading.active_count() == baseline
-        # The caller ranks the first chunk; one query never starts a pool.
-        assert threading.main_thread().ident in threads
-        assert (len(threads) > 1) == (num_queries > 1)
-        assert len(threads) <= min(num_queries, 3)
-        assert report.skipped_queries == serial.skipped_queries
-        assert (report.average_precisions.tobytes()
-                == serial.average_precisions.tobytes())
-        assert report.to_json() == serial.to_json()
-        assert report.pr_csv_rows() == serial.pr_csv_rows()
-        assert report.precision_at_csv_rows() == serial.precision_at_csv_rows()
+        for workers in (1, 2, 3, 8):
+            for block in (1, 3, None):
+                calls = threaded(workers, block)
+                baseline = threading.active_count()
+                report = evaluate(*args)
+                assert threading.active_count() == baseline
+                self._assert_same_report(report, serial)
+                # The caller ranks the first chunk, a block at a time; each
+                # other chunk ranks on a pool thread, and one chunk starts
+                # no pool.
+                runs = min(workers, num_queries)
+                first = num_queries // runs
+                main = threading.main_thread().ident
+                mine = [rows for ident, rows in calls if ident == main]
+                assert np.array_equal(np.vstack(mine), distances[:first])
+                rows = block or num_queries
+                assert [r.shape[0] for r in mine[:-1]] == \
+                    [rows] * (len(mine) - 1)
+                theirs = [rows for ident, rows in calls if ident != main]
+                assert len({ident for ident, _ in calls}) <= runs
+                assert bool(theirs) == (runs > 1)
+                if theirs:
+                    got = np.vstack(theirs)
+                    order = np.lexsort(got.T[::-1])
+                    expected = distances[first:]
+                    assert np.array_equal(
+                        got[order], expected[np.lexsort(expected.T[::-1])])
 
     def test_a_chunk_without_relevant_items_is_skipped(self, threaded):
         # Three workers over five queries: the chunk of queries 1 and 2.
@@ -699,38 +774,43 @@ class TestThreadedQueries:
 
     def test_no_queries_evaluate_as_before(self, threaded):
         args = self._problem(0, 8, False)
-        threaded()
+        calls = threaded()
         baseline = threading.active_count()
         with pytest.raises(ValueError, match="no query"):
             evaluate(*args)
         assert threading.active_count() == baseline
+        assert calls == []
 
     def test_worker_exception_reaches_the_caller(self, threaded, monkeypatch):
+        # Three workers over five queries in blocks of one: query 0 fails
+        # in the calling thread, query 3 in a pool thread.
         class Boom(Exception):
             pass
 
-        queries, database, q_labels, db_labels = self._problem(5, 8, False)
-        threaded()
-        real_distances_to = retrieval._distances_to
+        queries, database, q_labels, db_labels = self._problem(5, 70, False)
+        distances = self._distances(queries, database)
+        real_pack_keys = retrieval._pack_keys
+        for failing in (0, 3):
+            def failing_pack_keys(block, *args, **kwargs):
+                if np.array_equal(block[0], distances[failing]):
+                    raise Boom(f"query {failing}")
+                return real_pack_keys(block, *args, **kwargs)
 
-        def failing_distances_to(query_words, database_words):
-            if query_words.tobytes() == queries.words[3].tobytes():
-                raise Boom("query 3")
-            return real_distances_to(query_words, database_words)
-
-        monkeypatch.setattr(retrieval, "_distances_to", failing_distances_to)
-        baseline = threading.active_count()
-        with pytest.raises(Boom, match="query 3"):
-            evaluate(queries, database, q_labels, db_labels)
-        assert threading.active_count() == baseline
+            threaded(block=1)
+            monkeypatch.setattr(retrieval, "_pack_keys", failing_pack_keys)
+            baseline = threading.active_count()
+            with pytest.raises(Boom, match=f"query {failing}"):
+                evaluate(queries, database, q_labels, db_labels)
+            assert threading.active_count() == baseline
 
     def test_stress_more_workers_than_cores(self, threaded, monkeypatch):
-        # Eight workers on a short switch interval: a scratch array or a
-        # position table shared by mistake would garble some AP.
+        # Eight workers on a short switch interval, each over several
+        # blocks: a block scratch, an AP scratch or a position table shared
+        # by mistake would garble some AP.
         args = self._problem(40, 70, True)
+        threaded(workers=1)
         serial_report = evaluate(*args)
-        threaded()
-        monkeypatch.setattr(retrieval, "_worker_count", lambda: 8)
+        threaded(workers=8, block=2)
         retrieval._positions.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -743,26 +823,100 @@ class TestThreadedQueries:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("extra, limit, pooled", [
-        (-1, None, False), (0, None, True), (0, 1 << 20, True),
-        (0, 10, True), (100, 100, True)])
-    def test_cutoff_is_the_database_size(self, monkeypatch, rank_threads,
-                                         extra, limit, pooled):
-        # The database size alone starts the pool: `evaluate` ranks the
-        # whole database whatever its cutoff R. The caller always ranks.
-        monkeypatch.setattr(retrieval, "_worker_count", lambda: 3)
-        n = retrieval.PARALLEL_MIN_ITEMS + extra
+    @pytest.mark.parametrize("n, limit", [
+        (1, None), (300, 10), (65_535, None), (65_536, 1 << 20),
+        (65_636, 100)])
+    def test_every_database_size_starts_the_pool(self, threaded, n, limit):
+        # Three queries on three workers: whatever the database size and
+        # the cutoff R, the caller ranks the first query and pool threads
+        # the other two. No size cutoff keeps small databases on one
+        # thread.
         words = np.random.default_rng(n).integers(0, 2**16, (n + 3, 1),
                                                   dtype=np.uint64)
         labels = np.ones((n + 3, 1), dtype=np.uint8)
+        calls = threaded()
         evaluate(BinaryCodeSet(words=words[:3], code_bits=16),
                  BinaryCodeSet(words=words[3:], code_bits=16), labels[:3],
                  labels[3:], limit=limit)
-        assert threading.main_thread().ident in rank_threads
-        assert (len(rank_threads) > 1) == pooled
+        main = threading.main_thread().ident
+        assert [rows.shape[0] for ident, rows in calls if ident == main] \
+            == [1]
+        assert len({ident for ident, _ in calls}) > 1
+        assert sum(rows.shape[0] for _, rows in calls) == 3
+
+    @pytest.mark.parametrize("n, k, narrow, wide", [
+        (512, 64, np.uint16, np.uint32),
+        (1000, 64 << 15, np.uint32, np.uint64)])
+    def test_flag_bit_widens_the_keys(self, n, k, narrow, wide):
+        # The flag bit doubles the largest key: it moves keys one type up
+        # where the plain keys fill their type. Both orders are the
+        # (distance, index) order, and the flag bit follows its item.
+        max_distance = 64 * ((k + 63) // 64)
+        rng = np.random.default_rng(n)
+        distances = rng.integers(0, 17, n).astype(np.uint32)
+        distances[::3] = max_distance
+        flags = rng.random(n) < 0.3
+        plain, shift = retrieval._pack_keys(distances, max_distance)
+        flagged, flagged_shift = retrieval._pack_keys(distances, max_distance,
+                                                      flags)
+        assert (plain.dtype, flagged.dtype) == (narrow, wide)
+        assert flagged_shift == shift + 1
+        order = np.lexsort((np.arange(n), distances))
+        plain.sort()
+        flagged.sort()
+        assert np.array_equal(plain & ((1 << shift) - 1), order)
+        assert np.array_equal(plain >> shift, distances[order])
+        assert np.array_equal((flagged >> 1) & ((1 << shift) - 1), order)
+        assert np.array_equal(flagged >> flagged_shift, distances[order])
+        assert np.array_equal((flagged & 1).astype(bool), flags[order])
+        if k == 64:
+            # Codes that fill the narrow keys: evaluate ranks with the wide
+            # ones and scores as a pass over all ranks does.
+            q_pm1 = _random_pm1(4, 64, seed=1)
+            db_pm1 = _random_pm1(n, 64, seed=2)
+            q_labels = np.eye(4, dtype=np.uint8)[[0, 1, 2, 3]]
+            db_labels = np.eye(4, dtype=np.uint8)[rng.integers(0, 4, n)]
+            args = (pack_codes(q_pm1), pack_codes(db_pm1), q_labels,
+                    db_labels, None, "cutoff", DEFAULT_PRECISION_KS)
+            report = evaluate(*args)
+            expected = _evaluate_over_all_ranks(*args)
+            self._assert_same_report(report, expected)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_does_not_grow_with_queries(self, monkeypatch, workers):
+        # Over 5,000 items in blocks of eight queries, a worker holds its
+        # block scratch and AP scratch whatever the query count. The caller
+        # sums its own chunk's scores as they come; a pool chunk holds its
+        # queries' AP, PR-101 and P@k rows, about 1.2 KB each, never a
+        # ranking of 8 B or more per item per query.
+        n = 5000
+        q_pm1, db_pm1 = _random_pm1(256, 32, seed=3), _random_pm1(n, 32, seed=4)
+        rng = np.random.default_rng(5)
+        q_labels = np.eye(8, dtype=np.uint8)[rng.integers(0, 8, 256)]
+        db_labels = np.eye(8, dtype=np.uint8)[rng.integers(0, 8, n)]
+        queries, database = pack_codes(q_pm1), pack_codes(db_pm1)
+        monkeypatch.setattr(retrieval, "_worker_count", lambda: workers)
+        monkeypatch.setattr(retrieval, "EVAL_BLOCK_KEYS", 8 * n)
+
+        def peak(num_queries):
+            subset = BinaryCodeSet(words=queries.words[:num_queries],
+                                   code_bits=32)
+            tracemalloc.start()
+            try:
+                evaluate(subset, database, q_labels[:num_queries], db_labels)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(16)  # the pool's imports, made once per process
+        held = (256 - 16) * (workers - 1) // workers * 1536
+        assert peak(256) - peak(16) <= held + 64 * 1024
 
     def test_full_ranking_positions_are_shared_and_read_only(self):
-        positions = retrieval._positions(300, np.dtype(np.uint16))
-        assert retrieval._positions(300, np.dtype(np.uint16)) is positions
+        positions = retrieval._positions(300, np.dtype(np.uint16), 0)
+        assert retrieval._positions(300, np.dtype(np.uint16), 0) is positions
         assert not positions.flags.writeable
         assert positions.tolist() == list(range(300))
+        flagged = retrieval._positions(300, np.dtype(np.uint16), 1)
+        assert not flagged.flags.writeable
+        assert flagged.tolist() == list(range(0, 600, 2))
