@@ -10,8 +10,8 @@ import numpy as np
 from .codebook import Codebook
 from .data import FeatureSet, LabelSet, Split
 from .model import VARIANTS, hash_layer, row_blocks
-from .retrieval import (BinaryCodeSet, RankedList, encode_rows, evaluate,
-                        unpack_codes)
+from .retrieval import (BinaryCodeSet, RankedList, _check_cutoff, encode_rows,
+                        evaluate, unpack_codes)
 from .trainer import TrainConfig, train
 
 
@@ -68,8 +68,7 @@ def confusion_matrix(rankings: Iterable[RankedList], query_labels: np.ndarray,
     query_labels = np.asarray(query_labels, dtype=np.int64)
     db_labels = np.asarray(db_labels)
     n_classes = query_labels.shape[1]
-    if top_r < 1:
-        raise ValueError("top_r must be positive")
+    _check_cutoff(top_r, "top_r")
 
     matrix = np.zeros((n_classes, n_classes))
     for ranked, query_row in zip_longest(rankings, query_labels):
@@ -92,18 +91,27 @@ def codebook_gram(codebook: Codebook) -> np.ndarray:
     return (words @ words.T) / codebook.code_bits
 
 
-def _train_and_map(config: TrainConfig, features: FeatureSet, labels: LabelSet,
-                   split: Split, codebook: Codebook, hidden: Tuple[int, ...],
-                   map_at: Optional[int] = None) -> float:
-    net, _ = train(config, features, labels, split, codebook, hidden=hidden)
-    encode = hash_layer(net)
-    db_codes = encode_rows(features.values, split.database, encode,
-                           net.code_bits)
-    query_codes = encode_rows(features.values, split.query, encode,
-                              net.code_bits)
-    report = evaluate(query_codes, db_codes, labels.values[split.query],
-                      labels.values[split.database], limit=map_at)
-    return report.mean_ap
+def _train_and_map(configs: Sequence[TrainConfig], features: FeatureSet,
+                   labels: LabelSet, split: Split, codebook: Codebook,
+                   hidden: Tuple[int, ...],
+                   map_at: Optional[int] = None) -> List[float]:
+    """The mAP of one train, encode and evaluate run per config, in order.
+    The cutoff is checked before the first run trains."""
+    if map_at is not None:
+        _check_cutoff(map_at, "map_at")
+    maps = []
+    for config in configs:
+        net, _ = train(config, features, labels, split, codebook,
+                       hidden=hidden)
+        encode = hash_layer(net)
+        db_codes = encode_rows(features.values, split.database, encode,
+                               net.code_bits)
+        query_codes = encode_rows(features.values, split.query, encode,
+                                  net.code_bits)
+        maps.append(evaluate(query_codes, db_codes, labels.values[split.query],
+                             labels.values[split.database],
+                             limit=map_at).mean_ap)
+    return maps
 
 
 DEFAULT_LAMBDA_GRID = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
@@ -117,9 +125,9 @@ def lambda_sweep(config: TrainConfig, lambdas: Sequence[float],
     # Every lambda is checked before the first one trains.
     configs = [replace(config, lambda_=float(lam), variant="full")
                for lam in lambdas]
-    return [(run_config.lambda_, _train_and_map(
-                run_config, features, labels, split, codebook, hidden, map_at))
-            for run_config in configs]
+    return list(zip([run_config.lambda_ for run_config in configs],
+                    _train_and_map(configs, features, labels, split, codebook,
+                                   hidden, map_at)))
 
 
 def ablate(config: TrainConfig, features: FeatureSet, labels: LabelSet,
@@ -131,9 +139,6 @@ def ablate(config: TrainConfig, features: FeatureSet, labels: LabelSet,
     differ. "codebook_only" drops the classifier term (lambda is ignored)
     and "classifier_only" trains through the classification loss alone.
     """
-    rows = []
-    for variant in VARIANTS:
-        run_config = replace(config, variant=variant)
-        rows.append((variant, _train_and_map(
-            run_config, features, labels, split, codebook, hidden, map_at)))
-    return rows
+    configs = [replace(config, variant=variant) for variant in VARIANTS]
+    return list(zip(VARIANTS, _train_and_map(configs, features, labels, split,
+                                             codebook, hidden, map_at)))

@@ -26,11 +26,11 @@ _TAG_TO_MODE = {tag: name for name, tag in _MODE_TO_TAG.items()}
 DEFAULT_PRECISION_KS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
 # `evaluate` ranks a block of B = max(1, EVAL_BLOCK_KEYS // N) queries at a
-# time. A block costs ~15 numpy calls over B x N elements, most of which
-# release the GIL, where one query at a time cost as many calls over N,
-# each contending for it. A worker's block scratch, reused from block to
-# block, holds 12 to 19 B per key, 14 B for codes of up to 192 bits over
-# at most 2**23 items: about 1.8 MB at this size.
+# time: ~15 numpy calls over B x N elements, most of which release the GIL,
+# in place of as many calls over N per query, each contending for it. A
+# worker's block scratch holds per key 8 B of words, 1 B of distance (2 B
+# above three words), a 1 B flag and a 2 to 8 B key: 12 to 19 B, 14 B for
+# codes of up to 192 bits over at most 2**23 items, 1.8 MB at this size.
 EVAL_BLOCK_KEYS = 1 << 17
 
 
@@ -155,16 +155,19 @@ def mean_activations(values: np.ndarray, rows: np.ndarray,
     return total / rows.size
 
 
-def _distances_to(query_words: np.ndarray, database_words: np.ndarray) -> np.ndarray:
-    """Hamming distances from one query to every database item.
-
-    Word by word: a reduction over the short word axis costs more than the
-    XOR and popcount together.
-    """
-    distances = np.bitwise_count(
-        database_words[:, 0] ^ query_words[0]).astype(np.uint32)
-    for w in range(1, query_words.shape[0]):
-        distances += np.bitwise_count(database_words[:, w] ^ query_words[w])
+def _distances(codes: np.ndarray, db_words: np.ndarray, words=None,
+               out=None) -> np.ndarray:
+    """(B, N) Hamming distances of a (B, W) block of query codes to the
+    word-major `database.words.T`, summed word by word (a reduction over
+    the short word axis costs more) in np.min_scalar_type(64 * W). `words`
+    and `out`, when given, are (B, N) scratch of uint64 and of that type."""
+    words = np.bitwise_xor(db_words[0], codes[:, :1], out=words)
+    distances = np.bitwise_count(words, out=out)
+    if out is None and codes.shape[1] > 3:
+        distances = distances.astype(np.min_scalar_type(64 * codes.shape[1]))
+    for w in range(1, codes.shape[1]):
+        distances += np.bitwise_count(
+            np.bitwise_xor(db_words[w], codes[:, w:w + 1], out=words))
     return distances
 
 
@@ -177,21 +180,16 @@ class RankedList:
 
 
 @functools.lru_cache(maxsize=4)
-def _positions(n: int, dtype: np.dtype, flag_bits: int) -> np.ndarray:
-    """index << flag_bits for 0 .. n-1 in a key type, made once and shared
-    read-only by rankings."""
+def _key_layout(n: int, max_distance: int, flag_bits: int):
+    """(dtype, shift, positions) of the keys `_pack_keys` makes over n
+    items: positions, index << flag_bits in the key type, is shared
+    read-only. Cached, as a query's ranking takes tens of microseconds."""
+    shift = (n - 1).bit_length() + flag_bits
+    dtype = np.min_scalar_type(
+        (max_distance << shift) | ((n - 1) << flag_bits) | flag_bits)
     positions = np.arange(n, dtype=dtype) << flag_bits
     positions.setflags(write=False)
-    return positions
-
-
-@functools.lru_cache(maxsize=8)
-def _key_layout(n: int, max_distance: int, flag_bits: int):
-    """(dtype, shift) of the keys `_pack_keys` makes over n items; cached,
-    as one query's ranking takes only tens of microseconds."""
-    shift = (n - 1).bit_length() + flag_bits
-    return np.min_scalar_type(
-        (max_distance << shift) | ((n - 1) << flag_bits) | flag_bits), shift
+    return dtype, shift, positions
 
 
 def _pack_keys(distances: np.ndarray, max_distance: int,
@@ -211,13 +209,18 @@ def _pack_keys(distances: np.ndarray, max_distance: int,
     the keys.
     """
     flag_bits = 0 if flags is None else 1
-    n = distances.shape[-1]
-    dtype, shift = _key_layout(n, max_distance, flag_bits)
-    keys = np.left_shift(distances, shift, dtype=dtype, out=out)
-    keys |= _positions(n, dtype, flag_bits)
+    dtype, shift, positions = _key_layout(distances.shape[-1], max_distance,
+                                          flag_bits)
+    # Cast, then shift in place: faster than a shift that casts.
+    if out is None:
+        out = distances.astype(dtype)
+    else:
+        np.copyto(out, distances)
+    out <<= shift
+    out |= positions
     if flags is not None:
-        keys |= flags
-    return keys, shift
+        out |= flags
+    return out, shift
 
 
 def _rank_one(distances: np.ndarray, limit: int,
@@ -231,7 +234,7 @@ def _rank_one(distances: np.ndarray, limit: int,
     keys.sort()
     return RankedList(
         indices=np.bitwise_and(keys, (1 << shift) - 1, dtype=np.int64),
-        distances=(keys >> shift).astype(np.uint32))
+        distances=(keys >> shift).astype(np.uint32, copy=False))
 
 
 def _worker_count() -> int:
@@ -267,13 +270,30 @@ def _map_runs(task, items: Sequence, workers: int) -> list:
         return [head] + [future.result() for future in futures]
 
 
-def _check_comparable(queries: BinaryCodeSet, database: BinaryCodeSet) -> None:
+def _check_cutoff(k, name: str) -> None:
+    """A rank cutoff is an integer >= 1; a bool is not one."""
+    if type(k) is not int and (isinstance(k, bool)
+                               or not isinstance(k, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"{name} must be positive, got {k!r}")
+
+
+def _check_ranking(queries: BinaryCodeSet, database: BinaryCodeSet,
+                   limit: Optional[int]) -> int:
+    """R = min(limit, N), or N without a limit, once the arguments pass."""
     if queries.code_bits != database.code_bits:
         raise ValueError(
             f"code length mismatch: {queries.code_bits} vs {database.code_bits}")
     if queries.mode != database.mode:
         raise ValueError(
             f"binarization mode mismatch: {queries.mode} vs {database.mode}")
+    n = database.num_items
+    if n == 0:
+        raise ValueError("the database is empty")
+    if limit is not None:
+        _check_cutoff(limit, "limit")
+    return n if limit is None or limit > n else int(limit)
 
 
 def search(queries: BinaryCodeSet, database: BinaryCodeSet,
@@ -282,23 +302,17 @@ def search(queries: BinaryCodeSet, database: BinaryCodeSet,
 
     Both sets must have the same code length and binarization mode: codes
     thresholded at different points do not share a Hamming space. Every
-    query is ranked in the calling thread, one after another, through
-    `_pack_keys` without a flag bit. At any limit the scan holds one
-    query's distances and packed sort keys: 4 B and a 1 to 8 B key per
-    database item, 8 B in all for codes of up to 128 bits over fewer than
-    2**24 items. Each returned ranking holds 12 B per ranked item: 12 B per
-    database item per query for a full ranking, and 12 * limit B per query
-    for a top-`limit` one.
+    query is ranked in the calling thread, one after another, as a block
+    of one through `_pack_keys` without a flag bit. At any limit the scan
+    holds one query's distances and sort keys: 1 B (2 B above three words)
+    and a 1 to 8 B key per database item, 5 B for codes of up to 192 bits
+    over at most 2**23 items. A ranking holds 12 B per ranked item.
     """
-    _check_comparable(queries, database)
-    r = database.num_items if limit is None else min(limit, database.num_items)
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be positive")
-    if database.num_items == 0:
-        raise ValueError("the database is empty")
+    r = _check_ranking(queries, database, limit)
     max_distance = 64 * database.words.shape[1]
-    return [_rank_one(_distances_to(w, database.words), r, max_distance)
-            for w in queries.words]
+    return [_rank_one(_distances(queries.words[i:i + 1], database.words.T)[0],
+                      r, max_distance)
+            for i in range(queries.num_items)]
 
 
 @dataclass(frozen=True)
@@ -345,16 +359,15 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
     >= 1; those above the database size are left out.
 
     Both label matrices are packed into 64-bit bitsets once per call. The
-    queries are ranked a block at a time: a (B, N) array of `_pack_keys`
-    keys (distance << shift) | (index << 1) | relevant, where the flag bit
-    says whether the item shares a class with the query, is sorted row by
-    row, and a query's relevant ranks are the positions of its set flag
-    bits. The keys order as `search`'s do, so the ranks are the ones a full
-    ranking gives. The scores need only the precisions at the n_rel
-    relevant ranks: the highest precision at recall >= r always falls on a
-    relevant rank, and AP is summed over the same R-long array as a dense
-    pass would, so every score is the one a pass over all N ranks gives, to
-    the last bit.
+    queries are ranked a block at a time: `_distances` measures the block
+    and `_pack_keys` packs (distance << shift) | (index << 1) | relevant,
+    the flag set where the item shares a class with the query. Sorted row
+    by row, the keys order as `search`'s do, and a query's relevant ranks
+    are the positions of its set flag bits. The scores need only the
+    precisions at the n_rel relevant ranks: the highest precision at recall
+    >= r always falls on a relevant rank, and AP is summed over the same
+    R-long array as a dense pass would, so every score is the one a pass
+    over all N ranks gives, to the last bit.
 
     `_map_runs` cuts the queries into one contiguous chunk per available
     CPU, at every database size, the first in the calling thread; numpy
@@ -382,27 +395,20 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
         raise ValueError("the labels have no classes")
     if denominator not in ("cutoff", "relevant"):
         raise ValueError(f"unknown denominator {denominator!r}")
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be positive")
+    r_cut = _check_ranking(queries, database, limit)
     for k in precision_ks:
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-            raise ValueError(
-                f"precision cutoffs must be integers >= 1, got {k!r}")
-    _check_comparable(queries, database)
-    if database.num_items == 0:
-        raise ValueError("the database is empty")
+        _check_cutoff(k, "each of the precision cutoffs")
 
     n_db = database.num_items
-    r_cut = n_db if limit is None else min(limit, n_db)
     grid = np.linspace(0.0, 1.0, 101)
     ks = np.array([k for k in precision_ks if k <= n_db], dtype=np.int64)
     q_label_words = pack_codes(query_labels != 0).words
-    # Word-major, so each word's XOR or AND reads contiguous memory.
+    # Word-major, so each word's AND reads contiguous memory.
     db_label_words = np.ascontiguousarray(pack_codes(db_labels != 0).words.T)
-    db_code_words = np.ascontiguousarray(database.words.T)
+    db_code_words = database.words.T
     max_distance = 64 * db_code_words.shape[0]
-    distance_type = np.min_scalar_type(max_distance)
-    key_type, _ = _key_layout(n_db, max_distance, 1)
+    scratch_types = (np.uint64, np.min_scalar_type(max_distance), bool,
+                     _key_layout(n_db, max_distance, 1)[0])
     block_rows = max(1, EVAL_BLOCK_KEYS // n_db)
 
     def score(p: np.ndarray, ap_terms: np.ndarray):
@@ -445,20 +451,14 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
         held = []
         emit = add if chunk.start == 0 else held.append
         rows = min(block_rows, len(chunk))
-        scratch = [np.empty((rows, n_db), dtype=dtype) for dtype in
-                   (np.uint64, distance_type, bool, key_type)]
+        scratch = [np.empty((rows, n_db), dtype) for dtype in scratch_types]
         # Precision at the relevant ranks below R, zero elsewhere: the AP
         # sum runs over this R-long array, as over a dense one.
         ap_terms = np.zeros(r_cut)
         for lo in range(chunk.start, chunk.stop, rows):
             hi = min(lo + rows, chunk.stop)
             words, distances, flags, keys = (a[:hi - lo] for a in scratch)
-            codes = queries.words[lo:hi]
-            np.bitwise_count(np.bitwise_xor(db_code_words[0], codes[:, :1],
-                                            out=words), out=distances)
-            for w in range(1, codes.shape[1]):
-                distances += np.bitwise_count(np.bitwise_xor(
-                    db_code_words[w], codes[:, w:w + 1], out=words))
+            _distances(queries.words[lo:hi], db_code_words, words, distances)
             # An item is relevant when it shares a class with the query.
             labels = q_label_words[lo:hi]
             np.bitwise_and(db_label_words[0], labels[:, :1], out=words)
@@ -484,7 +484,7 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
         raise ValueError("no query has a relevant database item")
     evaluated = len(aps)
     ap_array = np.array(aps)
-    report = EvalReport(
+    return EvalReport(
         average_precisions=ap_array,
         mean_ap=float(ap_array.mean()),
         pr_points=np.column_stack([grid, pr_sum / evaluated]),
@@ -493,7 +493,6 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
         skipped_queries=skipped,
         params={"map_at": r_cut, "code_bits": queries.code_bits,
                 "mode": queries.mode, "denominator": denominator})
-    return report
 
 
 def lsh_codes(features: np.ndarray, code_bits: int, seed: int,

@@ -131,8 +131,12 @@ class TestConfusionMatrix:
             for given in (extended[:count], iter(extended[:count])):
                 with pytest.raises(ValueError, match="one ranking per query"):
                     confusion_matrix(given, query_labels, db_labels, 5)
-        with pytest.raises(ValueError, match="top_r"):
+        with pytest.raises(ValueError, match="top_r must be positive"):
             confusion_matrix(rankings, query_labels, db_labels, 0)
+        # 2.5 was a TypeError from the slice of the ranking.
+        for top_r in (2.5, True):
+            with pytest.raises(ValueError, match="top_r must be an integer"):
+                confusion_matrix(rankings, query_labels, db_labels, top_r)
 
 
 class TestBitBalance:

@@ -551,6 +551,32 @@ def test_bad_train_config_is_exit_two_before_training(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, map_at", [("sweep", "0"),
+                                             ("ablate", "-3")])
+def test_bad_map_at_is_exit_two_before_training(
+        pipeline_files, capsys, monkeypatch, command, map_at):
+    # The cutoff was checked only by the first evaluate, after a full
+    # training.
+    _, paths, tmp_path = pipeline_files
+    steps = []
+    real_backward = trainer.backward
+
+    def counting_backward(*args, **kwargs):
+        steps.append(1)
+        return real_backward(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "backward", counting_backward)
+    out = tmp_path / "out.csv"
+    argv = [command, "--features", paths["features.hcfs"],
+            "--labels", paths["labels.hcls"], "--split", paths["split.txt"],
+            "--codebook", paths["book.hccb"], "--hidden", "5",
+            "--epochs", "3", "--map-at", map_at, "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert f"map_at must be positive, got {map_at}" in capsys.readouterr().err
+    assert steps == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["encode", "analyze-activations"])
 def test_subset_without_split_is_exit_two(pipeline_files, capsys, command):
     _, paths, tmp_path = pipeline_files

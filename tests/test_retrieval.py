@@ -281,10 +281,36 @@ class TestSearch:
             assert np.array_equal(ranked.indices, order)
             assert np.array_equal(ranked.distances, distances[order])
 
+    @pytest.mark.parametrize("k", [193, 256])
+    @pytest.mark.parametrize("limit", [None, 1, 7])
+    def test_four_word_codes_match_brute_force(self, k, limit):
+        # Four words reach distances above 255, which a byte sum wraps: the
+        # all -1 item lies at distance k from the all +1 query.
+        q_pm1 = np.vstack([np.ones((1, k), np.int8), _random_pm1(3, k, seed=k)])
+        db_pm1 = np.vstack([_random_pm1(40, k, seed=k + 1),
+                            -np.ones((1, k), np.int8),
+                            np.ones((1, k), np.int8)])
+        rankings = search(pack_codes(q_pm1), pack_codes(db_pm1), limit=limit)
+        r = 42 if limit is None else limit
+        for query, ranked in zip(q_pm1, rankings):
+            order, distances = _brute_force_ranking(query, db_pm1)
+            assert ranked.indices.tolist() == order[:r]
+            assert ranked.distances.tolist() == distances[:r]
+        assert rankings[0].distances[:1].tolist() == [0]
+        if limit is None:
+            assert rankings[0].indices[-1] == 40
+            assert rankings[0].distances[-1] == k
+
     def test_rejects_bad_arguments(self):
         codes = pack_codes(_random_pm1(4, 8, seed=0))
-        with pytest.raises(ValueError, match="positive"):
-            search(codes, codes, limit=0)
+        for limit in (0, -3):
+            with pytest.raises(ValueError, match="limit must be positive"):
+                search(codes, codes, limit=limit)
+        # 2.5 was a TypeError from the partition, and True ranked a top 1.
+        for limit in (2.5, 2.0, "5", True):
+            with pytest.raises(ValueError, match="limit must be an integer"):
+                search(codes, codes, limit=limit)
+        assert len(search(codes, codes, limit=np.int64(2))[0].indices) == 2
         with pytest.raises(ValueError, match="mismatch"):
             search(codes, pack_codes(_random_pm1(4, 9, seed=0)))
         with pytest.raises(ValueError, match="binarization mode mismatch"):
@@ -361,6 +387,32 @@ class TestEvaluate:
         assert report.precision_at_csv_rows() == expected.precision_at_csv_rows()
         assert report.precision_at == expected.precision_at
 
+    @pytest.mark.parametrize("k", [193, 256])
+    @pytest.mark.parametrize("map_at", [None, 7])
+    def test_four_word_codes_match_textbook_definitions(self, k, map_at):
+        # Query 0 is all +1 and the last item, relevant to it, all -1: a
+        # byte sum of its distance k would wrap and rank it near the top.
+        rng = np.random.default_rng(k)
+        q_pm1 = np.vstack([np.ones((1, k), np.int8), _random_pm1(5, k, seed=k)])
+        db_pm1 = np.vstack([_random_pm1(60, k, seed=k + 1),
+                            -np.ones((1, k), np.int8)])
+        q_labels = np.eye(3, dtype=np.uint8)[rng.integers(0, 3, 6)]
+        db_labels = np.eye(3, dtype=np.uint8)[rng.integers(0, 3, 61)]
+        q_labels[0], db_labels[-1] = [1, 0, 0], [1, 0, 0]
+        ks = (1, 2, 5, 10, 20, 50, 100)
+        report = evaluate(pack_codes(q_pm1), pack_codes(db_pm1), q_labels,
+                          db_labels, limit=map_at, precision_ks=ks)
+        aps, pr, pk, skipped = _textbook_metrics(
+            q_pm1, db_pm1, q_labels, db_labels, map_at, "cutoff",
+            [k for k in ks if k <= 61])
+        assert skipped == report.skipped_queries == 0
+        np.testing.assert_allclose(report.average_precisions, aps,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.pr_points[:, 1], pr, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose([p for _, p in report.precision_at], pk,
+                                   rtol=0, atol=1e-12)
+
     def test_no_precision_cutoff_within_database(self, problem):
         q_pm1, db_pm1, q_labels, db_labels = problem
         report = evaluate(pack_codes(q_pm1), pack_codes(db_pm1[:20]),
@@ -405,6 +457,21 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="positive"):
             evaluate(pack_codes(q_pm1), pack_codes(db_pm1), q_labels,
                      db_labels, limit=limit)
+
+    @pytest.mark.parametrize("limit", [2.5, 2.0, "5", True])
+    def test_limit_must_be_an_integer(self, problem, limit):
+        # 2.5 and True were TypeErrors from the key arithmetic.
+        q_pm1, db_pm1, q_labels, db_labels = problem
+        with pytest.raises(ValueError, match="limit must be an integer"):
+            evaluate(pack_codes(q_pm1), pack_codes(db_pm1), q_labels,
+                     db_labels, limit=limit)
+
+    def test_limit_may_be_a_numpy_integer(self, problem):
+        # R was the numpy integer itself, which the JSON report rejected.
+        q_pm1, db_pm1, q_labels, db_labels = problem
+        args = (pack_codes(q_pm1), pack_codes(db_pm1), q_labels, db_labels)
+        assert evaluate(*args, limit=np.int64(7)).to_json() == \
+            evaluate(*args, limit=7).to_json()
 
     def test_labels_need_a_class(self, problem):
         q_pm1, db_pm1, q_labels, db_labels = problem
@@ -811,7 +878,7 @@ class TestThreadedQueries:
         threaded(workers=1)
         serial_report = evaluate(*args)
         threaded(workers=8, block=2)
-        retrieval._positions.cache_clear()
+        retrieval._key_layout.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -913,10 +980,12 @@ class TestThreadedQueries:
         assert peak(256) - peak(16) <= held + 64 * 1024
 
     def test_full_ranking_positions_are_shared_and_read_only(self):
-        positions = retrieval._positions(300, np.dtype(np.uint16), 0)
-        assert retrieval._positions(300, np.dtype(np.uint16), 0) is positions
+        dtype, shift, positions = retrieval._key_layout(300, 64, 0)
+        assert retrieval._key_layout(300, 64, 0)[2] is positions
+        assert (dtype, shift, positions.dtype) == (np.uint16, 9, np.uint16)
         assert not positions.flags.writeable
         assert positions.tolist() == list(range(300))
-        flagged = retrieval._positions(300, np.dtype(np.uint16), 1)
+        dtype, shift, flagged = retrieval._key_layout(300, 64, 1)
+        assert (dtype, shift, flagged.dtype) == (np.uint32, 10, np.uint32)
         assert not flagged.flags.writeable
         assert flagged.tolist() == list(range(0, 600, 2))
