@@ -19,6 +19,18 @@ _TEXT_EXTENSIONS = (".csv", ".txt")
 # Candidates whose class lists `split_protocol` makes at a time.
 _SPLIT_CHUNK = 2048
 
+# Matrix entries the feature and label checks test at a time. The checks
+# hold at most two bools per entry of one block and a sum per row of it,
+# about 130 KB, whatever the row count.
+_CHECK_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(values: np.ndarray):
+    """The row blocks of `values`, about `_CHECK_BLOCK_ENTRIES` entries
+    each; none for a matrix without rows."""
+    rows = max(1, _CHECK_BLOCK_ENTRIES // max(1, values.shape[1]))
+    return (values[lo:lo + rows] for lo in range(0, values.shape[0], rows))
+
 
 @dataclass(frozen=True)
 class FeatureSet:
@@ -31,7 +43,8 @@ class FeatureSet:
             raise ValueError(f"features must be 2-D, got shape {self.values.shape}")
         if self.values.shape[1] < 1:
             raise ValueError("features need at least one column")
-        if not np.all(np.isfinite(self.values)):
+        if not all(np.isfinite(block).all()
+                   for block in _row_blocks(self.values)):
             raise ValueError("features contain non-finite values")
 
     @property
@@ -52,9 +65,15 @@ class LabelSet:
     def __post_init__(self):
         if self.values.ndim != 2:
             raise ValueError(f"labels must be 2-D, got shape {self.values.shape}")
-        if not np.all((self.values == 0) | (self.values == 1)):
-            raise ValueError("label entries must be 0 or 1")
-        if np.any(self.values.sum(axis=1) == 0):
+        # Every entry is checked before any row: a matrix with both faults
+        # is named by its entries.
+        for block in _row_blocks(self.values):
+            binary = block == 0
+            binary |= block == 1
+            if not binary.all():
+                raise ValueError("label entries must be 0 or 1")
+        if any((block.sum(axis=1) == 0).any()
+               for block in _row_blocks(self.values)):
             raise ValueError("every item needs at least one positive label")
 
     @property

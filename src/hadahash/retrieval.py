@@ -25,12 +25,15 @@ _TAG_TO_MODE = {tag: name for name, tag in _MODE_TO_TAG.items()}
 
 DEFAULT_PRECISION_KS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
-# `evaluate` ranks a block of B = max(1, EVAL_BLOCK_KEYS // N) queries at a
-# time: ~15 numpy calls over B x N elements, most of which release the GIL,
-# in place of as many calls over N per query, each contending for it. A
-# worker's block scratch holds per key 8 B of words, 1 B of distance (2 B
-# above three words), a 1 B flag and a 2 to 8 B key: 12 to 19 B, 14 B for
-# codes of up to 192 bits over at most 2**23 items, 1.8 MB at this size.
+# `evaluate` ranks and scores a block of B = max(1, EVAL_BLOCK_KEYS // N)
+# queries at a time: about 40 numpy calls over the block's B x N keys or its
+# relevant items, most of which release the GIL, in place of as many calls
+# over N per query, each contending for it. A worker's block scratch holds
+# per key 8 B of words (then the block's precisions), 1 B of distance (2 B
+# above three words), a 1 B flag, a 2 to 8 B key and 8 B of AP scratch:
+# 20 to 27 B, 22 B for codes of up to 192 bits over at most 2**23 items,
+# 2.9 MB at this size. The AP scratch alone is B x N x 8 B, at most
+# 8 * EVAL_BLOCK_KEYS B = 1 MiB while N <= EVAL_BLOCK_KEYS.
 EVAL_BLOCK_KEYS = 1 << 17
 
 
@@ -68,8 +71,11 @@ def pack_codes(values: np.ndarray, mode: str = "sign") -> BinaryCodeSet:
     if values.ndim != 2:
         raise ValueError(f"expected an (N, K) matrix, got shape {values.shape}")
     n, k = values.shape
+    # A boolean matrix is its own bits: `values > 0` would copy it, at
+    # about 0.5 ns per entry.
+    bits = values if values.dtype == bool else values > 0
     packed = np.zeros((n, (k + 63) // 64 * 8), dtype=np.uint8)
-    packed[:, :(k + 7) // 8] = np.packbits(values > 0, axis=1, bitorder="little")
+    packed[:, :(k + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
     return BinaryCodeSet(words=packed.view("<u8"), code_bits=k, mode=mode)
 
 
@@ -358,28 +364,46 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
     averaged over queries. Every precision cutoff k must be an integer
     >= 1; those above the database size are left out.
 
-    Both label matrices are packed into 64-bit bitsets once per call. The
-    queries are ranked a block at a time: `_distances` measures the block
-    and `_pack_keys` packs (distance << shift) | (index << 1) | relevant,
-    the flag set where the item shares a class with the query. Sorted row
-    by row, the keys order as `search`'s do, and a query's relevant ranks
-    are the positions of its set flag bits. The scores need only the
-    precisions at the n_rel relevant ranks: the highest precision at recall
-    >= r always falls on a relevant rank, and AP is summed over the same
-    R-long array as a dense pass would, so every score is the one a pass
-    over all N ranks gives, to the last bit.
+    Both label matrices are packed into 64-bit bitsets once per call, and
+    a query that shares no class with the union of the database's classes
+    is skipped before any ranking. The other queries are ranked a block at
+    a time: `_distances` measures the block and `_pack_keys` packs
+    (distance << shift) | (index << 1) | relevant, the flag set where the
+    item shares a class with the query. Sorted row by row, the keys order
+    as `search`'s do, and the set flag bits give f = row * N + rank of
+    every relevant item of the block, row after row. The scores need only
+    the precisions at the relevant ranks, hits / rank, and the whole block
+    is scored from f in one pass:
+    - AP: the precisions are scattered into a zero B x N scratch at f, the
+      first R entries of each row are summed and the scratch is zeroed at
+      f again. Each row sum adds the same R-long array in the same pairwise
+      order as a dense pass over the ranking would.
+    - PR-101: `np.maximum.reduceat` takes the best precision from each
+      query's first hit at each recall level of the grid to its next one,
+      and a reverse `np.maximum.accumulate` of the (B, 101) maxima gives
+      the best precision at recall >= r, which always falls on a hit. The
+      grid's hit positions are kept per relevant count.
+    - P@k: one `searchsorted` of row * N + k in f counts each row's hits
+      in its top k.
+    So every score is the one a pass over all N ranks gives, to the last
+    bit.
 
-    `_map_runs` cuts the queries into one contiguous chunk per available
-    CPU, at every database size, the first in the calling thread; numpy
-    releases the GIL in the block's XOR, popcount, shifts and sort. Memory
-    holds no Q x N array: a worker reuses one block scratch of B x N keys,
-    12 to 19 B per key (see `EVAL_BLOCK_KEYS`), and one R-long AP scratch
-    of 8 B per item. The caller sums the scores of its own chunk as they
-    come; each other chunk holds the AP, PR-101 and P@k row of each of its
-    queries, about 1.2 KB, until the caller sums them in query order after
-    its own. One thread sums in the same order, so every report is the
-    same to the last bit on any number of threads. A worker's exception
-    reaches the caller, and no thread outlives the call.
+    `_map_runs` cuts the scored queries into one contiguous chunk per
+    available CPU, at every database size, the first in the calling thread.
+    numpy releases the GIL in the block's XOR, popcount, shifts, sort and
+    in the passes over its relevant items but two `repeat`s; what holds it
+    is a fixed number of calls per block and one dict lookup per query.
+    Memory holds no Q x N array: a worker reuses one block scratch of
+    B x N keys, 20 to 27 B per key with the AP scratch (see
+    `EVAL_BLOCK_KEYS`), and the block's relevant ranks and precisions; the
+    call keeps the grid's hit positions for each distinct relevant count,
+    0.8 KB each. The first chunk's PR-101 and P@k rows, 8 B per grid point
+    and cutoff, are summed a block at a time as they come; each other chunk
+    holds its rows until the caller sums them, after the first chunk's, in
+    query order. `np.add.reduce` over [sum so far; rows] adds row after
+    row, so every report is the one a single thread gives, to the last
+    bit. A worker's exception reaches the caller, and no thread outlives
+    the call.
     """
     query_labels = np.asarray(query_labels)
     db_labels = np.asarray(db_labels)
@@ -405,92 +429,111 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
     q_label_words = pack_codes(query_labels != 0).words
     # Word-major, so each word's AND reads contiguous memory.
     db_label_words = np.ascontiguousarray(pack_codes(db_labels != 0).words.T)
+    # A query shares a class with some item only if it shares one with the
+    # union of their classes; the others are skipped before any ranking.
+    scored = np.flatnonzero(np.any(
+        q_label_words & np.bitwise_or.reduce(db_label_words, axis=1), axis=1))
+    if not scored.size:
+        raise ValueError("no query has a relevant database item")
     db_code_words = database.words.T
     max_distance = 64 * db_code_words.shape[0]
     scratch_types = (np.uint64, np.min_scalar_type(max_distance), bool,
                      _key_layout(n_db, max_distance, 1)[0])
     block_rows = max(1, EVAL_BLOCK_KEYS // n_db)
+    width = grid.size + ks.size
 
-    def score(p: np.ndarray, ap_terms: np.ndarray):
-        """(AP, PR-101 row, P@k row) from the relevant ranks p, or None
-        with no relevant item."""
-        n_rel = p.size
-        if n_rel == 0:
-            return None
-        hits = np.arange(1, n_rel + 1)
-        prec = hits / (p + 1)
-        denom = min(r_cut, n_rel) if denominator == "cutoff" else n_rel
-        within = p[:np.searchsorted(p, r_cut)]
-        ap_terms[within] = prec[:within.size]
-        ap = float(ap_terms.sum() / denom)
-        ap_terms[within] = 0.0
-        best_from = np.maximum.accumulate(prec[::-1])[::-1]
-        return (ap,
-                best_from[np.searchsorted(hits / n_rel, grid, side="left")],
-                np.searchsorted(p, ks, side="left") / ks)
+    @functools.cache
+    def grid_hits(n_rel: int) -> np.ndarray:
+        """The index of the first hit at recall >= r, for each r on the
+        grid, among n_rel hits."""
+        return np.searchsorted(np.arange(1, n_rel + 1) / n_rel, grid,
+                               side="left")
 
-    aps = []
-    pr_sum = np.zeros(101)
-    prec_at_sum = np.zeros(ks.size)
-    skipped = 0
-
-    def add(scores) -> None:
-        nonlocal skipped
-        if scores is None:
-            skipped += 1
-            return
-        ap, pr_row, prec_at_row = scores
-        aps.append(ap)
-        np.add(pr_sum, pr_row, out=pr_sum)
-        np.add(prec_at_sum, prec_at_row, out=prec_at_sum)
-
-    def run(chunk: range) -> list:
-        """Score the chunk's queries in order, a block at a time. The first
-        chunk comes first in query order, so its scores are summed as they
-        come; a later chunk holds its own until then."""
-        held = []
-        emit = add if chunk.start == 0 else held.append
+    def run(chunk: range):
+        """(AP, table) of the chunk's scored queries in order, ranked and
+        scored a block at a time. Rows 1 on of the table hold PR-101 and
+        P@k rows and row 0 their sum: the first chunk comes first in query
+        order, so row 0 sums each block's rows as they come, while a later
+        chunk holds its rows until the caller sums them."""
         rows = min(block_rows, len(chunk))
         scratch = [np.empty((rows, n_db), dtype) for dtype in scratch_types]
-        # Precision at the relevant ranks below R, zero elsewhere: the AP
-        # sum runs over this R-long array, as over a dense one.
-        ap_terms = np.zeros(r_cut)
-        for lo in range(chunk.start, chunk.stop, rows):
-            hi = min(lo + rows, chunk.stop)
-            words, distances, flags, keys = (a[:hi - lo] for a in scratch)
-            _distances(queries.words[lo:hi], db_code_words, words, distances)
+        # Precision at each relevant rank, zero elsewhere: a row's AP sum
+        # runs over its first R entries, as over a dense R-long array.
+        ap_terms = np.zeros((rows, n_db))
+        flat_terms = ap_terms.reshape(-1)
+        # Where each row of a block starts among the block's flat ranks,
+        # the flat rank before it and the flat ranks of the P@k cutoffs.
+        row_starts = np.arange(0, (rows + 1) * n_db, n_db)
+        before_rows = row_starts[:-1] - 1
+        cutoffs = row_starts[:-1, None] + ks
+        aps = np.empty(len(chunk))
+        first = chunk.start == 0
+        table = np.zeros((1 + (rows if first else len(chunk)), width))
+        chunk_queries = scored[chunk.start:chunk.stop]
+        for lo in range(0, chunk_queries.size, rows):
+            block = chunk_queries[lo:lo + rows]
+            b = block.size
+            words, distances, flags, keys = (a[:b] for a in scratch)
+            _distances(queries.words[block], db_code_words, words, distances)
             # An item is relevant when it shares a class with the query.
-            labels = q_label_words[lo:hi]
+            labels = q_label_words[block]
             np.bitwise_and(db_label_words[0], labels[:, :1], out=words)
             for w in range(1, labels.shape[1]):
                 words |= db_label_words[w] & labels[:, w:w + 1]
             np.not_equal(words, 0, out=flags)
             _pack_keys(distances, max_distance, flags, out=keys)
             keys.sort(axis=1)
-            ranks = np.flatnonzero(np.bitwise_and(keys, 1, out=flags,
-                                                  casting="unsafe"))
-            bounds = np.searchsorted(ranks, range(0, (hi - lo + 1) * n_db,
-                                                  n_db))
-            for i in range(hi - lo):
-                emit(score(ranks[bounds[i]:bounds[i + 1]] - i * n_db,
-                           ap_terms))
-        return held
+            # f = row * N + rank of every relevant item, row by row; every
+            # row has one at least.
+            f = np.flatnonzero(np.bitwise_and(keys, 1, out=flags,
+                                              casting="unsafe"))
+            bounds = f.searchsorted(row_starts[:b + 1])
+            starts = bounds[:-1]
+            counts = bounds[1:] - starts
+            # Hits so far over the 1-based rank, at each relevant item, in
+            # the spent words; the integers are exact in float64, so the
+            # quotients are too.
+            prec = words.reshape(-1)[:f.size].view(np.float64)
+            prec[...] = np.arange(1.0, f.size + 1)
+            prec -= starts.repeat(counts)
+            rank = before_rows[:b].repeat(counts)
+            prec /= np.subtract(f, rank, out=rank)
+            flat_terms[f] = prec
+            np.divide(np.add.reduce(ap_terms[:b, :r_cut], axis=1),
+                      np.minimum(counts, r_cut) if denominator == "cutoff"
+                      else counts,
+                      out=aps[lo:lo + b])
+            flat_terms[f] = 0.0
+            out = table[1 + (0 if first else lo):][:b]
+            # The best precision at recall >= r: the maximum over the hits
+            # from the first at recall r to the row's last.
+            at = np.array([grid_hits(c) for c in counts.tolist()])
+            at += starts[:, None]
+            best = np.maximum.reduceat(prec, at.ravel()).reshape(at.shape)
+            np.maximum.accumulate(best[:, ::-1], axis=1,
+                                  out=out[:, grid.size - 1::-1])
+            np.divide(f.searchsorted(cutoffs[:b]) - starts[:, None], ks,
+                      out=out[:, grid.size:])
+            if first:
+                table[0] = np.add.reduce(table[:1 + b], axis=0)
+            del f, rank  # before the next block makes its own
+        return aps, table[:1 if first else None]
 
-    for held in _map_runs(run, range(queries.num_items), _worker_count()):
-        for scores in held:
-            add(scores)
-
-    if not aps:
-        raise ValueError("no query has a relevant database item")
-    evaluated = len(aps)
-    ap_array = np.array(aps)
+    total = np.zeros(width)
+    ap_parts = []
+    for aps, table in _map_runs(run, range(scored.size), _worker_count()):
+        # The first chunk's row 0 holds its sum, and 0 + x = x.
+        table[0] += total
+        total = np.add.reduce(table, axis=0)
+        ap_parts.append(aps)
+    ap_array = np.concatenate(ap_parts)
     return EvalReport(
         average_precisions=ap_array,
         mean_ap=float(ap_array.mean()),
-        pr_points=np.column_stack([grid, pr_sum / evaluated]),
-        precision_at=[(k, float(v / evaluated))
-                      for k, v in zip(ks.tolist(), prec_at_sum)],
-        skipped_queries=skipped,
+        pr_points=np.column_stack([grid, total[:grid.size] / scored.size]),
+        precision_at=[(k, float(v / scored.size))
+                      for k, v in zip(ks.tolist(), total[grid.size:])],
+        skipped_queries=queries.num_items - scored.size,
         params={"map_at": r_cut, "code_bits": queries.code_bits,
                 "mode": queries.mode, "denominator": denominator})
 

@@ -5,7 +5,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ HISTORY_COLUMNS = ("epoch", "lr", "hadamard_loss", "classification_loss",
 
 
 class NumericError(ArithmeticError):
-    """A loss or gradient stopped being finite."""
+    """A training loss or parameter stopped being finite."""
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,26 @@ def learning_rate(config: TrainConfig, epoch: int) -> float:
     return config.base_lr * 0.5 ** (epoch // config.lr_halving_period_epochs)
 
 
+def _non_finite_parameter(net: HashNetwork) -> Optional[str]:
+    """The first of `net.param_arrays()` that holds a non-finite value, as
+    "layer i weights", "layer i bias", "classifier weights" or "classifier
+    bias", or None when every parameter is finite."""
+    names = [f"layer {i}" for i in range(len(net.layers))] + ["classifier"]
+    for layer, name in zip(net.all_layers(), names):
+        for part in ("weights", "bias"):
+            if not np.isfinite(getattr(layer, part)).all():
+                return f"{name} {part}"
+    return None
+
+
 def _run_epochs(net: HashNetwork, velocity: List[np.ndarray],
                 config: TrainConfig, first_epoch: int,
                 train_x: np.ndarray, train_targets, train_labels,
                 checkpoint_path=None) -> TrainHistory:
+    """Train the epochs from `first_epoch` on. A non-finite batch loss, or
+    a parameter left non-finite by an epoch, is a NumericError naming the
+    epoch, the batch and the first non-finite parameter; it is raised
+    before the epoch's checkpoint is written."""
     target_values, target_mask = train_targets
     n_train = train_x.shape[0]
     params = net.param_arrays()
@@ -128,15 +144,17 @@ def _run_epochs(net: HashNetwork, velocity: List[np.ndarray],
         hadamard_sum = 0.0
         cls_sum = 0.0
         effective_lambda = config.lambda_
-        for lo in range(0, n_train, config.batch_size):
+        for index, lo in enumerate(range(0, n_train, config.batch_size)):
             batch = order[lo:lo + config.batch_size]
             breakdown, grads = backward(
                 net, train_x[batch], target_values[batch], target_mask[batch],
                 train_labels[batch], config.lambda_, mode=config.loss_mode,
                 variant=config.variant)
             if not np.isfinite(breakdown.total):
+                bad = _non_finite_parameter(net) or "no parameter"
                 raise NumericError(
-                    f"non-finite loss at epoch {epoch}: {breakdown}")
+                    f"non-finite loss at epoch {epoch}, batch {index}: "
+                    f"{breakdown}; {bad} holds a non-finite value")
             hadamard_sum += breakdown.hadamard * batch.size
             cls_sum += breakdown.classification * batch.size
             effective_lambda = breakdown.lambda_
@@ -144,6 +162,10 @@ def _run_epochs(net: HashNetwork, velocity: List[np.ndarray],
                 decay = config.weight_decay if param.ndim == 2 else 0.0
                 sgd_step(param, grad, v, lr, momentum=config.momentum,
                          weight_decay=decay)
+        bad = _non_finite_parameter(net)
+        if bad:
+            raise NumericError(f"{bad} holds a non-finite value after epoch "
+                               f"{epoch}, batch {index}")
         mean = LossBreakdown.compose(hadamard_sum / n_train, cls_sum / n_train,
                                      effective_lambda)
         history.records.append(EpochRecord(

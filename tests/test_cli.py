@@ -262,6 +262,34 @@ class TestSplitChecks:
         assert cli.main(argv) == 2
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("batch_size, message", [
+    # Several batches: the second batch's loss is NaN.
+    ("4", "error: non-finite loss at epoch 0, batch 1: "),
+    # One batch: its loss is finite, the epoch's update is not.
+    ("1000", "error: layer 0 weights holds a non-finite value after epoch 0, "
+             "batch 0")])
+def test_numeric_blowup_is_exit_four(pipeline_files, capsys, batch_size,
+                                     message):
+    _, paths, tmp_path = pipeline_files
+    out = tmp_path / "blown.hcmd"
+    code = cli.main(["train", "--features", paths["features.hcfs"],
+                     "--labels", paths["labels.hcls"],
+                     "--split", paths["split.txt"],
+                     "--codebook", paths["book.hccb"], "--hidden", "5",
+                     "--batch-size", batch_size, "--lr", "1e200",
+                     "--weight-decay", "1e200", "--epochs", "2",
+                     "--checkpoint-every", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert message in err
+    assert "layer 0 weights holds a non-finite value" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not Path(trainer.train_state_path(out)).exists()
+
+
 def test_empty_database_is_exit_two(pipeline_files, capsys):
     split, paths, tmp_path = pipeline_files
     save_split(Split(query=split.query, train=split.train,

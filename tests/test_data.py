@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -158,6 +159,73 @@ class TestLabelFiles:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError, match="0 or 1"):
             LabelSet(values=np.array([[2, 0]], dtype=np.uint8))
+
+
+class TestChecksInRowBlocks:
+    """`FeatureSet` and `LabelSet` check their values one row block of about
+    `_CHECK_BLOCK_ENTRIES` entries at a time."""
+
+    @staticmethod
+    def _peak_above_input(make, values):
+        tracemalloc.start()
+        try:
+            make(values=values)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("make, width, dtype", [
+        (FeatureSet, 40, np.float32), (LabelSet, 32, np.uint8),
+        (LabelSet, 7, np.uint8)])
+    def test_peak_does_not_grow_with_rows(self, make, width, dtype):
+        # Inputs of 40,000 and 160,000 rows: the check holds the
+        # temporaries of one block, never N x width of them.
+        rng = np.random.default_rng(width)
+        peaks = []
+        for n in (40_000, 160_000):
+            if make is FeatureSet:
+                values = rng.standard_normal((n, width)).astype(dtype)
+            else:
+                values = np.eye(width, dtype=dtype)[rng.integers(0, width, n)]
+            self._peak_above_input(make, values)
+            peaks.append(self._peak_above_input(make, values))
+        assert peaks[1] <= peaks[0] + 4096
+        assert peaks[1] <= 4 * data._CHECK_BLOCK_ENTRIES + 16 * 1024
+
+    @pytest.mark.parametrize("entries", [1, 7, 64, 1 << 16])
+    def test_a_fault_in_any_block_is_found(self, monkeypatch, entries):
+        monkeypatch.setattr(data, "_CHECK_BLOCK_ENTRIES", entries)
+        features = np.ones((50, 3), dtype=np.float32)
+        labels = np.eye(3, dtype=np.uint8)[np.arange(50) % 3]
+        FeatureSet(values=features)
+        LabelSet(values=labels)
+        for row in (0, 23, 49):
+            for bad in (np.nan, np.inf, -np.inf):
+                values = features.copy()
+                values[row, 2] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    FeatureSet(values=values)
+            values = labels.copy()
+            values[row, 1] = 2
+            with pytest.raises(ValueError, match="0 or 1"):
+                LabelSet(values=values)
+            values = labels.copy()
+            values[row] = 0
+            with pytest.raises(ValueError, match="positive label"):
+                LabelSet(values=values)
+        # An empty row before a bad entry: the entries are named first.
+        values = labels.copy()
+        values[0] = 0
+        values[49, 0] = 3
+        with pytest.raises(ValueError, match="0 or 1"):
+            LabelSet(values=values)
+
+    def test_matrices_without_rows_or_classes(self):
+        FeatureSet(values=np.zeros((0, 4), dtype=np.float32))
+        LabelSet(values=np.zeros((0, 4), dtype=np.uint8))
+        LabelSet(values=np.zeros((0, 0), dtype=np.uint8))
+        with pytest.raises(ValueError, match="positive label"):
+            LabelSet(values=np.zeros((3, 0), dtype=np.uint8))
 
 
 class TestSyntheticBlobs:

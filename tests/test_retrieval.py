@@ -92,7 +92,7 @@ def _evaluate_over_all_ranks(queries, database, query_labels, db_labels,
         best_from = np.maximum.accumulate(prec[::-1])[::-1]
         positions = np.searchsorted(recall, grid, side="left")
         pr_sum += best_from[np.minimum(positions, n_db - 1)]
-        prec_at_sum += prec[np.array(ks) - 1]
+        prec_at_sum += prec[np.array(ks, dtype=np.int64) - 1]
 
     evaluated = len(aps)
     ap_array = np.array(aps)
@@ -360,8 +360,9 @@ class TestEvaluate:
     @pytest.mark.parametrize("multilabel", [False, True])
     @pytest.mark.parametrize("limit", [None, 1, 7, 300, 305])
     @pytest.mark.parametrize("denominator", ["cutoff", "relevant"])
-    def test_bytes_match_scoring_over_all_ranks(self, classes, multilabel,
-                                                limit, denominator):
+    def test_bytes_match_scoring_over_all_ranks(self, monkeypatch, classes,
+                                                multilabel, limit,
+                                                denominator):
         # Eight bits over 300 items tie dozens of items at every distance,
         # and the AP sums run over hundreds of terms.
         rng = np.random.default_rng(classes)
@@ -377,15 +378,54 @@ class TestEvaluate:
         q_labels[0, classes - 1] = 1  # a query with no relevant item
         args = (pack_codes(q_pm1), pack_codes(db_pm1), q_labels, db_labels,
                 limit, denominator, DEFAULT_PRECISION_KS)
+        expected = _evaluate_over_all_ranks(*args)
+        # A block holds one, five or all twelve queries.
+        for block in (1, 5, 12):
+            monkeypatch.setattr(retrieval, "EVAL_BLOCK_KEYS", block * 300)
+            report = evaluate(*args)
+            assert report.skipped_queries == expected.skipped_queries == 1
+            assert (report.average_precisions.tobytes()
+                    == expected.average_precisions.tobytes())
+            assert report.to_json() == expected.to_json()
+            assert report.pr_csv_rows() == expected.pr_csv_rows()
+            assert report.precision_at_csv_rows() == \
+                expected.precision_at_csv_rows()
+            assert report.precision_at == expected.precision_at
+
+    @pytest.mark.parametrize("block", [1, 5, 15])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("limit", [None, 1, 50, 300])
+    @pytest.mark.parametrize("denominator", ["cutoff", "relevant"])
+    @pytest.mark.parametrize("precision_ks", [(), DEFAULT_PRECISION_KS])
+    def test_bytes_at_block_boundaries(self, monkeypatch, block, workers,
+                                       limit, denominator, precision_ks):
+        # Database classes 0-5 hold 1, 2, 3, 7, 10 and 100 of the 300
+        # items, class 6 the other 177 and class 7 none. In blocks of five,
+        # the first block has a query without relevant items at its start,
+        # middle and end, every query of the second has none, and the
+        # third holds relevant counts 3, 7, 10, 100 and 101; the cut at 50
+        # leaves relevant items of the last two past it.
+        monkeypatch.setattr(retrieval, "EVAL_BLOCK_KEYS", block * 300)
+        monkeypatch.setattr(retrieval, "_worker_count", lambda: workers)
+        db_class = np.repeat(np.arange(7), [1, 2, 3, 7, 10, 100, 177])
+        db_labels = np.eye(8, dtype=np.uint8)[
+            np.random.default_rng(3).permutation(db_class)]
+        q_labels = np.eye(8, dtype=np.uint8)[
+            [7, 0, 7, 1, 7, 7, 7, 7, 7, 7, 2, 3, 4, 5, 5]]
+        q_labels[14, 0] = 1
+        args = (pack_codes(_random_pm1(15, 8, seed=11)),
+                pack_codes(_random_pm1(300, 8, seed=12)), q_labels,
+                db_labels, limit, denominator, precision_ks)
         report = evaluate(*args)
         expected = _evaluate_over_all_ranks(*args)
-        assert report.skipped_queries == expected.skipped_queries == 1
+        assert report.skipped_queries == expected.skipped_queries == 8
         assert (report.average_precisions.tobytes()
                 == expected.average_precisions.tobytes())
         assert report.to_json() == expected.to_json()
-        assert report.pr_csv_rows() == expected.pr_csv_rows()
-        assert report.precision_at_csv_rows() == expected.precision_at_csv_rows()
+        assert report.pr_points.tobytes() == expected.pr_points.tobytes()
         assert report.precision_at == expected.precision_at
+        assert report.precision_at_csv_rows() == \
+            expected.precision_at_csv_rows()
 
     @pytest.mark.parametrize("k", [193, 256])
     @pytest.mark.parametrize("map_at", [None, 7])
@@ -796,11 +836,15 @@ class TestThreadedQueries:
     def test_evaluate_matches_serial(self, threaded, num_queries, limit,
                                      denominator, k, multilabel):
         # Every worker count and block size gives the one-worker report to
-        # the last bit: blocks of one query, of three (13 queries and the
-        # chunks of 13 cut into threes leave a short last block) and of the
-        # constant's size, which holds every query here.
+        # the last bit: blocks of one query, of three (the chunks of the
+        # scored queries cut into threes leave short last blocks) and of the
+        # constant's size, which holds every query here. Only the queries
+        # with a relevant item are ranked, cut into chunks in query order.
         args = (*self._problem(num_queries, k, multilabel), limit, denominator)
-        distances = self._distances(args[0], args[1])
+        q_labels, db_labels = args[2], args[3]
+        scored = np.flatnonzero(
+            (q_labels.astype(int) @ db_labels.T).any(axis=1))
+        distances = self._distances(args[0], args[1])[scored]
         threaded(workers=1)
         serial = evaluate(*args)
         for workers in (1, 2, 3, 8):
@@ -813,12 +857,12 @@ class TestThreadedQueries:
                 # The caller ranks the first chunk, a block at a time; each
                 # other chunk ranks on a pool thread, and one chunk starts
                 # no pool.
-                runs = min(workers, num_queries)
-                first = num_queries // runs
+                runs = min(workers, scored.size)
+                first = scored.size // runs
                 main = threading.main_thread().ident
                 mine = [rows for ident, rows in calls if ident == main]
                 assert np.array_equal(np.vstack(mine), distances[:first])
-                rows = block or num_queries
+                rows = block or scored.size
                 assert [r.shape[0] for r in mine[:-1]] == \
                     [rows] * (len(mine) - 1)
                 theirs = [rows for ident, rows in calls if ident != main]
@@ -832,12 +876,20 @@ class TestThreadedQueries:
                         got[order], expected[np.lexsort(expected.T[::-1])])
 
     def test_a_chunk_without_relevant_items_is_skipped(self, threaded):
-        # Three workers over five queries: the chunk of queries 1 and 2.
+        # Three workers over five queries: queries 1 and 2 share no class
+        # with any item, so they are counted and never ranked; queries 0, 3
+        # and 4 make the three chunks.
         args = self._problem(5, 8, False)
-        threaded()
+        distances = self._distances(args[0], args[1])
+        calls = threaded()
         report = evaluate(*args)
         assert report.skipped_queries == 2
         assert report.average_precisions.size == 3
+        ranked = np.vstack([rows for _, rows in calls])
+        assert np.array_equal(ranked[np.lexsort(ranked.T[::-1])],
+                              distances[[0, 3, 4]][
+                                  np.lexsort(distances[[0, 3, 4]].T[::-1])])
+        assert [rows.shape[0] for _, rows in calls] == [1, 1, 1]
 
     def test_no_queries_evaluate_as_before(self, threaded):
         args = self._problem(0, 8, False)
@@ -953,9 +1005,12 @@ class TestThreadedQueries:
     def test_peak_does_not_grow_with_queries(self, monkeypatch, workers):
         # Over 5,000 items in blocks of eight queries, a worker holds its
         # block scratch and AP scratch whatever the query count. The caller
-        # sums its own chunk's scores as they come; a pool chunk holds its
-        # queries' AP, PR-101 and P@k rows, about 1.2 KB each, never a
-        # ranking of 8 B or more per item per query.
+        # sums its own chunk's scores as they come; a later chunk holds its
+        # queries' AP, PR-101 and P@k rows, about 0.9 KB each, never a
+        # ranking of 8 B or more per item per query. The chunks run one
+        # after another in the calling thread: whether two workers'
+        # scratches overlap in time depends on thread start-up, and a
+        # short run without overlap would read a whole scratch lower.
         n = 5000
         q_pm1, db_pm1 = _random_pm1(256, 32, seed=3), _random_pm1(n, 32, seed=4)
         rng = np.random.default_rng(5)
@@ -964,6 +1019,13 @@ class TestThreadedQueries:
         queries, database = pack_codes(q_pm1), pack_codes(db_pm1)
         monkeypatch.setattr(retrieval, "_worker_count", lambda: workers)
         monkeypatch.setattr(retrieval, "EVAL_BLOCK_KEYS", 8 * n)
+
+        def one_after_another(task, items, workers):
+            runs = min(workers, len(items))
+            cuts = [len(items) * w // runs for w in range(runs + 1)]
+            return [task(items[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+        monkeypatch.setattr(retrieval, "_map_runs", one_after_another)
 
         def peak(num_queries):
             subset = BinaryCodeSet(words=queries.words[:num_queries],
@@ -975,7 +1037,7 @@ class TestThreadedQueries:
             finally:
                 tracemalloc.stop()
 
-        peak(16)  # the pool's imports, made once per process
+        peak(16)  # caches made once per process
         held = (256 - 16) * (workers - 1) // workers * 1536
         assert peak(256) - peak(16) <= held + 64 * 1024
 

@@ -147,6 +147,71 @@ class TestTrain:
             with pytest.raises(NumericError):
                 train(config, features, labels, split, book, hidden=(8,))
 
+    @pytest.mark.parametrize("layer, part, name", [
+        (0, "weights", "layer 0 weights"), (1, "bias", "layer 1 bias"),
+        (2, "weights", "classifier weights"), (2, "bias", "classifier bias")])
+    def test_non_finite_loss_names_the_parameter(self, small_setup, tmp_path,
+                                                 layer, part, name):
+        # A checkpoint with one NaN entry: the resumed run's first batch
+        # has a NaN loss, and the error names the parameter that holds it.
+        features, labels, split, book = small_setup
+        config = TrainConfig(epochs=3, base_lr=0.01, seed=1, batch_size=16)
+        path = tmp_path / "m.hcmd"
+        train(replace(config, epochs=1), features, labels, split, book,
+              hidden=(8,), out=path)
+        net = load_network(path)
+        getattr(net.all_layers()[layer], part).flat[3] = np.nan
+        save_checkpoint(net, [np.zeros_like(p) for p in net.param_arrays()],
+                        1, path, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericError) as info:
+                train(config, features, labels, split, book, hidden=(8,),
+                      out=path, resume=True)
+        message = str(info.value)
+        assert message.startswith("non-finite loss at epoch 1, batch 0: ")
+        assert message.endswith(f"; {name} holds a non-finite value")
+
+    def test_non_finite_loss_over_finite_parameters_says_so(self, small_setup,
+                                                            tmp_path):
+        # Every hash activation saturates at +1 and every classifier weight
+        # is 1e308: the logits overflow although each parameter is finite.
+        features, labels, split, book = small_setup
+        config = TrainConfig(epochs=2, base_lr=0.01, seed=1)
+        path = tmp_path / "m.hcmd"
+        net = build_network(NetworkSpec(8, (8,), 8, 4), seed=1)
+        net.layers[1].bias[:] = 1e308
+        net.classifier.weights[:] = 1e308
+        save_checkpoint(net, [np.zeros_like(p) for p in net.param_arrays()],
+                        0, path, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericError) as info:
+                train(config, features, labels, split, book, hidden=(8,),
+                      out=path, resume=True)
+        message = str(info.value)
+        assert message.startswith("non-finite loss at epoch 0, batch 0: ")
+        assert message.endswith("; no parameter holds a non-finite value")
+
+    @pytest.mark.parametrize("checkpoint_every", [0, 1])
+    def test_non_finite_last_update_is_not_saved(self, small_setup, tmp_path,
+                                                 checkpoint_every):
+        # One batch per epoch: its loss is finite and its update overflows.
+        # The epoch's check raises before any model or checkpoint is saved.
+        features, labels, split, book = small_setup
+        config = TrainConfig(epochs=1, batch_size=1000, base_lr=1e200,
+                             weight_decay=1e200, seed=1,
+                             checkpoint_every=checkpoint_every)
+        path = tmp_path / "m.hcmd"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericError, match=(
+                    r"^layer 0 weights holds a non-finite value after epoch "
+                    r"0, batch 0$")):
+                train(config, features, labels, split, book, hidden=(8,),
+                      out=path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_history_csv_columns(self, small_setup, tmp_path):
         features, labels, split, book = small_setup
         config = TrainConfig(epochs=3, base_lr=0.01, seed=1)
