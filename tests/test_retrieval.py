@@ -1007,10 +1007,11 @@ class TestThreadedQueries:
         # block scratch and AP scratch whatever the query count. The caller
         # sums its own chunk's scores as they come; a later chunk holds its
         # queries' AP, PR-101 and P@k rows, about 0.9 KB each, never a
-        # ranking of 8 B or more per item per query. The chunks run one
-        # after another in the calling thread: whether two workers'
-        # scratches overlap in time depends on thread start-up, and a
-        # short run without overlap would read a whole scratch lower.
+        # ranking of 8 B or more per item per query. So that both
+        # measurements see the same overlap whatever the thread timing, a
+        # worker's first block waits until every worker holds its scratch,
+        # and from then on one block at a time is ranked and scored: its
+        # relevant ranks, about 120 KB here, never meet another block's.
         n = 5000
         q_pm1, db_pm1 = _random_pm1(256, 32, seed=3), _random_pm1(n, 32, seed=4)
         rng = np.random.default_rng(5)
@@ -1019,17 +1020,35 @@ class TestThreadedQueries:
         queries, database = pack_codes(q_pm1), pack_codes(db_pm1)
         monkeypatch.setattr(retrieval, "_worker_count", lambda: workers)
         monkeypatch.setattr(retrieval, "EVAL_BLOCK_KEYS", 8 * n)
+        distances, map_runs = retrieval._distances, retrieval._map_runs
+        barrier, one_block, state = [None], threading.Lock(), threading.local()
 
-        def one_after_another(task, items, workers):
-            runs = min(workers, len(items))
-            cuts = [len(items) * w // runs for w in range(runs + 1)]
-            return [task(items[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        def distances_in_turn(*args):
+            if getattr(state, "holds", False):
+                one_block.release()
+            else:
+                barrier[0].wait()
+            one_block.acquire()
+            state.holds = True
+            return distances(*args)
 
-        monkeypatch.setattr(retrieval, "_map_runs", one_after_another)
+        def runs_in_turn(task, items, workers):
+            def run(chunk):
+                try:
+                    return task(chunk)
+                finally:
+                    if getattr(state, "holds", False):
+                        state.holds = False
+                        one_block.release()
+            return map_runs(run, items, workers)
+
+        monkeypatch.setattr(retrieval, "_distances", distances_in_turn)
+        monkeypatch.setattr(retrieval, "_map_runs", runs_in_turn)
 
         def peak(num_queries):
             subset = BinaryCodeSet(words=queries.words[:num_queries],
                                    code_bits=32)
+            barrier[0] = threading.Barrier(workers, timeout=30)
             tracemalloc.start()
             try:
                 evaluate(subset, database, q_labels[:num_queries], db_labels)
@@ -1037,7 +1056,7 @@ class TestThreadedQueries:
             finally:
                 tracemalloc.stop()
 
-        peak(16)  # caches made once per process
+        peak(16)  # the pool's imports, made once per process
         held = (256 - 16) * (workers - 1) // workers * 1536
         assert peak(256) - peak(16) <= held + 64 * 1024
 
