@@ -7,8 +7,9 @@ toward their class codewords, plus an optional classification loss weighted
 by lambda. All parameters are 64-bit during training.
 
 One layer loop, `_activations`, feeds both `forward`, which keeps only the
-hash layer that encoding reads, and `backward`, which keeps every layer's
-activation and alone computes the logits: the classifier only trains.
+hash layer that encoding reads, and `backward`, which alone computes the
+logits (the classifier only trains) and consumes each activation once its
+gradient is taken.
 """
 
 from dataclasses import dataclass
@@ -40,6 +41,10 @@ VARIANTS = ("full", "codebook_only", "classifier_only")
 # differ from the GEMM's, so every row of a set of two or more goes through
 # a GEMM.
 ENCODE_BLOCK_ROWS = 1024
+
+# Entries per flat block of `sgd_step`: its four passes over a block of
+# velocity, parameter and their temporaries stay in cache.
+SGD_BLOCK_ENTRIES = 32768
 
 
 @dataclass
@@ -209,8 +214,8 @@ def hadamard_loss(u: np.ndarray, target_values: np.ndarray,
     batch = u.shape[0]
     diff = np.where(target_mask, u - target_values, 0.0)
     value = float(np.sum(diff * diff) / (2.0 * batch))
-    grad = diff / batch
-    return value, grad
+    diff /= batch
+    return value, diff
 
 
 def cross_entropy_loss(logits: np.ndarray, class_index: np.ndarray):
@@ -227,10 +232,10 @@ def cross_entropy_loss(logits: np.ndarray, class_index: np.ndarray):
     log_norm = np.log(np.exp(shifted).sum(axis=1))
     rows = np.arange(batch)
     value = float(np.mean(log_norm - shifted[rows, class_index]))
-    softmax = np.exp(shifted - log_norm[:, None])
-    grad = softmax
+    grad = np.exp(shifted - log_norm[:, None])
     grad[rows, class_index] -= 1.0
-    return value, grad / batch
+    grad /= batch
+    return value, grad
 
 
 def bce_loss(logits: np.ndarray, y: np.ndarray):
@@ -277,10 +282,17 @@ def backward(net: HashNetwork, x: np.ndarray, target_values: np.ndarray,
 
     The classification gradient flows through the classifier into the hash
     activations, where the codeword-regression gradient is added; both then
-    backpropagate through the activations `_activations` keeps for
+    backpropagate through the activations `_activations` makes for
     `forward` too. `variant` selects the ablations: "codebook_only" drops
     the classification term from the objective and "classifier_only" drops
     the codeword term.
+
+    Every elementwise step writes into a buffer this call made and reads no
+    more: the logits take their bias in place, the loss gradients are
+    scaled and summed in place, and each layer's activation is overwritten
+    by its derivative once its gradient is taken. The values and their
+    order are those of the out-of-place formulas, bit for bit. `x`, the
+    targets, the labels and the network are never written.
     """
     if mode not in ("CE", "BCE"):
         raise ValueError(f"unknown loss mode {mode!r}")
@@ -292,7 +304,8 @@ def backward(net: HashNetwork, x: np.ndarray, target_values: np.ndarray,
     acts = [np.asarray(x, dtype=np.float64)]
     acts.extend(_activations(net, acts[0]))
     u = acts[-1]
-    logits = u @ net.classifier.weights + net.classifier.bias
+    logits = u @ net.classifier.weights
+    logits += net.classifier.bias
 
     hadamard_value, grad_u_hadamard = hadamard_loss(u, target_values, target_mask)
     if mode == "CE":
@@ -308,24 +321,27 @@ def backward(net: HashNetwork, x: np.ndarray, target_values: np.ndarray,
     else:
         effective_lambda = 1.0
 
-    grad_logits = grad_logits * effective_lambda
+    grad_logits *= effective_lambda
     grads = [u.T @ grad_logits, grad_logits.sum(axis=0)]
     grad_a = grad_logits @ net.classifier.weights.T
     if include_hadamard:
-        grad_a = grad_a + grad_u_hadamard
+        grad_a += grad_u_hadamard
 
+    # Layer i's gradient reads the activation below it, acts[i], so its own
+    # activation acts[i + 1] is free to take its derivative; acts[0], the
+    # caller's batch, is never written.
     for i in range(len(net.layers) - 1, -1, -1):
         a = acts[i + 1]
         layer = net.layers[i]
         if layer.activation == "tanh":
-            grad_z = grad_a * (1.0 - a * a)
+            a *= a
+            np.subtract(1.0, a, out=a)
+            grad_a *= a
         elif layer.activation == "relu":
-            grad_z = grad_a * (a > 0.0)
-        else:
-            grad_z = grad_a
-        grads[:0] = [acts[i].T @ grad_z, grad_z.sum(axis=0)]
+            np.multiply(grad_a, a > 0.0, out=grad_a)
+        grads[:0] = [acts[i].T @ grad_a, grad_a.sum(axis=0)]
         if i > 0:
-            grad_a = grad_z @ layer.weights.T
+            grad_a = grad_a @ layer.weights.T
 
     breakdown = LossBreakdown.compose(
         hadamard=hadamard_value if include_hadamard else 0.0,
@@ -344,7 +360,27 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
     The decay term is added even when weight_decay is 0: adding 0.0 * param
     can turn a -0.0 velocity entry into +0.0, and resumed training must
     reproduce every bit. Callers pass weight_decay=0 for bias vectors.
+
+    The arrays must be C-contiguous, so that no update lands on a copy. A
+    param of more than SGD_BLOCK_ENTRIES entries is updated one flat block
+    at a time, through this function, and needs a grad and a velocity of
+    its own shape: each entry takes the same four operations in the same
+    order, so it gets the bits of one whole-array pass. Anything else is a
+    ValueError.
     """
+    if not (param.flags.c_contiguous and grad.flags.c_contiguous
+            and velocity.flags.c_contiguous):
+        raise ValueError("param, grad and velocity must be C-contiguous")
+    if param.size > SGD_BLOCK_ENTRIES:
+        if grad.shape != param.shape or velocity.shape != param.shape:
+            raise ValueError(f"grad {grad.shape} and velocity "
+                             f"{velocity.shape} must have the param's shape "
+                             f"{param.shape}")
+        flat = param.reshape(-1), grad.reshape(-1), velocity.reshape(-1)
+        for lo in range(0, param.size, SGD_BLOCK_ENTRIES):
+            sgd_step(*(a[lo:lo + SGD_BLOCK_ENTRIES] for a in flat), lr,
+                     momentum, weight_decay)
+        return
     velocity *= momentum
     velocity += grad
     velocity += weight_decay * param

@@ -249,8 +249,11 @@ def train(config: TrainConfig, features: FeatureSet, labels: LabelSet,
     else:
         train_labels = labels.values[train_idx].astype(np.float64)
     checkpoint_path = out if resume or config.checkpoint_every > 0 else None
-    history = _run_epochs(net, velocity, config, first_epoch, train_x,
-                          train_targets, train_labels, checkpoint_path)
+    # A run that blows up reports itself through NumericError alone, not
+    # through numpy's warnings on the way there.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        history = _run_epochs(net, velocity, config, first_epoch, train_x,
+                              train_targets, train_labels, checkpoint_path)
     # A checkpointing run that trained has saved its last epoch already.
     if out is not None and (checkpoint_path is None or not history.records):
         save_network(net, out)

@@ -262,8 +262,6 @@ class TestSplitChecks:
         assert cli.main(argv) == 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("batch_size, message", [
     # Several batches: the second batch's loss is NaN.
     ("4", "error: non-finite loss at epoch 0, batch 1: "),
@@ -286,8 +284,34 @@ def test_numeric_blowup_is_exit_four(pipeline_files, capsys, batch_size,
     assert message in err
     assert "layer 0 weights holds a non-finite value" in err
     assert "Traceback" not in err
+    # The error line is the run's only complaint: numpy warns of nothing.
+    assert "Warning" not in err
     assert not out.exists()
     assert not Path(trainer.train_state_path(out)).exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("train", []), ("ablate", []), ("sweep", ["--lambdas", "0,1"])])
+def test_numeric_blowup_prints_one_line(pipeline_files, command, flags):
+    # A fresh interpreter under Python's default warning filters: its whole
+    # stderr is the exit-4 error line.
+    _, paths, tmp_path = pipeline_files
+    src = str(Path(hadahash.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hadahash.cli", command,
+         "--features", paths["features.hcfs"], "--labels", paths["labels.hcls"],
+         "--split", paths["split.txt"], "--codebook", paths["book.hccb"],
+         "--hidden", "5", "--batch-size", "4", "--lr", "1e200",
+         "--weight-decay", "1e200", "--epochs", "2", *flags,
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: non-finite loss at epoch 0, batch 1: ")
 
 
 def test_empty_database_is_exit_two(pipeline_files, capsys):

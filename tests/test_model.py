@@ -450,6 +450,22 @@ class TestBackward:
                     (z == 0.0) & (np.arange(z.shape[1]) == unit)))
             assert got[1][1][unit] != leaky[1][1][unit]
 
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("mode", ["CE", "BCE"])
+    def test_leaves_its_inputs_alone(self, mode, depth):
+        # backward overwrites its own buffers only: the batch, targets,
+        # labels and parameters keep their bytes, so a second call on the
+        # same arguments returns the same bits. The batch is float64, so
+        # backward's first activation is `x` itself.
+        rng = np.random.default_rng([depth, len(mode), 7])
+        net, x, tv, tm, labels, lam = _random_case(rng, mode, depth)
+        inputs = [x, tv, tm, labels, *net.param_arrays()]
+        before = [a.tobytes() for a in inputs]
+        first = backward(net, x, tv, tm, labels, lam, mode)
+        assert [a.tobytes() for a in inputs] == before
+        _assert_same_bits(backward(net, x, tv, tm, labels, lam, mode), first)
+        assert [a.tobytes() for a in inputs] == before
+
     @pytest.mark.parametrize("mode", ["CE", "BCE"])
     def test_composed_gradients_match_finite_differences(self, mode):
         rng = np.random.default_rng(12 if mode == "CE" else 13)
@@ -483,21 +499,63 @@ class TestSgdStep:
 
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
     def test_in_place_matches_out_of_place_bits(self, weight_decay):
+        block = model.SGD_BLOCK_ENTRIES
         rng = np.random.default_rng(5)
-        shape = (6, 4)
-        param = rng.normal(size=shape)
-        param[0] = [0.0, -0.0, 0.0, -0.0]
-        grad = rng.normal(size=shape)
-        grad[0] = [0.0, 0.0, -0.0, -0.0]
-        velocity = rng.normal(size=shape)
-        velocity[0] = -0.0
-        for _ in range(3):
-            expected_v = 0.9 * velocity + grad + weight_decay * param
-            expected_p = param - 0.01 * expected_v
-            assert sgd_step(param, grad, velocity, lr=0.01, momentum=0.9,
-                            weight_decay=weight_decay) is None
-            assert param.tobytes() == expected_p.tobytes()
-            assert velocity.tobytes() == expected_v.tobytes()
+        # One entry, one block and either side of it, two blocks and a
+        # tail, and rows of 10,001 entries, of which rows 3 and 6 straddle
+        # a block edge.
+        for shape in [(1,), (block - 1,), (block,), (block + 1,),
+                      (2 * block + 7,), (7, 10_001)]:
+            param, grad, velocity = (rng.normal(size=shape)
+                                     for _ in range(3))
+            # The eight sign combinations of zeros in param, grad and
+            # velocity on the entries around each block edge and each end.
+            size = param.size
+            signs = {"param": [0.0, -0.0] * 4,
+                     "grad": [0.0, 0.0, -0.0, -0.0] * 2,
+                     "velocity": [0.0] * 4 + [-0.0] * 4}
+            for edge in range(0, size + block, block):
+                at = np.arange(min(edge, size) - 4, min(edge, size) + 4)
+                keep = (at >= 0) & (at < size)
+                for name, array in (("param", param), ("grad", grad),
+                                    ("velocity", velocity)):
+                    array.reshape(-1)[at[keep]] = np.array(signs[name])[keep]
+            for _ in range(3):
+                expected_v = 0.9 * velocity + grad + weight_decay * param
+                expected_p = param - 0.01 * expected_v
+                assert sgd_step(param, grad, velocity, lr=0.01, momentum=0.9,
+                                weight_decay=weight_decay) is None
+                assert param.tobytes() == expected_p.tobytes()
+                assert velocity.tobytes() == expected_v.tobytes()
+
+    @pytest.mark.parametrize("which", ["param", "grad", "velocity"])
+    @pytest.mark.parametrize("make", [
+        # A transposed matrix and a strided vector.
+        lambda: np.full((4, 6), 0.5).T, lambda: np.full(12, 0.5)[::2]])
+    def test_non_contiguous_argument_is_an_error(self, which, make):
+        odd = make()
+        arrays = {name: odd if name == which else np.full(odd.shape, 0.5)
+                  for name in ("param", "grad", "velocity")}
+        before = {name: a.copy() for name, a in arrays.items()}
+        with pytest.raises(ValueError, match="must be C-contiguous"):
+            sgd_step(arrays["param"], arrays["grad"], arrays["velocity"],
+                     lr=0.1)
+        for name, a in arrays.items():
+            assert a.tobytes() == before[name].tobytes()
+
+    @pytest.mark.parametrize("which", ["grad", "velocity"])
+    def test_a_blocked_update_needs_the_param_shape(self, which):
+        # Flat blocks of a (2, B) param would pair its entries with those
+        # of a (B, 2) array of the same size, which no whole-array update
+        # accepts.
+        shape = (2, model.SGD_BLOCK_ENTRIES)
+        arrays = {name: np.full(shape, 0.5)
+                  for name in ("param", "grad", "velocity")}
+        arrays[which] = np.full(shape[::-1], 0.5)
+        with pytest.raises(ValueError, match="must have the param's shape"):
+            sgd_step(arrays["param"], arrays["grad"], arrays["velocity"],
+                     lr=0.1)
+        assert all(np.all(a == 0.5) for a in arrays.values())
 
     def test_arrays_update_elementwise(self):
         p = np.array([1.0, -1.0])

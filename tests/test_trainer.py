@@ -1,18 +1,19 @@
 import csv
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hadahash import trainer
-from hadahash.codebook import build_codebook
+from hadahash import model, trainer
+from hadahash.codebook import build_codebook, target_batch
 from hadahash.data import LabelSet, make_synthetic_blobs, split_protocol
 from hadahash.io import FileFormatError
 from hadahash.model import NetworkSpec, build_network, load_network, sgd_step
+from hadahash.rng import make_rng
 from hadahash.trainer import (RESUME_FIELDS, NumericError, TrainConfig,
                               learning_rate, load_checkpoint, save_checkpoint,
                               train)
+from test_model import _cached_backward
 
 
 @pytest.fixture(scope="module")
@@ -142,10 +143,8 @@ class TestTrain:
     def test_numeric_blowup_raises(self, small_setup):
         features, labels, split, book = small_setup
         config = TrainConfig(epochs=3, base_lr=1e200, weight_decay=1e200, seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(NumericError):
-                train(config, features, labels, split, book, hidden=(8,))
+        with pytest.raises(NumericError):
+            train(config, features, labels, split, book, hidden=(8,))
 
     @pytest.mark.parametrize("layer, part, name", [
         (0, "weights", "layer 0 weights"), (1, "bias", "layer 1 bias"),
@@ -163,11 +162,9 @@ class TestTrain:
         getattr(net.all_layers()[layer], part).flat[3] = np.nan
         save_checkpoint(net, [np.zeros_like(p) for p in net.param_arrays()],
                         1, path, config)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(NumericError) as info:
-                train(config, features, labels, split, book, hidden=(8,),
-                      out=path, resume=True)
+        with pytest.raises(NumericError) as info:
+            train(config, features, labels, split, book, hidden=(8,),
+                  out=path, resume=True)
         message = str(info.value)
         assert message.startswith("non-finite loss at epoch 1, batch 0: ")
         assert message.endswith(f"; {name} holds a non-finite value")
@@ -184,11 +181,9 @@ class TestTrain:
         net.classifier.weights[:] = 1e308
         save_checkpoint(net, [np.zeros_like(p) for p in net.param_arrays()],
                         0, path, config)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(NumericError) as info:
-                train(config, features, labels, split, book, hidden=(8,),
-                      out=path, resume=True)
+        with pytest.raises(NumericError) as info:
+            train(config, features, labels, split, book, hidden=(8,),
+                  out=path, resume=True)
         message = str(info.value)
         assert message.startswith("non-finite loss at epoch 0, batch 0: ")
         assert message.endswith("; no parameter holds a non-finite value")
@@ -203,13 +198,11 @@ class TestTrain:
                              weight_decay=1e200, seed=1,
                              checkpoint_every=checkpoint_every)
         path = tmp_path / "m.hcmd"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(NumericError, match=(
-                    r"^layer 0 weights holds a non-finite value after epoch "
-                    r"0, batch 0$")):
-                train(config, features, labels, split, book, hidden=(8,),
-                      out=path)
+        with pytest.raises(NumericError, match=(
+                r"^layer 0 weights holds a non-finite value after epoch "
+                r"0, batch 0$")):
+            train(config, features, labels, split, book, hidden=(8,),
+                  out=path)
         assert list(tmp_path.iterdir()) == []
 
     def test_history_csv_columns(self, small_setup, tmp_path):
@@ -224,6 +217,54 @@ class TestTrain:
                            "classification_loss", "total_loss", "seconds"]
         assert len(rows) == 4
         assert float(rows[1][4]) == history.records[0].loss.total
+
+
+class TestWholeRun:
+    """A whole run of a net whose weights span several `sgd_step` blocks
+    against a test-local loop over the reference backward and the
+    out-of-place SGD formula, with the same shuffles and learning rates."""
+
+    @pytest.mark.parametrize("resume", [False, True])
+    @pytest.mark.parametrize("mode", ["CE", "BCE"])
+    def test_matches_the_reference_loop(self, small_setup, tmp_path, mode,
+                                        resume):
+        features, labels, split, book = small_setup
+        hidden = (9000,)
+        config = TrainConfig(epochs=3, batch_size=16, base_lr=0.01,
+                             lr_halving_period_epochs=2, lambda_=0.5,
+                             loss_mode=mode, seed=2, checkpoint_every=3)
+        net = build_network(NetworkSpec(features.dim, hidden, book.code_bits,
+                                        labels.num_classes), config.seed)
+        assert net.layers[0].weights.size > 2 * model.SGD_BLOCK_ENTRIES
+        velocity = [np.zeros_like(p) for p in net.param_arrays()]
+        x = features.values[split.train].astype(np.float64)
+        tv, tm = target_batch(book, labels.values[split.train])
+        y = labels.values[split.train]
+        y = (np.argmax(y, axis=1).astype(np.int64) if mode == "CE"
+             else y.astype(np.float64))
+        for epoch in range(config.epochs):
+            lr = learning_rate(config, epoch)
+            order = make_rng(config.seed, epoch).permutation(x.shape[0])
+            for lo in range(0, x.shape[0], config.batch_size):
+                b = order[lo:lo + config.batch_size]
+                _, grads = _cached_backward(net, x[b], tv[b], tm[b], y[b],
+                                            config.lambda_, mode, "full")
+                for i, (p, g) in enumerate(zip(net.param_arrays(), grads)):
+                    decay = config.weight_decay if p.ndim == 2 else 0.0
+                    velocity[i] = config.momentum * velocity[i] + g + decay * p
+                    p[...] = p - lr * velocity[i]
+        expected = tmp_path / "expected.hcmd"
+        save_checkpoint(net, velocity, config.epochs, expected, config)
+
+        out = tmp_path / "trained.hcmd"
+        if resume:
+            train(replace(config, epochs=1, checkpoint_every=1), features,
+                  labels, split, book, hidden=hidden, out=out)
+        train(config, features, labels, split, book, hidden=hidden, out=out,
+              resume=resume)
+        assert out.read_bytes() == expected.read_bytes()
+        assert (tmp_path / "trained.hcmd.state").read_bytes() == (
+            tmp_path / "expected.hcmd.state").read_bytes()
 
 
 class TestResume:
