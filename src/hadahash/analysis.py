@@ -18,30 +18,34 @@ from .trainer import TrainConfig, train
 def bit_balance(codes: BinaryCodeSet) -> np.ndarray:
     """Fraction of +1 bits per position, a length-K vector in [0, 1].
 
-    The +1 bits are counted exactly one row block at a time, so memory
-    holds one block of unpacked bits, and the fractions are those of
+    The +1 bits are counted exactly one block of `row_blocks(N, K)` at a
+    time, so memory holds one block of unpacked bits, at most
+    max(2**17, 128 K) bytes, and the fractions are those of
     `(unpack_codes(codes) == 1).mean(axis=0)` to the last bit.
     """
     if codes.num_items < 1:
         raise ValueError("need at least one code")
     ones = np.zeros(codes.code_bits, dtype=np.int64)
-    for lo, hi in row_blocks(codes.num_items):
+    for lo, hi in row_blocks(codes.num_items, codes.code_bits):
         bits = unpack_codes(replace(codes, words=codes.words[lo:hi]))
         ones += np.count_nonzero(bits == 1, axis=0)
     return ones / codes.num_items
 
 
 def activation_histogram(values: np.ndarray, rows: np.ndarray, activations,
+                         width: int,
                          bins: int) -> Tuple[np.ndarray, np.ndarray]:
     """Counts of `activations(values[rows])`, clipped to [-1, 1], over `bins`
-    equal intervals of [-1, 1], summed exactly one row block at a time.
+    equal intervals of [-1, 1], summed exactly one block of
+    `row_blocks(rows.size, width)` at a time, `width` as in
+    `retrieval.encode_rows`.
 
     Returns (counts, edges); counts always sum to the number of activations.
     """
     if bins < 1:
         raise ValueError("bins must be positive")
     counts = np.zeros(bins, dtype=np.intp)
-    for lo, hi in row_blocks(rows.size):
+    for lo, hi in row_blocks(rows.size, width):
         u = np.clip(activations(values[rows[lo:hi]]), -1.0, 1.0)
         block, edges = np.histogram(u, bins=bins, range=(-1.0, 1.0))
         counts += block
@@ -104,10 +108,10 @@ def _train_and_map(configs: Sequence[TrainConfig], features: FeatureSet,
         net, _ = train(config, features, labels, split, codebook,
                        hidden=hidden)
         encode = hash_layer(net)
-        db_codes = encode_rows(features.values, split.database, encode,
-                               net.code_bits)
-        query_codes = encode_rows(features.values, split.query, encode,
-                                  net.code_bits)
+        db_codes, query_codes = (
+            encode_rows(features.values, rows, encode, net.widest_layer,
+                        net.code_bits)
+            for rows in (split.database, split.query))
         maps.append(evaluate(query_codes, db_codes, labels.values[split.query],
                              labels.values[split.database],
                              limit=map_at).mean_ap)

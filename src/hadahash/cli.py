@@ -152,9 +152,10 @@ def cmd_encode(args) -> int:
         # held.
         mode = "mean_centered_sign"
         means = retrieval.mean_activations(features.values, database,
-                                           hash_layer)
+                                           hash_layer, net.widest_layer)
     codes = retrieval.encode_rows(features.values, rows, hash_layer,
-                                  net.code_bits, mode, means)
+                                  net.widest_layer, net.code_bits, mode,
+                                  means)
     retrieval.save_codes(codes, args.out)
     _log(f"wrote {codes.num_items} codes of {codes.code_bits} bits "
          f"({codes.mode}) to {args.out}")
@@ -253,7 +254,8 @@ def cmd_analyze(args) -> int:
         features = data.load_features(args.features)
         rows, _ = _subset_rows(args, features.num_items)
         counts, edges = analysis.activation_histogram(
-            features.values, rows, model.hash_layer(net), args.bins)
+            features.values, rows, model.hash_layer(net), net.widest_layer,
+            args.bins)
         reports.append(("activation histogram",
                         f"activation_hist_k{net.code_bits}_b{args.bins}.csv",
                         ("bin_low", "bin_high", "count"),

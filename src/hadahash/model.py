@@ -13,7 +13,7 @@ gradient is taken.
 """
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -33,14 +33,21 @@ _TAG_TO_ACTIVATION = {tag: name for name, tag in ACTIVATION_TAGS.items()}
 
 VARIANTS = ("full", "codebook_only", "classifier_only")
 
-# Rows per block when a whole set is encoded or hashed. Memory holds the
-# set's packed codes and, per worker thread, one block of rows and the
+# Float64 entries of the widest row a block makes when a whole set is
+# encoded or hashed: a block of `row_blocks(n, width)` holds
+# max(ENCODE_BLOCK_MIN_ROWS, ENCODE_BLOCK_ENTRIES // width) rows, 1 MiB
+# of float64 per activation unless the floor binds. Memory holds the set's
+# packed codes and, per worker thread, one block of rows and the
 # activation of one layer at a time (two while `_activations` multiplies),
-# never N x width floats. A one-row tail joins the block before it: BLAS
-# multiplies a single row through another kernel (gemv), whose last bit can
-# differ from the GEMM's, so every row of a set of two or more goes through
-# a GEMM.
-ENCODE_BLOCK_ROWS = 1024
+# never N x width floats, and no more at a wide layer than at a narrow
+# one. Below 128 rows the per-block calls cost more than the GEMM saves
+# (up to x1.8 slower at 14-32 rows of a 9000-wide layer); above it,
+# memory grows with the rows and speed does not. A one-row tail joins the
+# block before it: BLAS multiplies a single row through another kernel
+# (gemv), whose last bit can differ from the GEMM's, so every row of a set
+# of two or more goes through a GEMM.
+ENCODE_BLOCK_ENTRIES = 1 << 17
+ENCODE_BLOCK_MIN_ROWS = 128
 
 # Entries per flat block of `sgd_step`: its four passes over a block of
 # velocity, parameter and their temporaries stay in cache.
@@ -98,6 +105,12 @@ class HashNetwork:
     def num_classes(self) -> int:
         return self.classifier.weights.shape[1]
 
+    @property
+    def widest_layer(self) -> int:
+        """Entries of the widest float64 row `forward` makes: the input's or
+        a feature layer's (the classifier does not run there)."""
+        return max(self.input_dim, *(l.weights.shape[1] for l in self.layers))
+
     def all_layers(self) -> List[DenseLayer]:
         return [*self.layers, self.classifier]
 
@@ -134,6 +147,22 @@ class NetworkSpec:
         activations = ("relu",) * len(self.hidden) + ("tanh",)
         return (*zip(widths[:-1], widths[1:], activations),
                 (self.code_bits, self.num_classes, "identity"))
+
+
+def first_non_finite(net: HashNetwork, arrays=None) -> Optional[str]:
+    """The first of `arrays`, which run parallel to `net.param_arrays()`
+    (the parameters themselves by default), that holds a non-finite value,
+    as "layer i weights", "layer i bias", "classifier weights" or
+    "classifier bias"; None when every one is finite."""
+    names = [f"layer {i}" for i in range(len(net.layers))] + ["classifier"]
+    parts = [f"{name} {part}" for name in names
+             for part in ("weights", "bias")]
+    if arrays is None:
+        arrays = net.param_arrays()
+    for part, values in zip(parts, arrays):
+        if not np.isfinite(values).all():
+            return part
+    return None
 
 
 def build_network(spec: NetworkSpec, seed: int) -> HashNetwork:
@@ -177,15 +206,18 @@ def forward(net: HashNetwork, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def row_blocks(n: int):
-    """(lo, hi) bounds of the ENCODE_BLOCK_ROWS-row blocks of n rows.
+def row_blocks(n: int, width: int):
+    """(lo, hi) bounds of the blocks of n rows whose widest float64 row has
+    `width` entries: max(ENCODE_BLOCK_MIN_ROWS, ENCODE_BLOCK_ENTRIES //
+    width) rows each.
 
     A one-row tail joins the block before it, so with n >= 2 no block has
     a single row.
     """
     if n == 0:
         raise ValueError("no rows to encode")
-    cuts = list(range(0, n, ENCODE_BLOCK_ROWS))
+    step = max(ENCODE_BLOCK_MIN_ROWS, ENCODE_BLOCK_ENTRIES // width)
+    cuts = list(range(0, n, step))
     if n > 1 and n - cuts[-1] == 1:
         cuts.pop()
     cuts.append(n)
@@ -193,7 +225,8 @@ def row_blocks(n: int):
 
 
 def hash_layer(net: HashNetwork):
-    """The map from a block of feature rows to its hash activations.
+    """The map from a block of feature rows to its hash activations; its
+    widest row is `net.widest_layer` entries, the width to block it by.
 
     It calls the module's `forward`, so a wrapper put there sees every block
     that `retrieval.encode_rows` encodes, on any thread, and no training
@@ -418,4 +451,10 @@ def load_network(path) -> HashNetwork:
             weights = read_array(f, "<f8", fan_in * fan_out, "weights").reshape(fan_in, fan_out)
             bias = read_array(f, "<f8", fan_out, "bias")
             layers.append(DenseLayer(weights=weights, bias=bias, activation=activation))
-    return HashNetwork(layers=layers[:-1], classifier=layers[-1])
+    net = HashNetwork(layers=layers[:-1], classifier=layers[-1])
+    # Training never saves a non-finite parameter, and one would encode as
+    # plausible codes: a NaN activation binarizes to 0.
+    bad = first_non_finite(net)
+    if bad:
+        raise FileFormatError(f"{path}: {bad} holds a non-finite value")
+    return net

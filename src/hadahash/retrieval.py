@@ -117,24 +117,28 @@ def binarize(u: np.ndarray, mode: str = "sign",
 
 
 def encode_rows(values: np.ndarray, rows: np.ndarray, activations,
-                code_bits: int, mode: str = "sign",
+                width: int, code_bits: int, mode: str = "sign",
                 reference_means: Optional[np.ndarray] = None) -> BinaryCodeSet:
     """Codes of `activations(values[rows])`, one row block at a time.
 
-    Each block is gathered through the index array, mapped to (B, K)
-    activations and binarized into its rows of one preallocated word
-    array. `_map_runs` splits the blocks into one contiguous run per
-    available CPU: the calling thread encodes the first run and pool
-    threads the others, and a single block or CPU starts no pool.
-    `activations` must therefore be safe to call from several threads at
-    once. Memory holds the packed codes and one block of rows and its
-    activations per thread, never the N gathered rows or N x K floats.
-    The blocks and their products are the same on any number of threads,
-    so the codes are too, to the last bit. A worker's exception reaches the
-    caller, and no thread outlives the call.
+    `width` is the entry count of the widest float64 row that
+    `activations` makes, input included, and sets the blocks:
+    `row_blocks(rows.size, width)`. Each block is gathered through the
+    index array, mapped to (B, K) activations and binarized into its rows
+    of one preallocated word array. `_map_runs` splits the blocks into one
+    contiguous run per available CPU: the calling thread encodes the first
+    run and pool threads the others, and a single block or CPU starts no
+    pool. `activations` must therefore be safe to call from several
+    threads at once. Memory holds the packed codes and, per thread, one
+    block of rows and its activations, about 1 MiB per float64 array at
+    any width (see `model.ENCODE_BLOCK_ENTRIES`), never the N gathered
+    rows or N x K floats. The blocks and their products are the same on
+    any number of threads, so the codes are too, to the last bit. A
+    worker's exception reaches the caller, and no thread outlives the
+    call.
     """
     words = np.empty((rows.size, (code_bits + 63) // 64), dtype=np.uint64)
-    blocks = row_blocks(rows.size)
+    blocks = row_blocks(rows.size, width)
 
     def encode(run) -> None:
         for lo, hi in run:
@@ -145,16 +149,17 @@ def encode_rows(values: np.ndarray, rows: np.ndarray, activations,
     return BinaryCodeSet(words=words, code_bits=code_bits, mode=mode)
 
 
-def mean_activations(values: np.ndarray, rows: np.ndarray,
-                     activations) -> np.ndarray:
-    """Per-bit mean of `activations(values[rows])`, one row block at a time.
+def mean_activations(values: np.ndarray, rows: np.ndarray, activations,
+                     width: int) -> np.ndarray:
+    """Per-bit mean of `activations(values[rows])`, one block of
+    `row_blocks(rows.size, width)` at a time, `width` as in `encode_rows`.
 
     The running sum reduces [sum so far; block] down the rows, which adds
     row after row as `u.mean(axis=0)` does over a C-ordered (N, K) matrix
     with K >= 2, so the means are the same to the last bit.
     """
     total = None
-    for lo, hi in row_blocks(rows.size):
+    for lo, hi in row_blocks(rows.size, width):
         u = activations(values[rows[lo:hi]])
         total = np.add.reduce(
             u if total is None else np.concatenate([total[None], u]), axis=0)
@@ -396,14 +401,15 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
     Memory holds no Q x N array: a worker reuses one block scratch of
     B x N keys, 20 to 27 B per key with the AP scratch (see
     `EVAL_BLOCK_KEYS`), and the block's relevant ranks and precisions; the
-    call keeps the grid's hit positions for each distinct relevant count,
-    0.8 KB each. The first chunk's PR-101 and P@k rows, 8 B per grid point
-    and cutoff, are summed a block at a time as they come; each other chunk
-    holds its rows until the caller sums them, after the first chunk's, in
-    query order. `np.add.reduce` over [sum so far; rows] adds row after
-    row, so every report is the one a single thread gives, to the last
-    bit. A worker's exception reaches the caller, and no thread outlives
-    the call.
+    call keeps a word-major copy of the database codes, N x W x 8 B, for
+    codes of W >= 2 words, the label bitsets and the grid's hit positions
+    for each distinct relevant count, 0.8 KB each. The first chunk's
+    PR-101 and P@k rows, 8 B per grid point and cutoff, are summed a block
+    at a time as they come; each other chunk holds its rows until the
+    caller sums them, after the first chunk's, in query order.
+    `np.add.reduce` over [sum so far; rows] adds row after row, so every
+    report is the one a single thread gives, to the last bit. A worker's
+    exception reaches the caller, and no thread outlives the call.
     """
     query_labels = np.asarray(query_labels)
     db_labels = np.asarray(db_labels)
@@ -435,7 +441,9 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
         q_label_words & np.bitwise_or.reduce(db_label_words, axis=1), axis=1))
     if not scored.size:
         raise ValueError("no query has a relevant database item")
-    db_code_words = database.words.T
+    # Word-major too, so each word's XOR reads contiguous memory; one-word
+    # codes are word-major already and take no copy.
+    db_code_words = np.ascontiguousarray(database.words.T)
     max_distance = 64 * db_code_words.shape[0]
     scratch_types = (np.uint64, np.min_scalar_type(max_distance), bool,
                      _key_layout(n_db, max_distance, 1)[0])
@@ -543,13 +551,14 @@ def lsh_codes(features: np.ndarray, code_bits: int, seed: int,
     """Baseline codes from seeded random hyperplanes over raw features.
 
     Encodes `features[rows]` (every row when rows is None); each block of
-    `ENCODE_BLOCK_ROWS` rows is cast to float64 on its own before it meets
-    the planes, on `encode_rows`'s threads. The codes equal those of one
-    float64 product over the set for the benchmark's shapes. A block's
-    product can differ from it in the last bit for D >= 384 or K <= 3, so
-    a code bit can differ only where a projection lies within one rounding
-    of 0. The blocks are the same on any number of threads, and so are the
-    codes.
+    `row_blocks(n, max(D, K))` is cast to float64 on its own before it
+    meets the planes, on `encode_rows`'s threads. The block products equal
+    one float64 product over the set, bit for bit, for the benchmark's
+    (D, K) of (128, 64), (40, 32) and (96, 128). OpenBLAS picks its kernel
+    by shape, and for narrow planes (seen at K <= 24) a block's product
+    can differ from the one product in the last bit, so a code bit can
+    differ only where a projection lies within one rounding of 0. The
+    blocks are the same on any number of threads, and so are the codes.
     """
     features = np.asarray(features)
     if features.ndim != 2:
@@ -562,7 +571,7 @@ def lsh_codes(features: np.ndarray, code_bits: int, seed: int,
     planes = standard_normal(make_rng(seed), (features.shape[1], code_bits))
     return encode_rows(
         features, rows, lambda block: block.astype(np.float64) @ planes,
-        code_bits)
+        max(features.shape[1], code_bits), code_bits)
 
 
 def save_codes(codes: BinaryCodeSet, path) -> None:

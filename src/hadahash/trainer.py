@@ -5,7 +5,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -14,8 +14,8 @@ from .data import FeatureSet, LabelSet, Split, check_split
 from .io import (FileFormatError, read_array, read_header, write_array,
                  write_header)
 from .model import (VARIANTS, HashNetwork, LossBreakdown, NetworkSpec,
-                    backward, build_network, load_network, save_network,
-                    sgd_step)
+                    backward, build_network, first_non_finite, load_network,
+                    save_network, sgd_step)
 from .rng import make_rng
 
 TRAIN_STATE_MAGIC = b"HCTS"
@@ -112,18 +112,6 @@ def learning_rate(config: TrainConfig, epoch: int) -> float:
     return config.base_lr * 0.5 ** (epoch // config.lr_halving_period_epochs)
 
 
-def _non_finite_parameter(net: HashNetwork) -> Optional[str]:
-    """The first of `net.param_arrays()` that holds a non-finite value, as
-    "layer i weights", "layer i bias", "classifier weights" or "classifier
-    bias", or None when every parameter is finite."""
-    names = [f"layer {i}" for i in range(len(net.layers))] + ["classifier"]
-    for layer, name in zip(net.all_layers(), names):
-        for part in ("weights", "bias"):
-            if not np.isfinite(getattr(layer, part)).all():
-                return f"{name} {part}"
-    return None
-
-
 def _run_epochs(net: HashNetwork, velocity: List[np.ndarray],
                 config: TrainConfig, first_epoch: int,
                 train_x: np.ndarray, train_targets, train_labels,
@@ -151,7 +139,7 @@ def _run_epochs(net: HashNetwork, velocity: List[np.ndarray],
                 train_labels[batch], config.lambda_, mode=config.loss_mode,
                 variant=config.variant)
             if not np.isfinite(breakdown.total):
-                bad = _non_finite_parameter(net) or "no parameter"
+                bad = first_non_finite(net) or "no parameter"
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {index}: "
                     f"{breakdown}; {bad} holds a non-finite value")
@@ -162,7 +150,7 @@ def _run_epochs(net: HashNetwork, velocity: List[np.ndarray],
                 decay = config.weight_decay if param.ndim == 2 else 0.0
                 sgd_step(param, grad, v, lr, momentum=config.momentum,
                          weight_decay=decay)
-        bad = _non_finite_parameter(net)
+        bad = first_non_finite(net)
         if bad:
             raise NumericError(f"{bad} holds a non-finite value after epoch "
                                f"{epoch}, batch {index}")
@@ -282,7 +270,9 @@ def save_checkpoint(net: HashNetwork, velocity: List[np.ndarray],
 
 def load_checkpoint(path):
     """Returns (network, velocity, next_epoch, trained_with), the last a
-    dict of the `RESUME_FIELDS` the checkpoint was trained with."""
+    dict of the `RESUME_FIELDS` the checkpoint was trained with. A
+    non-finite weight, bias or velocity is a FileFormatError naming the
+    file and the part."""
     net = load_network(path)
     state_path = train_state_path(path)
     with open(state_path, "rb") as f:
@@ -303,4 +293,8 @@ def load_checkpoint(path):
     for p in params:
         velocity.append(flat[offset:offset + p.size].reshape(p.shape))
         offset += p.size
+    bad = first_non_finite(net, velocity)
+    if bad:
+        raise FileFormatError(f"{state_path}: the velocity of {bad} holds a "
+                              f"non-finite value")
     return net, velocity, next_epoch, dict(zip(RESUME_FIELDS, fields))

@@ -12,7 +12,7 @@ from hadahash.analysis import (ablate, activation_histogram, bit_balance,
 from hadahash.codebook import build_codebook, save_codebook
 from hadahash.data import (make_synthetic_blobs, save_features, save_labels,
                            save_split, split_protocol)
-from hadahash.model import hash_layer
+from hadahash.model import hash_layer, row_blocks
 from hadahash.retrieval import (RankedList, encode_rows, evaluate, pack_codes,
                                 search)
 from hadahash.trainer import TrainConfig, train
@@ -202,7 +202,7 @@ class TestActivationHistogram:
                             [-1.0, 0.0, 1.0, -2.0, 2.0, 0.5, -0.5]])
         u = u.reshape(9, 23)  # a batch of activations, as the CLI passes it
         counts, edges = activation_histogram(u, np.arange(9), lambda b: b,
-                                             bins)
+                                             23, bins)
         assert edges.tolist() == np.linspace(-1.0, 1.0, bins + 1).tolist()
         expected = [0] * bins
         for value in np.ravel(u).tolist():
@@ -219,18 +219,19 @@ class TestActivationHistogram:
     def test_rejects_no_bins(self):
         with pytest.raises(ValueError, match="bins"):
             activation_histogram(np.zeros((3, 2)), np.arange(3),
-                                 lambda b: b, 0)
+                                 lambda b: b, 2, 0)
 
 
 class TestSweeps:
     """`lambda_sweep` and `ablate` rows against a hand-run pipeline: train,
     encode both subsets, evaluate."""
 
-    # 2,388 database items take three row blocks, so the runs encode on
-    # threads.
+    # 2,388 database items through a 1024-wide layer take 19 row blocks,
+    # 128 rows each but the last, so the runs encode on threads.
     CONFIG = TrainConfig(epochs=2, batch_size=16, base_lr=0.05, seed=1)
-    FLAGS = ["--hidden", "8", "--epochs", "2", "--batch-size", "16",
-             "--lr", "0.05", "--seed", "1"]
+    HIDDEN = (8, 1024)
+    FLAGS = ["--hidden", ",".join(map(str, HIDDEN)), "--epochs", "2",
+             "--batch-size", "16", "--lr", "0.05", "--seed", "1"]
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -241,10 +242,14 @@ class TestSweeps:
     @staticmethod
     def _hand_map(config, problem, map_at):
         features, labels, split, book = problem
-        net, _ = train(config, features, labels, split, book, hidden=(8,))
+        net, _ = train(config, features, labels, split, book,
+                       hidden=TestSweeps.HIDDEN)
+        assert len(row_blocks(split.database.size, net.widest_layer)) == 19
         encode = hash_layer(net)
-        db_codes = encode_rows(features.values, split.database, encode, 8)
-        query_codes = encode_rows(features.values, split.query, encode, 8)
+        db_codes = encode_rows(features.values, split.database, encode,
+                               net.widest_layer, 8)
+        query_codes = encode_rows(features.values, split.query, encode,
+                                  net.widest_layer, 8)
         return evaluate(query_codes, db_codes, labels.values[split.query],
                         labels.values[split.database], limit=map_at).mean_ap
 
@@ -281,7 +286,8 @@ class TestSweeps:
         threads(3)
         # The config's variant is overridden: every sweep run is "full".
         rows = lambda_sweep(replace(self.CONFIG, variant="codebook_only"),
-                            lambdas, *problem, hidden=(8,), map_at=map_at)
+                            lambdas, *problem, hidden=self.HIDDEN,
+                            map_at=map_at)
         assert rows == expected
         assert [type(lam) for lam, _ in rows] == [float] * 3
         assert [lam for lam, _ in rows] == [0.0, 0.5, 2.0]
@@ -294,14 +300,14 @@ class TestSweeps:
             replace(self.CONFIG, variant=variant), problem, map_at))
             for variant in ("full", "codebook_only", "classifier_only")]
         threads(3)
-        assert ablate(self.CONFIG, *problem, hidden=(8,),
+        assert ablate(self.CONFIG, *problem, hidden=self.HIDDEN,
                       map_at=map_at) == expected
 
     @pytest.mark.parametrize("map_at", [None, 7])
     def test_sweep_csv_is_the_rows(self, problem, threads, tmp_path, map_at):
         threads(1)
-        rows = lambda_sweep(self.CONFIG, [0, 0.5, 2], *problem, hidden=(8,),
-                            map_at=map_at)
+        rows = lambda_sweep(self.CONFIG, [0, 0.5, 2], *problem,
+                            hidden=self.HIDDEN, map_at=map_at)
         threads(3)
         flags = ["--lambdas", "0,0.5,2"]
         if map_at is not None:
@@ -313,7 +319,8 @@ class TestSweeps:
     @pytest.mark.parametrize("map_at", [None, 7])
     def test_ablate_csv_is_the_rows(self, problem, threads, tmp_path, map_at):
         threads(1)
-        rows = ablate(self.CONFIG, *problem, hidden=(8,), map_at=map_at)
+        rows = ablate(self.CONFIG, *problem, hidden=self.HIDDEN,
+                      map_at=map_at)
         threads(3)
         flags = [] if map_at is None else ["--map-at", str(map_at)]
         assert self._cli_rows(problem, tmp_path, "ablate", flags) == [

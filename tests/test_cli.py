@@ -129,10 +129,13 @@ class TestEncodeCommand:
     @pytest.mark.parametrize("mean_centered", [False, True])
     def test_one_row_tail_joins_the_last_block(self, tmp_path, monkeypatch,
                                                mean_centered):
-        # 1025 rows: one forward of 1025 rows, the same product as a single
-        # pass over every row, never a one-row block.
+        # 1025 rows through a 128-wide layer, whose blocks hold 1024 rows:
+        # one forward of 1025 rows, the same product as a single pass over
+        # every row, never a one-row block.
         features, _ = make_synthetic_blobs(5, 205, 6, 0.5, seed=4)
-        net = build_network(NetworkSpec(6, (12,), 40, 5), seed=5)
+        net = build_network(NetworkSpec(6, (128,), 40, 5), seed=5)
+        assert model.row_blocks(1025, net.widest_layer) == [(0, 1025)]
+        assert model.row_blocks(1026, net.widest_layer)[0] == (0, 1024)
         save_features(features, tmp_path / "f.hcfs")
         save_network(net, tmp_path / "m.hcmd")
         u = model.forward(net, features.values)
@@ -503,6 +506,36 @@ def test_version_one_train_state_is_exit_three(pipeline_files, capsys):
     assert Path(paths["model.hcmd"]).read_bytes() == before
 
 
+@pytest.mark.parametrize("command", ["encode", "analyze-activations",
+                                     "resume", "resume-velocity"])
+def test_non_finite_model_is_exit_three(pipeline_files, capsys, command):
+    # A NaN weight would binarize to all-zero words, which eval scores as a
+    # plausible mAP with exit 0.
+    _, paths, tmp_path = pipeline_files
+    out = tmp_path / "out"
+    net = build_network(NetworkSpec(6, (5,), 8, 4), seed=3)
+    velocity = [np.zeros_like(p) for p in net.param_arrays()]
+    if command == "resume-velocity":
+        velocity[3][1] = np.inf
+        bad = (f"{paths['model.hcmd']}.state: the velocity of layer 1 bias "
+               f"holds a non-finite value")
+    else:
+        net.layers[0].weights[2, 1] = np.nan
+        bad = (f"{paths['model.hcmd']}: layer 0 weights holds a non-finite "
+               f"value")
+    save_checkpoint(net, velocity, 0, paths["model.hcmd"],
+                    trainer.TrainConfig())
+    if command.startswith("resume"):
+        argv = (_commands(paths, paths["model.hcmd"])["train"]
+                + ["--resume", "--history", str(out)])
+    else:
+        argv = _commands(paths, str(out))[command]
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"error: {bad}\n"
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
 @pytest.mark.parametrize("target", ["query.hcbc", "database.hcbc"])
 @pytest.mark.parametrize("bit", [8, 40, 63])
 def test_set_padding_bit_is_exit_three(pipeline_files, capsys, target, bit):
@@ -806,12 +839,13 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("bins", [7, 50])
     def test_streamed_histogram_matches_one_forward(self, tmp_path,
                                                     monkeypatch, bins):
-        # 2 * 1024 + 1 database rows, the default subset of a split: blocks
-        # of 1024 and 1025 rows give the files of one pass over every row.
+        # 16 * 128 + 1 database rows, the default subset of a split,
+        # through a 4096-wide layer: fifteen blocks of the 128-row floor and
+        # one of 129 give the files of one pass over every row.
         features, labels = make_synthetic_blobs(3, 700, 6, 0.5, seed=5)
         split = split_protocol(labels, 17, 10, seed=5)
-        assert split.database.size == 2 * model.ENCODE_BLOCK_ROWS + 1
-        net = build_network(NetworkSpec(6, (12,), 16, 3), seed=6)
+        assert split.database.size == 16 * model.ENCODE_BLOCK_MIN_ROWS + 1
+        net = build_network(NetworkSpec(6, (4096,), 16, 3), seed=6)
         save_features(features, tmp_path / "f.hcfs")
         save_split(split, tmp_path / "s.txt")
         save_network(net, tmp_path / "m.hcmd")
@@ -834,7 +868,7 @@ class TestAnalyzeCommand:
                          "--features", str(tmp_path / "f.hcfs"),
                          "--split", str(tmp_path / "s.txt"),
                          "--bins", str(bins), "--outdir", str(outdir)]) == 0
-        assert seen == [model.ENCODE_BLOCK_ROWS, model.ENCODE_BLOCK_ROWS + 1]
+        assert seen == [128] * 15 + [129]
         csv_text = (outdir / f"activation_hist_k16_b{bins}.csv").read_text()
         assert csv_text.splitlines() == ["bin_low,bin_high,count"] + [
             f"{float(edges[i])!r},{float(edges[i + 1])!r},{c}"

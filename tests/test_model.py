@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hadahash.io import BadMagicError, TruncatedFileError
+from hadahash.io import BadMagicError, FileFormatError, TruncatedFileError
 from hadahash.model import (DenseLayer, HashNetwork, LossBreakdown,
                             NetworkSpec, backward, bce_loss, build_network,
                             cross_entropy_loss, forward, hadamard_loss,
@@ -565,6 +565,7 @@ class TestSgdStep:
 
 
 class TestRowBlocks:
+    # 2**17 entries over a width of 128 make blocks of 1024 rows.
     @pytest.mark.parametrize("n, bounds", [
         (1, [(0, 1)]),
         (2, [(0, 2)]),
@@ -576,12 +577,42 @@ class TestRowBlocks:
         (3000, [(0, 1024), (1024, 2048), (2048, 3000)]),
     ])
     def test_one_row_tail_joins_the_block_before(self, n, bounds):
-        assert model.ENCODE_BLOCK_ROWS == 1024
-        assert model.row_blocks(n) == bounds
+        assert model.ENCODE_BLOCK_ENTRIES == 1 << 17
+        assert model.row_blocks(n, 128) == bounds
+
+    @pytest.mark.parametrize("n, width, bounds", [
+        # The budget rounds down: 3276 rows of 40 entries.
+        (3277, 40, [(0, 3277)]),
+        (3278, 40, [(0, 3276), (3276, 3278)]),
+        (2, 1, [(0, 2)]),
+        (131073, 1, [(0, 131073)]),
+        (131074, 1, [(0, 131072), (131072, 131074)]),
+        # 1024 entries are the last width the budget sets alone; wider rows
+        # take the 128-row floor, a one-row tail still joining the block
+        # before.
+        (257, 1024, [(0, 128), (128, 257)]),
+        (129, 1025, [(0, 129)]),
+        (258, 1025, [(0, 128), (128, 256), (256, 258)]),
+        (300, 9000, [(0, 128), (128, 256), (256, 300)]),
+    ])
+    def test_rows_are_the_budget_over_the_width_with_a_floor(self, n, width,
+                                                             bounds):
+        assert model.ENCODE_BLOCK_MIN_ROWS == 128
+        assert model.row_blocks(n, width) == bounds
 
     def test_no_rows_is_an_error(self):
         with pytest.raises(ValueError, match="no rows to encode"):
-            model.row_blocks(0)
+            model.row_blocks(0, 8)
+
+    @pytest.mark.parametrize("spec, widest", [
+        (NetworkSpec(6, (), 16, 3), 16),
+        (NetworkSpec(40, (), 32, 3), 40),
+        (NetworkSpec(6, (9000,), 16, 3), 9000),
+        (NetworkSpec(6, (12, 300, 5), 16, 3), 300),
+        # The classifier does not run when a set is encoded.
+        (NetworkSpec(6, (8,), 16, 5000), 16)])
+    def test_widest_layer(self, spec, widest):
+        assert build_network(spec, seed=0).widest_layer == widest
 
 
 class TestBuildNetwork:
@@ -639,6 +670,20 @@ class TestCheckpoint:
         path.write_bytes(raw[:len(raw) - 16])
         with pytest.raises(TruncatedFileError):
             load_network(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("layer, part, name", [
+        (0, "weights", "layer 0 weights"), (0, "bias", "layer 0 bias"),
+        (1, "weights", "layer 1 weights"), (2, "bias", "classifier bias")])
+    def test_non_finite_parameter_is_rejected(self, tmp_path, bad, layer,
+                                              part, name):
+        net = build_network(NetworkSpec(6, (8,), 5, 3), seed=4)
+        getattr(net.all_layers()[layer], part).flat[-1] = bad
+        path = tmp_path / "net.hcmd"
+        save_network(net, path)
+        with pytest.raises(FileFormatError) as err:
+            load_network(path)
+        assert str(err.value) == f"{path}: {name} holds a non-finite value"
 
     @pytest.mark.parametrize("hidden", [(0,), (4, 0)])
     def test_zero_width_layer_is_rejected(self, tmp_path, hidden):

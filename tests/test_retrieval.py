@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 
 from hadahash import retrieval
 from hadahash.io import FileFormatError
-from hadahash.model import (ENCODE_BLOCK_ROWS, NetworkSpec, build_network,
-                            hash_layer, row_blocks)
+from hadahash.model import (ENCODE_BLOCK_ENTRIES, ENCODE_BLOCK_MIN_ROWS,
+                            NetworkSpec, build_network, hash_layer, row_blocks)
 from hadahash.retrieval import (DEFAULT_PRECISION_KS, BinaryCodeSet,
                                 EvalReport, _rank_one, binarize, encode_rows,
                                 evaluate, load_codes, lsh_codes,
                                 mean_activations, pack_codes, save_codes,
                                 search, unpack_codes)
 from hadahash.rng import make_rng, standard_normal
+
+# The row width whose blocks hold 1024 rows.
+BLOCKS_OF_1024 = ENCODE_BLOCK_ENTRIES // 1024
 
 
 def _random_pm1(n, k, seed):
@@ -546,7 +549,9 @@ def test_binary_code_set_rejects_fewer_than_one_bit(bits):
 
 
 class TestBlockEncoder:
-    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2049])
+    # Blocks of 3276 rows at k = 32 (max(D, K) = 40) and 1872 at k = 70.
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 1873, 1874, 2049,
+                                   3277, 3278, 7000])
     @pytest.mark.parametrize("k", [32, 70])
     def test_lsh_codes_match_one_product(self, n, k):
         features = np.random.default_rng(n).normal(
@@ -561,7 +566,8 @@ class TestBlockEncoder:
             every = lsh_codes(features[rows], k, 7)
             assert every.words.tobytes() == expected.words.tobytes()
 
-    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2048, 2049, 3000])
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 1023, 1024,
+                                   1025, 2048, 2049, 3000])
     def test_blocks_cover_the_rows_in_order(self, n, monkeypatch):
         seen = []
         real_binarize = retrieval.binarize
@@ -573,27 +579,36 @@ class TestBlockEncoder:
         monkeypatch.setattr(retrieval, "binarize", recording_binarize)
         values = np.random.default_rng(n).normal(size=(n, 3))
         rows = np.arange(n)[::-1].copy()
-        codes = encode_rows(values, rows, lambda block: block, 3)
-        assert sum(seen) == n
-        assert all(size >= 2 for size in seen) or n == 1
-        assert max(seen) <= ENCODE_BLOCK_ROWS + 1
-        assert codes.words.tobytes() == \
-            real_binarize(values[rows]).words.tobytes()
+        # Blocks of 1024 rows and of the 128-row floor.
+        for width, step in ((BLOCKS_OF_1024, 1024),
+                            (9000, ENCODE_BLOCK_MIN_ROWS)):
+            seen.clear()
+            codes = encode_rows(values, rows, lambda block: block, width, 3)
+            assert sum(seen) == n
+            assert all(size >= 2 for size in seen) or n == 1
+            assert max(seen) <= step + 1
+            # A one-row tail joins the block before it: ceil((n - 1) / step).
+            assert len(seen) == max(1, -(-(n - 1) // step))
+            assert codes.words.tobytes() == \
+                real_binarize(values[rows]).words.tobytes()
 
     def test_no_rows_is_an_error(self):
         with pytest.raises(ValueError, match="no rows to encode"):
             encode_rows(np.zeros((4, 3)), np.zeros(0, dtype=np.int64),
-                        lambda block: block, 3)
+                        lambda block: block, 3, 3)
         with pytest.raises(ValueError, match="no rows to encode"):
             mean_activations(np.zeros((4, 3)), np.zeros(0, dtype=np.int64),
-                             lambda block: block)
+                             lambda block: block, 3)
 
     @pytest.mark.parametrize("k", [2, 3, 7, 32, 64, 128, 200])
     def test_streamed_means_equal_numpy_mean(self, k):
-        for n in (1, 2, 3, 1023, 1024, 1025, 2049, 3000, 11520):
+        # Blocks of 1024 rows and of the 128-row floor.
+        for n in (1, 2, 3, 129, 257, 1023, 1024, 1025, 2049, 3000, 11520):
             u = np.tanh(np.random.default_rng(n * k).normal(size=(n, k)))
-            means = mean_activations(u, np.arange(n), lambda block: block)
-            assert means.tobytes() == u.mean(axis=0).tobytes(), n
+            for width in (BLOCKS_OF_1024, 9000):
+                means = mean_activations(u, np.arange(n),
+                                         lambda block: block, width)
+                assert means.tobytes() == u.mean(axis=0).tobytes(), (n, width)
 
     @pytest.mark.parametrize("encode", ["network", "lsh"])
     def test_peak_does_not_grow_with_rows(self, encode, monkeypatch):
@@ -609,7 +624,8 @@ class TestBlockEncoder:
             tracemalloc.start()
             try:
                 if encode == "network":
-                    encode_rows(features, rows, hash_layer(net), 32)
+                    encode_rows(features, rows, hash_layer(net),
+                                net.widest_layer, 32)
                 else:
                     lsh_codes(features, 32, 3, rows=rows)
                 return tracemalloc.get_traced_memory()[1] - n * 8
@@ -641,33 +657,37 @@ class TestThreadedEncoder:
         return features, rows, build_network(NetworkSpec(40, (64,), 32, 4),
                                               seed=2)
 
+    # Blocks are 2**17 // width rows: 2048 rows of the 64-wide layer and
+    # 1872 of the 70 LSH bits.
     @staticmethod
-    def _one_block_at_a_time(features, rows, encode, mode="sign",
+    def _one_block_at_a_time(features, rows, encode, width, mode="sign",
                              means=None):
         """The words of a plain loop over the blocks, in one thread."""
         return b"".join(
             binarize(encode(features[rows[lo:hi]]), mode, means).words.tobytes()
-            for lo, hi in row_blocks(rows.size))
+            for lo, hi in row_blocks(rows.size, width))
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-    @pytest.mark.parametrize("n", [1, 2, 1024, 1025, 2049, 5000])
+    @pytest.mark.parametrize("n", [1, 2, 1024, 1025, 2048, 2049, 4097, 5000])
     def test_codes_are_the_same_on_any_worker_count(self, monkeypatch,
                                                     workers, n):
         features, rows, net = self._inputs(n)
         encode = hash_layer(net)
-        means = mean_activations(features, rows, encode)
+        assert net.widest_layer == 64
+        means = mean_activations(features, rows, encode, 64)
         planes = standard_normal(make_rng(5), (40, 70))
         expected = (
-            self._one_block_at_a_time(features, rows, encode),
-            self._one_block_at_a_time(features, rows, encode,
+            self._one_block_at_a_time(features, rows, encode, 64),
+            self._one_block_at_a_time(features, rows, encode, 64,
                                       "mean_centered_sign", means),
             self._one_block_at_a_time(
-                features, rows, lambda block: block.astype(np.float64) @ planes))
+                features, rows,
+                lambda block: block.astype(np.float64) @ planes, 70))
         monkeypatch.setattr(retrieval, "_worker_count", lambda: workers)
         baseline = threading.active_count()
-        got = (encode_rows(features, rows, encode, 32),
-               encode_rows(features, rows, encode, 32, "mean_centered_sign",
-                           means),
+        got = (encode_rows(features, rows, encode, 64, 32),
+               encode_rows(features, rows, encode, 64, 32,
+                           "mean_centered_sign", means),
                lsh_codes(features, 70, 5, rows=rows))
         assert threading.active_count() == baseline
         assert [codes.mode for codes in got] == [
@@ -691,8 +711,8 @@ class TestThreadedEncoder:
 
         monkeypatch.setattr(retrieval, "_worker_count", lambda: workers)
         values = np.arange(n, dtype=np.float64)[:, None]
-        encode_rows(values, np.arange(n), recording, 1)
-        starts = [float(lo) for lo, _ in row_blocks(n)]
+        encode_rows(values, np.arange(n), recording, BLOCKS_OF_1024, 1)
+        starts = [float(lo) for lo, _ in row_blocks(n, BLOCKS_OF_1024)]
         assert seen.pop(threading.get_ident()) == starts[:caller_blocks]
         assert len(seen) < runs
         assert bool(seen) == (runs > 1)
@@ -706,7 +726,7 @@ class TestThreadedEncoder:
             pass
 
         def failing_block(block):
-            if block[0, 0] == failing * ENCODE_BLOCK_ROWS:
+            if block[0, 0] == failing * 1024:
                 raise Boom(f"block {failing}")
             return block
 
@@ -714,7 +734,8 @@ class TestThreadedEncoder:
         values = np.arange(5000, dtype=np.float64)[:, None]
         baseline = threading.active_count()
         with pytest.raises(Boom, match=f"block {failing}"):
-            encode_rows(values, np.arange(5000), failing_block, 1)
+            encode_rows(values, np.arange(5000), failing_block,
+                        BLOCKS_OF_1024, 1)
         assert threading.active_count() == baseline
 
     def test_stress_more_workers_than_cores(self, monkeypatch):
@@ -722,13 +743,13 @@ class TestThreadedEncoder:
         # another block's rows would change the words.
         features, rows, net = self._inputs(20000)
         encode = hash_layer(net)
-        expected = self._one_block_at_a_time(features, rows, encode)
+        expected = self._one_block_at_a_time(features, rows, encode, 64)
         monkeypatch.setattr(retrieval, "_worker_count", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                codes = encode_rows(features, rows, encode, 32)
+                codes = encode_rows(features, rows, encode, 64, 32)
                 assert codes.words.tobytes() == expected
         finally:
             sys.setswitchinterval(interval)

@@ -150,18 +150,27 @@ class TestTrain:
         (0, "weights", "layer 0 weights"), (1, "bias", "layer 1 bias"),
         (2, "weights", "classifier weights"), (2, "bias", "classifier bias")])
     def test_non_finite_loss_names_the_parameter(self, small_setup, tmp_path,
-                                                 layer, part, name):
-        # A checkpoint with one NaN entry: the resumed run's first batch
-        # has a NaN loss, and the error names the parameter that holds it.
+                                                 monkeypatch, layer, part,
+                                                 name):
+        # A resumed network with one NaN entry: the run's first batch has a
+        # NaN loss, and the error names the parameter that holds it. The
+        # loaders reject a non-finite file, so the NaN enters after the load.
         features, labels, split, book = small_setup
         config = TrainConfig(epochs=3, base_lr=0.01, seed=1, batch_size=16)
         path = tmp_path / "m.hcmd"
         train(replace(config, epochs=1), features, labels, split, book,
               hidden=(8,), out=path)
         net = load_network(path)
-        getattr(net.all_layers()[layer], part).flat[3] = np.nan
         save_checkpoint(net, [np.zeros_like(p) for p in net.param_arrays()],
                         1, path, config)
+        real_load = trainer.load_checkpoint
+
+        def load_with_nan(checkpoint_path):
+            loaded = real_load(checkpoint_path)
+            getattr(loaded[0].all_layers()[layer], part).flat[3] = np.nan
+            return loaded
+
+        monkeypatch.setattr(trainer, "load_checkpoint", load_with_nan)
         with pytest.raises(NumericError) as info:
             train(config, features, labels, split, book, hidden=(8,),
                   out=path, resume=True)
@@ -366,6 +375,22 @@ class TestResume:
         state.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError, match="unknown loss mode tag"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index, name", [
+        (0, "layer 0 weights"), (1, "layer 0 bias"), (3, "layer 1 bias"),
+        (4, "classifier weights")])
+    def test_non_finite_velocity_is_a_format_error(self, tmp_path, bad,
+                                                   index, name):
+        net = build_network(NetworkSpec(8, (8,), 8, 4), seed=1)
+        velocity = [np.zeros_like(p) for p in net.param_arrays()]
+        velocity[index].flat[-1] = bad
+        path = tmp_path / "ck.hcmd"
+        save_checkpoint(net, velocity, 0, path, TrainConfig())
+        with pytest.raises(FileFormatError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"{path}.state: the velocity of {name} "
+                                  f"holds a non-finite value")
 
     def test_loaded_velocity_updates_in_place(self, small_setup, tmp_path):
         features, labels, split, book = small_setup
