@@ -13,8 +13,7 @@ from .model import (DenseLayer, HashNetwork, LossBreakdown, NetworkSpec,
                     save_network, sgd_step)
 from .retrieval import (BinaryCodeSet, EvalReport, RankedList, binarize,
                         encode_rows, evaluate, load_codes, lsh_codes,
-                        mean_activations, pack_codes, save_codes, search,
-                        unpack_codes)
+                        pack_codes, save_codes, search, unpack_codes)
 from .trainer import (NumericError, TrainConfig, TrainHistory, learning_rate,
                       train)
 from .analysis import (ablate, activation_histogram, bit_balance,

@@ -60,13 +60,12 @@ def _check_subset(args) -> None:
 
 
 def _subset_rows(args, num_items: int):
-    """The --subset rows of --split (database by default) and its database
-    rows; every row for both without a split."""
+    """The --subset rows of --split (database by default); every row
+    without a split."""
     if not args.split:
-        rows = np.arange(num_items)
-        return rows, rows
-    split = _load_split(args.split, num_items)
-    return getattr(split, args.subset or "database"), split.database
+        return np.arange(num_items)
+    return getattr(_load_split(args.split, num_items),
+                   args.subset or "database")
 
 
 def _check_code_counts(query_codes, db_codes, split) -> None:
@@ -144,21 +143,12 @@ def cmd_encode(args) -> int:
     _check_subset(args)
     net = model.load_network(args.model)
     features = data.load_features(args.features)
-    rows, database = _subset_rows(args, features.num_items)
-    hash_layer = model.hash_layer(net)
-    mode, means = "sign", None
-    if args.mean_centered:
-        # A pass of its own over the database, so no N x K activations are
-        # held.
-        mode = "mean_centered_sign"
-        means = retrieval.mean_activations(features.values, database,
-                                           hash_layer, net.widest_layer)
-    codes = retrieval.encode_rows(features.values, rows, hash_layer,
-                                  net.widest_layer, net.code_bits, mode,
-                                  means)
+    codes = retrieval.encode_rows(
+        features.values, _subset_rows(args, features.num_items),
+        model.hash_layer(net), net.widest_layer, net.code_bits)
     retrieval.save_codes(codes, args.out)
-    _log(f"wrote {codes.num_items} codes of {codes.code_bits} bits "
-         f"({codes.mode}) to {args.out}")
+    _log(f"wrote {codes.num_items} codes of {codes.code_bits} bits (sign) "
+         f"to {args.out}")
     return 0
 
 
@@ -252,10 +242,9 @@ def cmd_analyze(args) -> int:
     if args.model:
         net = model.load_network(args.model)
         features = data.load_features(args.features)
-        rows, _ = _subset_rows(args, features.num_items)
         counts, edges = analysis.activation_histogram(
-            features.values, rows, model.hash_layer(net), net.widest_layer,
-            args.bins)
+            features.values, _subset_rows(args, features.num_items),
+            model.hash_layer(net), net.widest_layer, args.bins)
         reports.append(("activation histogram",
                         f"activation_hist_k{net.code_bits}_b{args.bins}.csv",
                         ("bin_low", "bin_high", "count"),
@@ -457,8 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="split rows to encode; needs --split (default: "
                         "database)")
-    p.add_argument("--mean-centered", action="store_true",
-                   help="threshold at per-bit database means instead of zero")
     p.add_argument("--out", required=True, help="output HCBC path")
 
     p = sub.add_parser("eval", help="mAP and PR curve for encoded sets")

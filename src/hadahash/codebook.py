@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .io import (FileFormatError, read_array, read_header, write_array,
-                 write_header)
+from .io import (FileFormatError, check_end, read_array, read_header,
+                 write_array, write_header)
 from .rng import make_rng, standard_normal
 
 CODEBOOK_MAGIC = b"HCCB"
@@ -207,6 +207,7 @@ def load_codebook(path) -> Codebook:
         if tag not in _TAG_TO_PROVENANCE:
             raise FileFormatError(f"{path}: unknown provenance tag {tag}")
         entries = read_array(f, np.int8, num_classes * code_bits, "codewords")
+        check_end(f)
     if not np.all(np.abs(entries) == 1):
         raise FileFormatError(f"{path}: codeword entries must be -1 or +1")
     codewords = entries.reshape(num_classes, code_bits)

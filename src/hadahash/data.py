@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import read_array, read_header, write_array, write_header
+from .io import check_end, read_array, read_header, write_array, write_header
 from .rng import make_rng, standard_normal
 
 FEATURES_MAGIC = b"HCFS"
@@ -115,6 +115,7 @@ def load_features(path) -> FeatureSet:
     with open(path, "rb") as f:
         n, d = read_header(f, FEATURES_MAGIC, FORMAT_VERSION, MATRIX_HEADER)
         values = read_array(f, "<f4", n * d, "feature payload")
+        check_end(f)
     return FeatureSet(values=values.reshape(n, d))
 
 
@@ -135,6 +136,7 @@ def load_labels(path) -> LabelSet:
     with open(path, "rb") as f:
         n, c = read_header(f, LABELS_MAGIC, FORMAT_VERSION, MATRIX_HEADER)
         values = read_array(f, np.uint8, n * c, "label payload")
+        check_end(f)
     return LabelSet(values=values.reshape(n, c))
 
 

@@ -11,8 +11,10 @@ version. Payloads follow the header as little-endian arrays, through
 structured dtype.
 
 Loaders read and validate the whole payload before constructing any
-object, so a malformed file never leaves partial state behind. Every
-framing error names the file it was raised for.
+object, so a malformed file never leaves partial state behind. A file
+holds its header and payload and nothing after them: every binary loader
+ends its reads with `check_end`, so appended bytes are an error as a cut
+payload is. Every framing error names the file it was raised for.
 """
 
 import os
@@ -89,6 +91,13 @@ def read_array(f, dtype, count: int, what: str) -> np.ndarray:
             f"{f.name}: truncated while reading {what}: wanted {wanted} "
             f"bytes, got {got}")
     return out
+
+
+def check_end(f) -> None:
+    """Raise a FileFormatError unless every byte of `f` has been read."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if left:
+        raise FileFormatError(f"{f.name}: {left} bytes after the payload")
 
 
 def write_array(f, values: np.ndarray, dtype) -> None:

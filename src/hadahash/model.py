@@ -17,8 +17,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .io import (FileFormatError, read_array, read_header, write_array,
-                 write_header)
+from .io import (FileFormatError, check_end, read_array, read_header,
+                 write_array, write_header)
 from .rng import make_rng
 
 CHECKPOINT_MAGIC = b"HCMD"
@@ -451,6 +451,7 @@ def load_network(path) -> HashNetwork:
             weights = read_array(f, "<f8", fan_in * fan_out, "weights").reshape(fan_in, fan_out)
             bias = read_array(f, "<f8", fan_out, "bias")
             layers.append(DenseLayer(weights=weights, bias=bias, activation=activation))
+        check_end(f)
     net = HashNetwork(layers=layers[:-1], classifier=layers[-1])
     # Training never saves a non-finite parameter, and one would encode as
     # plausible codes: a NaN activation binarizes to 0.

@@ -9,19 +9,15 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .io import (FileFormatError, read_array, read_header, write_array,
-                 write_header)
+from .io import (FileFormatError, check_end, read_array, read_header,
+                 write_array, write_header)
 from .model import row_blocks
 from .rng import make_rng, standard_normal
 
 CODES_MAGIC = b"HCBC"
 CODES_VERSION = 1
-# Item count, code length, binarization mode tag.
+# Item count, code length, threshold tag: 0, sign; load rejects any other.
 CODES_HEADER = "IIB"
-
-BINARIZATION_MODES = ("sign", "mean_centered_sign")
-_MODE_TO_TAG = {"sign": 0, "mean_centered_sign": 1}
-_TAG_TO_MODE = {tag: name for name, tag in _MODE_TO_TAG.items()}
 
 DEFAULT_PRECISION_KS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
@@ -42,16 +38,14 @@ class BinaryCodeSet:
     """N items of K bits packed into 64-bit words, LSB-first within a word.
 
     Bit j of item i lives in word j // 64 at bit position j % 64; padding
-    bits beyond K are always zero.
+    bits beyond K are always zero. Every code set holds sign bits, so any
+    two of the same code length share one Hamming space.
     """
 
     words: np.ndarray  # (N, ceil(K/64)) uint64
     code_bits: int
-    mode: str = "sign"
 
     def __post_init__(self):
-        if self.mode not in BINARIZATION_MODES:
-            raise ValueError(f"unknown binarization mode {self.mode!r}")
         if self.code_bits < 1:
             raise ValueError(f"codes need at least one bit, got "
                              f"{self.code_bits}")
@@ -65,7 +59,7 @@ class BinaryCodeSet:
         return self.words.shape[0]
 
 
-def pack_codes(values: np.ndarray, mode: str = "sign") -> BinaryCodeSet:
+def pack_codes(values: np.ndarray) -> BinaryCodeSet:
     """Pack a matrix of +-1 (or boolean) bits into 64-bit words."""
     values = np.asarray(values)
     if values.ndim != 2:
@@ -76,7 +70,7 @@ def pack_codes(values: np.ndarray, mode: str = "sign") -> BinaryCodeSet:
     bits = values if values.dtype == bool else values > 0
     packed = np.zeros((n, (k + 63) // 64 * 8), dtype=np.uint8)
     packed[:, :(k + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
-    return BinaryCodeSet(words=packed.view("<u8"), code_bits=k, mode=mode)
+    return BinaryCodeSet(words=packed.view("<u8"), code_bits=k)
 
 
 def unpack_codes(codes: BinaryCodeSet) -> np.ndarray:
@@ -90,80 +84,45 @@ def unpack_codes(codes: BinaryCodeSet) -> np.ndarray:
     return bits
 
 
-def binarize(u: np.ndarray, mode: str = "sign",
-             reference_means: Optional[np.ndarray] = None) -> BinaryCodeSet:
-    """Threshold real activations into a packed code set.
-
-    bit = sign(u - shift) with sign(0) = +1. Plain sign mode uses shift 0;
-    mean-centered mode shifts each bit by the per-bit mean of the database
-    activations, which must be supplied as `reference_means`.
-    """
+def binarize(u: np.ndarray) -> BinaryCodeSet:
+    """Threshold real activations at zero into a packed code set:
+    bit = sign(u) with sign(0) = +1. Bit balance is the codebook's work,
+    so no bit is shifted by a per-bit statistic."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2:
         raise ValueError(f"expected an (N, K) activation matrix, got {u.shape}")
-    if mode == "sign":
-        shift = 0.0
-    elif mode == "mean_centered_sign":
-        if reference_means is None:
-            raise ValueError("mean_centered_sign needs reference_means")
-        reference_means = np.asarray(reference_means, dtype=np.float64)
-        if reference_means.shape != (u.shape[1],):
-            raise ValueError(
-                f"reference_means shape {reference_means.shape} != ({u.shape[1]},)")
-        shift = reference_means
-    else:
-        raise ValueError(f"unknown binarization mode {mode!r}")
-    return pack_codes(u - shift >= 0.0, mode=mode)
+    return pack_codes(u >= 0.0)
 
 
 def encode_rows(values: np.ndarray, rows: np.ndarray, activations,
-                width: int, code_bits: int, mode: str = "sign",
-                reference_means: Optional[np.ndarray] = None) -> BinaryCodeSet:
+                width: int, code_bits: int) -> BinaryCodeSet:
     """Codes of `activations(values[rows])`, one row block at a time.
 
     `width` is the entry count of the widest float64 row that
     `activations` makes, input included, and sets the blocks:
     `row_blocks(rows.size, width)`. Each block is gathered through the
-    index array, mapped to (B, K) activations and binarized into its rows
-    of one preallocated word array. `_map_runs` splits the blocks into one
-    contiguous run per available CPU: the calling thread encodes the first
-    run and pool threads the others, and a single block or CPU starts no
-    pool. `activations` must therefore be safe to call from several
-    threads at once. Memory holds the packed codes and, per thread, one
-    block of rows and its activations, about 1 MiB per float64 array at
-    any width (see `model.ENCODE_BLOCK_ENTRIES`), never the N gathered
-    rows or N x K floats. The blocks and their products are the same on
-    any number of threads, so the codes are too, to the last bit. A
-    worker's exception reaches the caller, and no thread outlives the
-    call.
+    index array, mapped to (B, K) activations and binarized at zero by
+    `binarize`, looked up at call time, into its rows of one preallocated
+    word array. `_map_runs` splits the blocks into one contiguous run per
+    available CPU: the calling thread encodes the first run and pool
+    threads the others, and a single block or CPU starts no pool.
+    `activations` must therefore be safe to call from several threads at
+    once. Memory holds the packed codes and, per thread, one block of rows
+    and its activations, about 1 MiB per float64 array at any width (see
+    `model.ENCODE_BLOCK_ENTRIES`), never the N gathered rows or N x K
+    floats. The blocks and their products are the same on any number of
+    threads, so the codes are too, to the last bit. A worker's exception
+    reaches the caller, and no thread outlives the call.
     """
     words = np.empty((rows.size, (code_bits + 63) // 64), dtype=np.uint64)
     blocks = row_blocks(rows.size, width)
 
     def encode(run) -> None:
         for lo, hi in run:
-            words[lo:hi] = binarize(activations(values[rows[lo:hi]]), mode,
-                                    reference_means).words
+            words[lo:hi] = binarize(activations(values[rows[lo:hi]])).words
 
     _map_runs(encode, blocks, _worker_count())
-    return BinaryCodeSet(words=words, code_bits=code_bits, mode=mode)
-
-
-def mean_activations(values: np.ndarray, rows: np.ndarray, activations,
-                     width: int) -> np.ndarray:
-    """Per-bit mean of `activations(values[rows])`, one block of
-    `row_blocks(rows.size, width)` at a time, `width` as in `encode_rows`.
-
-    The running sum reduces [sum so far; block] down the rows, which adds
-    row after row as `u.mean(axis=0)` does over a C-ordered (N, K) matrix
-    with K >= 2, so the means are the same to the last bit.
-    """
-    total = None
-    for lo, hi in row_blocks(rows.size, width):
-        u = activations(values[rows[lo:hi]])
-        total = np.add.reduce(
-            u if total is None else np.concatenate([total[None], u]), axis=0)
-    return total / rows.size
+    return BinaryCodeSet(words=words, code_bits=code_bits)
 
 
 def _distances(codes: np.ndarray, db_words: np.ndarray, words=None,
@@ -296,9 +255,6 @@ def _check_ranking(queries: BinaryCodeSet, database: BinaryCodeSet,
     if queries.code_bits != database.code_bits:
         raise ValueError(
             f"code length mismatch: {queries.code_bits} vs {database.code_bits}")
-    if queries.mode != database.mode:
-        raise ValueError(
-            f"binarization mode mismatch: {queries.mode} vs {database.mode}")
     n = database.num_items
     if n == 0:
         raise ValueError("the database is empty")
@@ -311,13 +267,12 @@ def search(queries: BinaryCodeSet, database: BinaryCodeSet,
            limit: Optional[int] = None) -> List[RankedList]:
     """Exact top-`limit` scan per query (all items when limit is None).
 
-    Both sets must have the same code length and binarization mode: codes
-    thresholded at different points do not share a Hamming space. Every
-    query is ranked in the calling thread, one after another, as a block
-    of one through `_pack_keys` without a flag bit. At any limit the scan
-    holds one query's distances and sort keys: 1 B (2 B above three words)
-    and a 1 to 8 B key per database item, 5 B for codes of up to 192 bits
-    over at most 2**23 items. A ranking holds 12 B per ranked item.
+    Both sets must have the same code length. Every query is ranked in the
+    calling thread, one after another, as a block of one through
+    `_pack_keys` without a flag bit. At any limit the scan holds one
+    query's distances and sort keys: 1 B (2 B above three words) and a 1 to
+    8 B key per database item, 5 B for codes of up to 192 bits over at most
+    2**23 items. A ranking holds 12 B per ranked item.
     """
     r = _check_ranking(queries, database, limit)
     max_distance = 64 * database.words.shape[1]
@@ -542,8 +497,9 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
         precision_at=[(k, float(v / scored.size))
                       for k, v in zip(ks.tolist(), total[grid.size:])],
         skipped_queries=queries.num_items - scored.size,
+        # Every code set is sign codes; "mode" keeps the reports' bytes.
         params={"map_at": r_cut, "code_bits": queries.code_bits,
-                "mode": queries.mode, "denominator": denominator})
+                "mode": "sign", "denominator": denominator})
 
 
 def lsh_codes(features: np.ndarray, code_bits: int, seed: int,
@@ -577,23 +533,26 @@ def lsh_codes(features: np.ndarray, code_bits: int, seed: int,
 def save_codes(codes: BinaryCodeSet, path) -> None:
     with open(path, "wb") as f:
         write_header(f, CODES_MAGIC, CODES_VERSION, CODES_HEADER,
-                     codes.num_items, codes.code_bits, _MODE_TO_TAG[codes.mode])
+                     codes.num_items, codes.code_bits, 0)
         write_array(f, codes.words, "<u8")
 
 
 def load_codes(path) -> BinaryCodeSet:
     with open(path, "rb") as f:
         n, k, tag = read_header(f, CODES_MAGIC, CODES_VERSION, CODES_HEADER)
-        if tag not in _TAG_TO_MODE:
-            raise FileFormatError(f"{path}: unknown mode tag {tag}")
+        if tag:
+            raise FileFormatError(
+                f"{path}: threshold tag {tag}; only sign codes (tag 0) are "
+                f"read, mean-centred codes (tag 1) were removed")
         if k < 1:
             raise FileFormatError(f"{path}: code length {k}; codes need at "
                                   f"least one bit")
         n_words = (k + 63) // 64
         words = read_array(f, "<u8", n * n_words, "code words")
+        check_end(f)
     words = words.reshape(n, n_words)
     # A set padding bit would count in every Hamming distance.
     if k % 64 and np.any(words[:, -1] >> np.uint64(k % 64)):
         raise FileFormatError(f"{path}: bits at or above the code length {k} "
                               f"are set")
-    return BinaryCodeSet(words=words, code_bits=k, mode=_TAG_TO_MODE[tag])
+    return BinaryCodeSet(words=words, code_bits=k)

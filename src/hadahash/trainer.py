@@ -11,8 +11,8 @@ import numpy as np
 
 from .codebook import Codebook, target_batch
 from .data import FeatureSet, LabelSet, Split, check_split
-from .io import (FileFormatError, read_array, read_header, write_array,
-                 write_header)
+from .io import (FileFormatError, check_end, read_array, read_header,
+                 write_array, write_header)
 from .model import (VARIANTS, HashNetwork, LossBreakdown, NetworkSpec,
                     backward, build_network, first_non_finite, load_network,
                     save_network, sgd_step)
@@ -279,6 +279,7 @@ def load_checkpoint(path):
         next_epoch, total, *fields = read_header(
             f, TRAIN_STATE_MAGIC, TRAIN_STATE_VERSION, TRAIN_STATE_HEADER)
         flat = read_array(f, "<f8", total, "velocity payload")
+        check_end(f)
     mode_tag, variant_tag = fields[-2:]
     if mode_tag >= len(_LOSS_MODES) or variant_tag >= len(VARIANTS):
         raise FileFormatError(f"{state_path}: unknown loss mode tag "

@@ -97,38 +97,7 @@ class TestEncodeCommand:
         save_network(net, paths["model.hcmd"])
         return features, split, net, paths
 
-    @pytest.mark.parametrize("use_split", [True, False])
-    def test_mean_centered_database_runs_forward_twice(
-            self, inputs, tmp_path, monkeypatch, use_split):
-        features, split, net, paths = inputs
-        rows = features.values[split.database] if use_split else features.values
-        u = model.forward(net, rows)
-        expected = tmp_path / "expected.hcbc"
-        save_codes(binarize(u, mode="mean_centered_sign",
-                            reference_means=u.mean(axis=0)), expected)
-
-        seen = []
-        real_forward = model.forward
-
-        def counting_forward(net, x):
-            seen.append(x.shape[0])
-            return real_forward(net, x)
-
-        monkeypatch.setattr(model, "forward", counting_forward)
-        out = tmp_path / "codes.hcbc"
-        argv = ["encode", "--model", str(paths["model.hcmd"]),
-                "--features", str(paths["features.hcfs"]), "--mean-centered",
-                "--out", str(out)]
-        if use_split:
-            argv += ["--split", str(paths["split.txt"]), "--subset", "database"]
-        assert cli.main(argv) == 0
-        # One pass for the database means, one for the codes.
-        assert seen == [rows.shape[0], rows.shape[0]]
-        assert out.read_bytes() == expected.read_bytes()
-
-    @pytest.mark.parametrize("mean_centered", [False, True])
-    def test_one_row_tail_joins_the_last_block(self, tmp_path, monkeypatch,
-                                               mean_centered):
+    def test_one_row_tail_joins_the_last_block(self, tmp_path, monkeypatch):
         # 1025 rows through a 128-wide layer, whose blocks hold 1024 rows:
         # one forward of 1025 rows, the same product as a single pass over
         # every row, never a one-row block.
@@ -138,9 +107,7 @@ class TestEncodeCommand:
         assert model.row_blocks(1026, net.widest_layer)[0] == (0, 1024)
         save_features(features, tmp_path / "f.hcfs")
         save_network(net, tmp_path / "m.hcmd")
-        u = model.forward(net, features.values)
-        expected = binarize(u) if not mean_centered else binarize(
-            u, mode="mean_centered_sign", reference_means=u.mean(axis=0))
+        expected = binarize(model.forward(net, features.values))
         seen = []
         real_forward = model.forward
 
@@ -150,11 +117,21 @@ class TestEncodeCommand:
 
         monkeypatch.setattr(model, "forward", counting_forward)
         out = tmp_path / "codes.hcbc"
-        argv = ["encode", "--model", str(tmp_path / "m.hcmd"),
-                "--features", str(tmp_path / "f.hcfs"), "--out", str(out)]
-        assert cli.main(argv + ["--mean-centered"] * mean_centered) == 0
-        assert seen == [1025] * (1 + mean_centered)
+        assert cli.main(["encode", "--model", str(tmp_path / "m.hcmd"),
+                         "--features", str(tmp_path / "f.hcfs"),
+                         "--out", str(out)]) == 0
+        assert seen == [1025]
         assert load_codes(out).words.tobytes() == expected.words.tobytes()
+
+    def test_removed_mean_centered_flag_is_exit_two(self, inputs, tmp_path):
+        _, _, _, paths = inputs
+        out = tmp_path / "codes.hcbc"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["encode", "--model", str(paths["model.hcmd"]),
+                      "--features", str(paths["features.hcfs"]),
+                      "--mean-centered", "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert not out.exists()
 
     def test_empty_subset_is_exit_two(self, inputs, tmp_path, capsys):
         _, split, _, paths = inputs
@@ -167,20 +144,6 @@ class TestEncodeCommand:
                          "query", "--out", str(out)]) == 2
         assert "no rows to encode" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_mean_centered_query_uses_database_means(self, inputs, tmp_path):
-        features, split, net, paths = inputs
-        u = model.forward(net, features.values[split.query])
-        reference = model.forward(net, features.values[split.database])
-        expected = tmp_path / "expected.hcbc"
-        save_codes(binarize(u, mode="mean_centered_sign",
-                            reference_means=reference.mean(axis=0)), expected)
-        out = tmp_path / "codes.hcbc"
-        assert cli.main(["encode", "--model", str(paths["model.hcmd"]),
-                         "--features", str(paths["features.hcfs"]),
-                         "--split", str(paths["split.txt"]), "--subset",
-                         "query", "--mean-centered", "--out", str(out)]) == 0
-        assert out.read_bytes() == expected.read_bytes()
 
 
 @pytest.fixture()
@@ -399,24 +362,34 @@ def _save_fresh_checkpoint(paths, next_epoch):
     return _commands(paths, paths["model.hcmd"])["train"] + ["--resume"]
 
 
-@pytest.mark.parametrize("cut", ["header", "payload"])
-@pytest.mark.parametrize("target, command", [
+# Each binary format and a subcommand that reads it.
+BINARY_READERS = [
     ("features.hcfs", "lsh-baseline"),
     ("labels.hcls", "eval"),
     ("book.hccb", "train"),
     ("model.hcmd", "encode"),
     ("query.hcbc", "eval"),
     ("model.hcmd.state", "resume"),
-])
+]
+
+
+def _reader_argv(paths, target, command, out):
+    """argv of `command` reading `target`; a resume reads the fresh
+    checkpoint it saves."""
+    if command != "resume":
+        return _commands(paths, str(out))[command]
+    argv = _save_fresh_checkpoint(paths, 0)
+    paths[target] = paths["model.hcmd"] + ".state"
+    return argv
+
+
+@pytest.mark.parametrize("cut", ["header", "payload"])
+@pytest.mark.parametrize("target, command", BINARY_READERS)
 def test_truncated_file_is_exit_three_naming_it(pipeline_files, capsys,
                                                 target, command, cut):
     _, paths, tmp_path = pipeline_files
     out = tmp_path / "out"
-    if command == "resume":
-        argv = _save_fresh_checkpoint(paths, 0)
-        paths[target] = paths["model.hcmd"] + ".state"
-    else:
-        argv = _commands(paths, str(out))[command]
+    argv = _reader_argv(paths, target, command, out)
     assert cli.main(argv) == 0
     capsys.readouterr()
     out.unlink(missing_ok=True)
@@ -427,6 +400,21 @@ def test_truncated_file_is_exit_three_naming_it(pipeline_files, capsys,
     err = capsys.readouterr().err
     assert f"error: {paths[target]}: truncated while reading" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target, command", BINARY_READERS)
+def test_appended_bytes_are_exit_three_naming_the_file(pipeline_files, capsys,
+                                                       target, command):
+    _, paths, tmp_path = pipeline_files
+    argv = _reader_argv(paths, target, command, tmp_path / "out")
+    with open(paths[target], "ab") as f:
+        f.write(bytes(8))
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"error: {paths[target]}: 8 bytes after the payload\n")
+    # No output is written, and a resume leaves its checkpoint as it was.
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 
 def test_repeated_split_section_is_exit_two(pipeline_files, capsys):
@@ -576,16 +564,23 @@ def test_codes_of_fewer_than_one_bit_are_rejected(pipeline_files, capsys,
     assert not out.exists()
 
 
-def test_mixed_binarization_modes_are_exit_two(pipeline_files, capsys):
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_mean_centred_codes_are_exit_three(pipeline_files, capsys, command):
+    # Tag 1 marked codes thresholded at the database means, a mode that
+    # is gone: the header's last byte, after magic, version, N and K.
     _, paths, tmp_path = pipeline_files
-    db = load_codes(paths["database.hcbc"])
-    save_codes(BinaryCodeSet(words=db.words, code_bits=db.code_bits,
-                             mode="mean_centered_sign"),
-               paths["database.hcbc"])
+    raw = bytearray(Path(paths["database.hcbc"]).read_bytes())
+    assert raw[16] == 0
+    raw[16] = 1
+    Path(paths["database.hcbc"]).write_bytes(bytes(raw))
     out = tmp_path / "out"
-    assert cli.main(_commands(paths, str(out))["eval"]) == 2
+    argv = (_commands(paths, str(out))["eval"] if command == "eval" else
+            ["analyze", "--codes", paths["database.hcbc"], "--outdir",
+             str(out)])
+    assert cli.main(argv) == 3
     assert capsys.readouterr().err == (
-        "error: binarization mode mismatch: sign vs mean_centered_sign\n")
+        f"error: {paths['database.hcbc']}: threshold tag 1; only sign codes "
+        f"(tag 0) are read, mean-centred codes (tag 1) were removed\n")
     assert not out.exists()
 
 
@@ -685,18 +680,28 @@ class TestConfigFile:
             cli.main(argv)
         assert exit_info.value.code == 2
 
-    @pytest.mark.parametrize("value, flag", [("true", ["--mean-centered"]),
+    @staticmethod
+    def _trained(paths, argv):
+        """The model and .state bytes that `argv` leaves at the
+        checkpoint path, started from a fresh epoch-0 checkpoint there. A
+        resume continues its weights; a fresh run replaces them."""
+        _save_fresh_checkpoint(paths, 0)
+        assert cli.main(argv) == 0
+        return [Path(paths["model.hcmd"] + suffix).read_bytes()
+                for suffix in ("", ".state")]
+
+    @pytest.mark.parametrize("value, flag", [("true", ["--resume"]),
                                              ("false", [])])
     def test_switch_from_config(self, pipeline_files, value, flag):
         _, paths, tmp_path = pipeline_files
-        config = tmp_path / "encode.cfg"
-        config.write_text(f"mean_centered={value}\n")
-        encode = _commands(paths, str(tmp_path / "config.hcbc"))["encode"]
-        assert cli.main(["--config", str(config), *encode]) == 0
-        encode = _commands(paths, str(tmp_path / "flag.hcbc"))["encode"]
-        assert cli.main([*encode, *flag]) == 0
-        assert ((tmp_path / "config.hcbc").read_bytes()
-                == (tmp_path / "flag.hcbc").read_bytes())
+        config = tmp_path / "train.cfg"
+        config.write_text(f"resume={value}\n")
+        train = (_commands(paths, paths["model.hcmd"])["train"]
+                 + ["--checkpoint-every", "1"])
+        from_config = self._trained(paths, ["--config", str(config), *train])
+        assert from_config == self._trained(paths, [*train, *flag])
+        other = [] if flag else ["--resume"]
+        assert from_config != self._trained(paths, [*train, *other])
 
     def test_unknown_switch_is_exit_two(self, pipeline_files):
         _, paths, tmp_path = pipeline_files
@@ -727,17 +732,16 @@ class TestConfigFile:
     @pytest.mark.parametrize("where", ["before", "after"])
     def test_equals_form_applies_the_file(self, pipeline_files, where):
         _, paths, tmp_path = pipeline_files
-        config = tmp_path / "encode.cfg"
-        config.write_text("mean_centered=true\n")
-        encode = _commands(paths, str(tmp_path / "config.hcbc"))["encode"]
+        config = tmp_path / "train.cfg"
+        config.write_text("resume=true\n")
+        train = (_commands(paths, paths["model.hcmd"])["train"]
+                 + ["--checkpoint-every", "1"])
         option = f"--config={config}"
-        argv = ([option, *encode] if where == "before"
-                else [encode[0], option, *encode[1:]])
-        assert cli.main(argv) == 0
-        encode = _commands(paths, str(tmp_path / "flag.hcbc"))["encode"]
-        assert cli.main([*encode, "--mean-centered"]) == 0
-        assert ((tmp_path / "config.hcbc").read_bytes()
-                == (tmp_path / "flag.hcbc").read_bytes())
+        argv = ([option, *train] if where == "before"
+                else [train[0], option, *train[1:]])
+        from_config = self._trained(paths, argv)
+        assert from_config == self._trained(paths, [*train, "--resume"])
+        assert from_config != self._trained(paths, train)
 
 
 def test_oversized_quota_is_exit_two(pipeline_files, capsys):

@@ -6,8 +6,9 @@ import pytest
 
 from hadahash.codebook import build_codebook, save_codebook
 from hadahash.data import FeatureSet, LabelSet, save_features, save_labels
-from hadahash.io import (BadMagicError, BadVersionError, TruncatedFileError,
-                         read_array, read_header, write_array, write_header)
+from hadahash.io import (BadMagicError, BadVersionError, FileFormatError,
+                         TruncatedFileError, check_end, read_array,
+                         read_header, write_array, write_header)
 from hadahash.model import NetworkSpec, build_network
 from hadahash.retrieval import binarize, save_codes
 from hadahash.trainer import TrainConfig, save_checkpoint
@@ -78,6 +79,18 @@ class TestReadArray:
                 read_array(f, "<f8", 2, "payload")
         assert str(err.value) == (
             f"{path}: truncated while reading payload: {message}")
+
+
+class TestCheckEnd:
+    @pytest.mark.parametrize("extra", [1, 8])
+    def test_bytes_after_the_payload_name_the_file(self, tmp_path, extra):
+        path = tmp_path / "payload.bin"
+        path.write_bytes(bytes(16 + extra))
+        with open(path, "rb") as f:
+            read_array(f, "<f8", 2, "payload")
+            with pytest.raises(FileFormatError) as err:
+                check_end(f)
+        assert str(err.value) == f"{path}: {extra} bytes after the payload"
 
 
 class TestHeader:
@@ -154,14 +167,12 @@ class TestGoldenHeaders:
         assert raw[:len(header)] == header
         assert len(raw) == len(header) + classes * bits
 
-    @pytest.mark.parametrize("mode, tag", [("sign", 0),
-                                           ("mean_centered_sign", 1)])
-    def test_codes(self, tmp_path, mode, tag):
+    def test_codes(self, tmp_path):
         path = tmp_path / "c.hcbc"
-        u = np.random.default_rng(0).normal(size=(3, 70))
-        save_codes(binarize(u, mode=mode, reference_means=u.mean(axis=0)),
+        save_codes(binarize(np.random.default_rng(0).normal(size=(3, 70))),
                    path)
-        header = b"HCBC" + struct.pack("<IIIB", 1, 3, 70, tag)
+        # The last field, 0, tags sign codes.
+        header = b"HCBC" + struct.pack("<IIIB", 1, 3, 70, 0)
         raw = path.read_bytes()
         assert raw[:len(header)] == header
         assert len(raw) == len(header) + 3 * 2 * 8

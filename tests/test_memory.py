@@ -26,8 +26,6 @@ SLACK = 256 * 1024
 
 COMMANDS = {
     "encode": ["encode", "--out", "{out}/codes.hcbc"],
-    "encode-mean-centered": ["encode", "--mean-centered",
-                             "--out", "{out}/codes.hcbc"],
     "analyze": ["analyze", "--outdir", "{out}/reports"],
 }
 

@@ -13,9 +13,8 @@ from hadahash.model import (ENCODE_BLOCK_ENTRIES, ENCODE_BLOCK_MIN_ROWS,
                             NetworkSpec, build_network, hash_layer, row_blocks)
 from hadahash.retrieval import (DEFAULT_PRECISION_KS, BinaryCodeSet,
                                 EvalReport, _rank_one, binarize, encode_rows,
-                                evaluate, load_codes, lsh_codes,
-                                mean_activations, pack_codes, save_codes,
-                                search, unpack_codes)
+                                evaluate, load_codes, lsh_codes, pack_codes,
+                                save_codes, search, unpack_codes)
 from hadahash.rng import make_rng, standard_normal
 
 # The row width whose blocks hold 1024 rows.
@@ -78,7 +77,7 @@ def _evaluate_over_all_ranks(queries, database, query_labels, db_labels,
     skipped = 0
     for qi in range(queries.num_items):
         query = BinaryCodeSet(words=queries.words[qi:qi + 1],
-                              code_bits=queries.code_bits, mode=queries.mode)
+                              code_bits=queries.code_bits)
         ranked = search(query, database)[0]
         relevant = db_labels[:, np.flatnonzero(query_labels[qi])].any(axis=1)
         rel = relevant[ranked.indices]
@@ -106,7 +105,7 @@ def _evaluate_over_all_ranks(queries, database, query_labels, db_labels,
         precision_at=[(k, float(v / evaluated)) for k, v in zip(ks, prec_at_sum)],
         skipped_queries=skipped,
         params={"map_at": r_cut, "code_bits": queries.code_bits,
-                "mode": queries.mode, "denominator": denominator})
+                "mode": "sign", "denominator": denominator})
 
 
 class TestPacking:
@@ -148,14 +147,12 @@ class TestPacking:
                               pack_codes(values).words)
 
     @pytest.mark.parametrize("k", [1, 8, 63, 64, 65, 130])
-    @pytest.mark.parametrize("mode", ["sign", "mean_centered_sign"])
-    def test_save_load_round_trip(self, tmp_path, k, mode):
-        codes = pack_codes(_random_pm1(11, k, seed=k), mode=mode)
+    def test_save_load_round_trip(self, tmp_path, k):
+        codes = pack_codes(_random_pm1(11, k, seed=k))
         path = tmp_path / "codes.hcbc"
         save_codes(codes, path)
         loaded = load_codes(path)
         assert loaded.code_bits == k
-        assert loaded.mode == mode
         assert np.array_equal(loaded.words, codes.words)
         save_codes(loaded, tmp_path / "again.hcbc")
         assert (tmp_path / "again.hcbc").read_bytes() == path.read_bytes()
@@ -171,6 +168,21 @@ class TestPacking:
         save_codes(BinaryCodeSet(words=words, code_bits=k), path)
         with pytest.raises(FileFormatError, match=f"code length {k}"):
             load_codes(path)
+
+    @pytest.mark.parametrize("tag", [1, 2, 255])
+    def test_load_rejects_every_threshold_tag_but_sign(self, tmp_path, tag):
+        # The tag is the header's last byte: magic, version, N and K first.
+        path = tmp_path / "codes.hcbc"
+        save_codes(pack_codes(_random_pm1(5, 70, seed=1)), path)
+        raw = bytearray(path.read_bytes())
+        assert raw[16] == 0
+        raw[16] = tag
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError) as error:
+            load_codes(path)
+        assert str(error.value) == (
+            f"{path}: threshold tag {tag}; only sign codes (tag 0) are read, "
+            f"mean-centred codes (tag 1) were removed")
 
 
 def _at_limits(cases):
@@ -316,9 +328,6 @@ class TestSearch:
         assert len(search(codes, codes, limit=np.int64(2))[0].indices) == 2
         with pytest.raises(ValueError, match="mismatch"):
             search(codes, pack_codes(_random_pm1(4, 9, seed=0)))
-        with pytest.raises(ValueError, match="binarization mode mismatch"):
-            search(codes, BinaryCodeSet(words=codes.words, code_bits=8,
-                                        mode="mean_centered_sign"))
 
 
 class TestEvaluate:
@@ -470,9 +479,6 @@ class TestEvaluate:
         for other, message in (
                 (pack_codes(_random_pm1(80, 9, seed=0)),
                  "code length mismatch: 8 vs 9"),
-                (BinaryCodeSet(words=database.words, code_bits=8,
-                               mode="mean_centered_sign"),
-                 "binarization mode mismatch: sign vs mean_centered_sign"),
                 (pack_codes(db_pm1[:0]), "the database is empty")):
             with pytest.raises(ValueError, match=message):
                 evaluate(queries, other, q_labels,
@@ -560,7 +566,7 @@ class TestBlockEncoder:
         planes = standard_normal(make_rng(7), (40, k))
         expected = binarize(features[rows].astype(np.float64) @ planes)
         codes = lsh_codes(features, k, 7, rows=rows)
-        assert codes.mode == "sign" and codes.code_bits == k
+        assert codes.code_bits == k
         assert codes.words.tobytes() == expected.words.tobytes()
         if n == 1025:
             every = lsh_codes(features[rows], k, 7)
@@ -596,19 +602,6 @@ class TestBlockEncoder:
         with pytest.raises(ValueError, match="no rows to encode"):
             encode_rows(np.zeros((4, 3)), np.zeros(0, dtype=np.int64),
                         lambda block: block, 3, 3)
-        with pytest.raises(ValueError, match="no rows to encode"):
-            mean_activations(np.zeros((4, 3)), np.zeros(0, dtype=np.int64),
-                             lambda block: block, 3)
-
-    @pytest.mark.parametrize("k", [2, 3, 7, 32, 64, 128, 200])
-    def test_streamed_means_equal_numpy_mean(self, k):
-        # Blocks of 1024 rows and of the 128-row floor.
-        for n in (1, 2, 3, 129, 257, 1023, 1024, 1025, 2049, 3000, 11520):
-            u = np.tanh(np.random.default_rng(n * k).normal(size=(n, k)))
-            for width in (BLOCKS_OF_1024, 9000):
-                means = mean_activations(u, np.arange(n),
-                                         lambda block: block, width)
-                assert means.tobytes() == u.mean(axis=0).tobytes(), (n, width)
 
     @pytest.mark.parametrize("encode", ["network", "lsh"])
     def test_peak_does_not_grow_with_rows(self, encode, monkeypatch):
@@ -660,11 +653,10 @@ class TestThreadedEncoder:
     # Blocks are 2**17 // width rows: 2048 rows of the 64-wide layer and
     # 1872 of the 70 LSH bits.
     @staticmethod
-    def _one_block_at_a_time(features, rows, encode, width, mode="sign",
-                             means=None):
+    def _one_block_at_a_time(features, rows, encode, width):
         """The words of a plain loop over the blocks, in one thread."""
         return b"".join(
-            binarize(encode(features[rows[lo:hi]]), mode, means).words.tobytes()
+            binarize(encode(features[rows[lo:hi]])).words.tobytes()
             for lo, hi in row_blocks(rows.size, width))
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
@@ -674,24 +666,17 @@ class TestThreadedEncoder:
         features, rows, net = self._inputs(n)
         encode = hash_layer(net)
         assert net.widest_layer == 64
-        means = mean_activations(features, rows, encode, 64)
         planes = standard_normal(make_rng(5), (40, 70))
         expected = (
             self._one_block_at_a_time(features, rows, encode, 64),
-            self._one_block_at_a_time(features, rows, encode, 64,
-                                      "mean_centered_sign", means),
             self._one_block_at_a_time(
                 features, rows,
                 lambda block: block.astype(np.float64) @ planes, 70))
         monkeypatch.setattr(retrieval, "_worker_count", lambda: workers)
         baseline = threading.active_count()
         got = (encode_rows(features, rows, encode, 64, 32),
-               encode_rows(features, rows, encode, 64, 32,
-                           "mean_centered_sign", means),
                lsh_codes(features, 70, 5, rows=rows))
         assert threading.active_count() == baseline
-        assert [codes.mode for codes in got] == [
-            "sign", "mean_centered_sign", "sign"]
         assert [codes.words.tobytes() for codes in got] == list(expected)
 
     @pytest.mark.parametrize("workers, n, caller_blocks, runs", [
