@@ -16,12 +16,17 @@ MATRIX_HEADER = "II"
 
 _TEXT_EXTENSIONS = (".csv", ".txt")
 
-# Candidates whose class lists `split_protocol` makes at a time.
-_SPLIT_CHUNK = 2048
+# Candidates whose labels `split_protocol` ranks at a time. The scan stops
+# once every quota is full, on scan-large (100k x 32 labels) after roughly
+# 12k candidates: finding the labels of all 100k items alone takes 9 ms
+# through `np.nonzero` and 2.3 ms through a flat bool `np.flatnonzero`,
+# against 1.9 ms for the whole chunked split (2-core VM). 1024 was fastest
+# of 256 to 4096 on all three bench workloads.
+_SPLIT_CHUNK = 1024
 
 # Matrix entries the feature and label checks test at a time. The checks
-# hold at most two bools per entry of one block and a sum per row of it,
-# about 130 KB, whatever the row count.
+# hold at most two bools per entry of one block, or a maximum and an index
+# per row of it, about 130 KB, whatever the row count.
 _CHECK_BLOCK_ENTRIES = 1 << 16
 
 
@@ -72,8 +77,13 @@ class LabelSet:
             binary |= block == 1
             if not binary.all():
                 raise ValueError("label entries must be 0 or 1")
-        if any((block.sum(axis=1) == 0).any()
-               for block in _row_blocks(self.values)):
+        # Each row's largest entry, reduced over the block's flat entries; a
+        # row without classes has no positive.
+        n, c = self.values.shape
+        if (n and not c) or not all(
+                np.maximum.reduceat(block.reshape(-1),
+                                    np.arange(0, block.size, c)).all()
+                for block in _row_blocks(self.values)):
             raise ValueError("every item needs at least one positive label")
 
     @property
@@ -188,6 +198,13 @@ def split_protocol(labels: LabelSet, n_query_per_class: int,
     every class it carries; the train pass works the same way over the
     remaining items. The database is every non-query item, so training items
     stay inside it.
+
+    The scan is computed by a rank rule: an item is taken exactly when one
+    of its labels is among the first `quota` labels of its class in scan
+    order. A class is filled only by items that carry it, and every item
+    that carries a class not yet full is taken. So the first `quota`
+    carriers of a class are all taken and fill it, and any later item finds
+    each of its classes full.
     """
     if n_query_per_class < 0 or n_train_per_class < 0:
         raise ValueError("per-class quotas must be non-negative")
@@ -198,38 +215,36 @@ def split_protocol(labels: LabelSet, n_query_per_class: int,
 
     def fill(quota_per_class, candidates):
         # Through int64, so an oversized quota raises OverflowError.
-        remaining = np.full(c, quota_per_class, dtype=np.int64).tolist()
-        open_classes = sum(left > 0 for left in remaining)
-        chosen = []
-        # The scan stops once every quota is full, often after a small share
-        # of the items, so class lists are made only for the chunk of
-        # candidates about to be visited. The scan itself runs over Python
-        # lists: with numpy calls per visited item, splitting 100k
-        # single-label items took about 2.5 times as long.
+        remaining = np.full(c, quota_per_class, dtype=np.int64)
+        chosen = [np.zeros(0, dtype=np.int64)]
         for lo in range(0, candidates.size, _SPLIT_CHUNK):
-            if not open_classes:
+            if not remaining.any():
                 break
             chunk = candidates[lo:lo + _SPLIT_CHUNK]
-            # chunk[j] has the classes item_classes[starts[j]:starts[j + 1]].
-            rows, item_classes = np.nonzero(y[chunk])
-            starts = np.searchsorted(rows, np.arange(chunk.size + 1)).tolist()
-            item_classes = item_classes.tolist()
-            for j, idx in enumerate(chunk.tolist()):
-                if not open_classes:
-                    break
-                classes = item_classes[starts[j]:starts[j + 1]]
-                if any(remaining[k] > 0 for k in classes):
-                    chosen.append(idx)
-                    for k in classes:
-                        if remaining[k] > 0:
-                            remaining[k] -= 1
-                            open_classes -= remaining[k] == 0
-        if open_classes:
-            short = next(k for k, left in enumerate(remaining) if left > 0)
+            # The chunk's labels in scan order. A flat bool nonzero takes
+            # about an eighth of the time of `np.nonzero` on the 2-D block.
+            rows, classes = np.divmod(np.flatnonzero(y[chunk] != 0), c)
+            # Grouped by class, each class in scan order, so a label's rank
+            # is its place in its class's group; 8- and 16-bit class keys
+            # take numpy's radix sort.
+            by_class = np.argsort(classes.astype(np.min_scalar_type(c - 1)),
+                                  kind="stable")
+            grouped = classes[by_class]
+            counts = np.bincount(classes, minlength=c)
+            starts = np.cumsum(counts) - counts
+            rank = np.arange(grouped.size) - starts[grouped]
+            # Taken: the items with a label whose rank in the chunk is below
+            # what earlier chunks left of its class's quota.
+            taken = np.zeros(chunk.size, dtype=bool)
+            taken[rows[by_class[rank < remaining[grouped]]]] = True
+            chosen.append(chunk[taken])
+            remaining -= np.minimum(counts, remaining)
+        if remaining.any():
+            short = np.flatnonzero(remaining)[0]
             raise ValueError(
                 f"class {short} has too few items: {remaining[short]} more "
                 f"needed for a quota of {quota_per_class}")
-        return np.array(sorted(chosen), dtype=np.int64)
+        return np.sort(np.concatenate(chosen))
 
     query = fill(n_query_per_class, order)
     in_query = np.zeros(n, dtype=bool)

@@ -204,7 +204,10 @@ def train(config: TrainConfig, features: FeatureSet, labels: LabelSet,
     if split.train.size == 0:
         raise ValueError("training split is empty")
     check_split(split, features.num_items)
-    if config.loss_mode == "CE" and np.any(labels.values.sum(axis=1) != 1):
+    # Every entry is 0 or 1 and every row has a positive (`LabelSet`), so
+    # the positives number N only when each row has exactly one.
+    if (config.loss_mode == "CE"
+            and np.count_nonzero(labels.values) != labels.num_items):
         raise ValueError("CE mode requires single-label data; use BCE")
     spec = NetworkSpec(input_dim=features.dim, hidden=tuple(hidden),
                        code_bits=codebook.code_bits,

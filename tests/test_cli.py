@@ -22,6 +22,7 @@ from hadahash.retrieval import (BinaryCodeSet, binarize, load_codes,
                                 pack_codes, save_codes, search)
 from hadahash.rng import make_rng
 from hadahash.trainer import save_checkpoint
+from test_data import _reference_split
 
 
 class TestCodebookCommand:
@@ -751,6 +752,20 @@ def test_oversized_quota_is_exit_two(pipeline_files, capsys):
                      "--query-per-class", "99999999999999999999999",
                      "--train-per-class", "2", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: number too large")
+    assert not out.exists()
+
+
+def test_unmet_quota_is_exit_two(pipeline_files, capsys):
+    # 30 items per class cannot fill a query quota of 31.
+    _, paths, tmp_path = pipeline_files
+    labels = load_labels(paths["labels.hcls"])
+    with pytest.raises(ValueError) as err:
+        _reference_split(labels, 31, 2, seed=1)
+    out = tmp_path / "split.out"
+    assert cli.main(["split", "--labels", paths["labels.hcls"],
+                     "--query-per-class", "31", "--train-per-class", "2",
+                     "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
     assert not out.exists()
 
 

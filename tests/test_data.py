@@ -347,6 +347,38 @@ class TestSplitProtocol:
         monkeypatch.setattr(data, "_SPLIT_CHUNK", 7)
         self.test_matches_reference_loop(seed, multilabel, quotas)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 200), c=st.integers(1, 10),
+           density=st.floats(0.0, 0.7), draw=st.integers(0, 2**32 - 1),
+           quotas=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+           seed=st.integers(0, 2**32 - 1),
+           chunk=st.sampled_from([1, 7, data._SPLIT_CHUNK]))
+    def test_matches_reference_loop_property(self, n, c, density, draw,
+                                             quotas, seed, chunk):
+        # Random multi-label matrices with at least one label per row;
+        # quotas past a class's item count must fail with the loop's message.
+        rng = np.random.default_rng(draw)
+        values = (rng.random((n, c)) < density).astype(np.uint8)
+        values[np.arange(n), rng.integers(0, c, n)] = 1
+        labels = LabelSet(values=values)
+
+        def outcome(split):
+            try:
+                return split(labels, *quotas, seed=seed)
+            except ValueError as err:
+                return str(err)
+
+        expected = outcome(_reference_split)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "_SPLIT_CHUNK", chunk)
+            got = outcome(split_protocol)
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        for name in ("query", "train", "database"):
+            assert getattr(got, name).dtype == getattr(expected, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
+
     def test_split_file_round_trip(self, tmp_path):
         _, labels = make_synthetic_blobs(4, 30, 4, 0.5, seed=1)
         split = split_protocol(labels, 5, 10, seed=2)

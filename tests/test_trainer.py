@@ -139,6 +139,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="single-label"):
             train(TrainConfig(epochs=1, loss_mode="CE"), features, labels,
                   split, book)
+        # One two-label row among one-hot rows: N + 1 positives.
+        values[:, 1] = 0
+        values[7, 1] = 1
+        with pytest.raises(ValueError, match="^CE mode requires single-label "
+                                             "data; use BCE$"):
+            train(TrainConfig(epochs=1, loss_mode="CE"), features,
+                  LabelSet(values=values), split, book)
 
     def test_numeric_blowup_raises(self, small_setup):
         features, labels, split, book = small_setup
