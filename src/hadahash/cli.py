@@ -1,8 +1,12 @@
 """Command-line pipelines over the library modules.
 
 Every subcommand validates its inputs before writing anything, logs to
-stderr only, and is byte-idempotent for identical flags and inputs (the
-wall-clock column of training histories is the one documented exception).
+stderr only, and is byte-idempotent for identical flags and inputs on one
+machine (the wall-clock column of training histories is the one documented
+exception). Trained models can differ in their last bits between machines:
+numpy picks its `exp`, `log` and `tanh` kernels by the CPU's SIMD level
+(AVX-512, AVX2, ...), and those kernels round differently, so compare
+model bytes only between runs on one machine.
 
 Exit codes: 0 success, 2 validation error, out of memory or a number too
 large for its type, 3 I/O error, 4 numeric failure.

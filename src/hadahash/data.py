@@ -313,7 +313,7 @@ def check_split(split: Split, num_items: int) -> None:
     """Reject a split that does not index a set of `num_items` items.
 
     Every index must lie in [0, num_items), no section may repeat an index,
-    and no query item may sit in the database.
+    and no query item may sit in the train section or the database.
     """
     for name, idx in (("query", split.query), ("train", split.train),
                       ("database", split.database)):
@@ -324,8 +324,9 @@ def check_split(split: Split, num_items: int) -> None:
             raise ValueError(f"split {name} section repeats an index")
     in_query = np.zeros(num_items, dtype=bool)
     in_query[split.query] = True
-    shared = split.database[in_query[split.database]]
-    if shared.size:
-        raise ValueError(
-            f"split item {shared[0]} is in both the query and the database")
+    for name, idx in (("train", split.train), ("database", split.database)):
+        shared = idx[in_query[idx]]
+        if shared.size:
+            raise ValueError(f"split item {shared[0]} is in both the query "
+                             f"and the {name} section")
 

@@ -4,7 +4,14 @@ The feature path is a stack of dense layers ending in a tanh hash layer of
 width K; a linear classifier of width C sits on top of the hash layer. The
 training objective is a masked mean-squared error pulling hash activations
 toward their class codewords, plus an optional classification loss weighted
-by lambda. All parameters are 64-bit during training.
+by lambda.
+
+Training computes in float32: `trainer.train` rounds the network, its
+optimizer state and its batches to float32 once, and `backward`, the losses
+and `sgd_step` then compute in the dtype of the network they are given.
+Files and encoding stay float64: HCMD stores every weight and bias as
+float64, an exact upcast of the float32 values training leaves, and
+`forward` computes in float64 whatever the batch's dtype.
 
 One layer loop, `_activations`, feeds both `forward`, which keeps only the
 hash layer that encoding reads, and `backward`, which alone computes the
@@ -56,8 +63,8 @@ SGD_BLOCK_ENTRIES = 32768
 
 @dataclass
 class DenseLayer:
-    weights: np.ndarray  # (fan_in, fan_out) float64
-    bias: np.ndarray     # (fan_out,) float64
+    weights: np.ndarray  # (fan_in, fan_out) float64, float32 in training
+    bias: np.ndarray     # (fan_out,) of the weights' dtype
     activation: str
 
     def __post_init__(self):
@@ -126,6 +133,12 @@ class HashNetwork:
         return tuple((l.weights.shape[0], l.weights.shape[1], l.activation)
                      for l in self.all_layers())
 
+    def astype(self, dtype) -> "HashNetwork":
+        """A copy with every weight and bias cast to `dtype`."""
+        cast = [DenseLayer(l.weights.astype(dtype), l.bias.astype(dtype),
+                           l.activation) for l in self.all_layers()]
+        return HashNetwork(layers=cast[:-1], classifier=cast[-1])
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -149,17 +162,22 @@ class NetworkSpec:
                 (self.code_bits, self.num_classes, "identity"))
 
 
-def first_non_finite(net: HashNetwork, arrays=None) -> Optional[str]:
-    """The first of `arrays`, which run parallel to `net.param_arrays()`
-    (the parameters themselves by default), that holds a non-finite value,
-    as "layer i weights", "layer i bias", "classifier weights" or
-    "classifier bias"; None when every one is finite."""
+def param_names(net: HashNetwork) -> List[str]:
+    """"layer i weights", "layer i bias", ..., "classifier weights" and
+    "classifier bias", parallel to `net.param_arrays()`."""
     names = [f"layer {i}" for i in range(len(net.layers))] + ["classifier"]
-    parts = [f"{name} {part}" for name in names
-             for part in ("weights", "bias")]
+    return [f"{name} {part}" for name in names
+            for part in ("weights", "bias")]
+
+
+def first_non_finite(net: HashNetwork, arrays=None) -> Optional[str]:
+    """The name (`param_names`) of the first of `arrays`, which run
+    parallel to `net.param_arrays()` (the parameters themselves by
+    default), that holds a non-finite value; None when every one is
+    finite."""
     if arrays is None:
         arrays = net.param_arrays()
-    for part, values in zip(parts, arrays):
+    for part, values in zip(param_names(net), arrays):
         if not np.isfinite(values).all():
             return part
     return None
@@ -178,7 +196,8 @@ def build_network(spec: NetworkSpec, seed: int) -> HashNetwork:
 
 
 def _activations(net: HashNetwork, a: np.ndarray):
-    """Each feature layer's activation of the float64 batch a, in order.
+    """Each feature layer's activation of the batch a, in order, in the
+    dtype of a and of the network.
 
     Each product is biased and activated in place, and rebinding `a` drops
     the layer before (the batch too). A relu is positive exactly where its
@@ -277,7 +296,7 @@ def bce_loss(logits: np.ndarray, y: np.ndarray):
     Uses the log-sum-exp form max(z,0) - z*y + log(1 + exp(-|z|)), which is
     exact and never overflows; the gradient is (sigmoid(z) - y) / (B * C).
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = np.asarray(y, dtype=logits.dtype)
     if y.shape != logits.shape:
         raise ValueError("label matrix shape does not match logits")
     if not np.all((y == 0) | (y == 1)):
@@ -320,6 +339,9 @@ def backward(net: HashNetwork, x: np.ndarray, target_values: np.ndarray,
     the classification term from the objective and "classifier_only" drops
     the codeword term.
 
+    It computes in the dtype of the network's weights: the batch and the
+    BCE labels are cast to it, and the targets are expected in it.
+
     Every elementwise step writes into a buffer this call made and reads no
     more: the logits take their bias in place, the loss gradients are
     scaled and summed in place, and each layer's activation is overwritten
@@ -333,8 +355,9 @@ def backward(net: HashNetwork, x: np.ndarray, target_values: np.ndarray,
         raise ValueError(f"unknown variant {variant!r}")
     if lambda_ < 0:
         raise ValueError(f"lambda must be non-negative, got {lambda_}")
-    # The batch itself is the activation below the first layer.
-    acts = [np.asarray(x, dtype=np.float64)]
+    # The batch itself, in the network's dtype, is the activation below the
+    # first layer.
+    acts = [np.asarray(x, dtype=net.layers[0].weights.dtype)]
     acts.extend(_activations(net, acts[0]))
     u = acts[-1]
     logits = u @ net.classifier.weights

@@ -1,5 +1,10 @@
 """Mini-batch training loop: deterministic shuffling, halving LR schedule,
-momentum SGD with weight decay, and exact checkpoint/resume."""
+momentum SGD with weight decay, and exact checkpoint/resume.
+
+Training computes in float32 (see `model`); the model file stays float64
+and the optimizer state is stored as float32, so a resume continues from
+exactly the values a straight run holds.
+"""
 
 import csv
 import math
@@ -15,13 +20,13 @@ from .io import (FileFormatError, check_end, read_array, read_header,
                  write_array, write_header)
 from .model import (VARIANTS, HashNetwork, LossBreakdown, NetworkSpec,
                     backward, build_network, first_non_finite, load_network,
-                    save_network, sgd_step)
+                    param_names, save_network, sgd_step)
 from .rng import make_rng
 
 TRAIN_STATE_MAGIC = b"HCTS"
-TRAIN_STATE_VERSION = 2
+TRAIN_STATE_VERSION = 3
 # Next epoch, total velocity entries, then the `RESUME_FIELDS` in order,
-# loss mode and variant as tags.
+# loss mode and variant as tags. The velocity follows as float32.
 TRAIN_STATE_HEADER = "IQQQdQdddBB"
 # The config fields a resumed run must share with its checkpoint; epochs
 # and checkpoint_every may differ.
@@ -191,6 +196,13 @@ def train(config: TrainConfig, features: FeatureSet, labels: LabelSet,
     `train_state_path(out)`, every `checkpoint_every` epochs and after its
     last epoch, so both files come from the same epoch. A run that trains
     no epoch saves the model alone.
+
+    Precision: the weights and biases, drawn or resumed, are rounded to
+    float32 once, as are the features, targets and BCE labels; the
+    velocity starts as float32 zeros or is read as float32, and every
+    epoch computes in float32. The returned and saved network is
+    the float64 upcast of the float32 result, exact, so encoding it gives
+    the codes of what the file holds.
     """
     if resume and out is None:
         raise ValueError("resume needs out, the checkpoint path")
@@ -229,22 +241,27 @@ def train(config: TrainConfig, features: FeatureSet, labels: LabelSet,
                 f"requested {spec.architecture()}")
     else:
         net = build_network(spec, config.seed)
-        velocity = [np.zeros_like(p) for p in net.param_arrays()]
+        velocity = [np.zeros(p.shape, np.float32) for p in net.param_arrays()]
         first_epoch = 0
+    # The checkpoint's velocity is float32 as stored.
+    net = net.astype(np.float32)
 
     train_idx = split.train
-    train_x = features.values[train_idx].astype(np.float64)
-    train_targets = target_batch(codebook, labels.values[train_idx])
+    train_x = features.values[train_idx].astype(np.float32)
+    target_values, target_mask = target_batch(codebook,
+                                              labels.values[train_idx])
+    train_targets = target_values.astype(np.float32), target_mask
     if config.loss_mode == "CE":
         train_labels = np.argmax(labels.values[train_idx], axis=1).astype(np.int64)
     else:
-        train_labels = labels.values[train_idx].astype(np.float64)
+        train_labels = labels.values[train_idx].astype(np.float32)
     checkpoint_path = out if resume or config.checkpoint_every > 0 else None
     # A run that blows up reports itself through NumericError alone, not
     # through numpy's warnings on the way there.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         history = _run_epochs(net, velocity, config, first_epoch, train_x,
                               train_targets, train_labels, checkpoint_path)
+    net = net.astype(np.float64)
     # A checkpointing run that trained has saved its last epoch already.
     if out is not None and (checkpoint_path is None or not history.records):
         save_network(net, out)
@@ -257,8 +274,8 @@ def train_state_path(checkpoint_path) -> str:
 
 def save_checkpoint(net: HashNetwork, velocity: List[np.ndarray],
                     next_epoch: int, path, config: TrainConfig) -> None:
-    """Model checkpoint plus a sidecar with the optimizer state and the
-    `RESUME_FIELDS` of the config that trained it."""
+    """Model checkpoint plus a sidecar with the optimizer state, rounded to
+    float32, and the `RESUME_FIELDS` of the config that trained it."""
     fields = [getattr(config, name) for name in RESUME_FIELDS]
     fields[-2:] = _LOSS_MODES.index(config.loss_mode), VARIANTS.index(
         config.variant)
@@ -268,20 +285,21 @@ def save_checkpoint(net: HashNetwork, velocity: List[np.ndarray],
                      TRAIN_STATE_HEADER, next_epoch,
                      sum(v.size for v in velocity), *fields)
         for v in velocity:
-            write_array(f, v, "<f8")
+            write_array(f, v, "<f4")
 
 
 def load_checkpoint(path):
     """Returns (network, velocity, next_epoch, trained_with), the last a
     dict of the `RESUME_FIELDS` the checkpoint was trained with. A
-    non-finite weight, bias or velocity is a FileFormatError naming the
-    file and the part."""
+    non-finite weight, bias or velocity, or a weight or bias that is not a
+    float32 value, is a FileFormatError naming the file and the part: only
+    training's own float32 state resumes to a straight run's bytes."""
     net = load_network(path)
     state_path = train_state_path(path)
     with open(state_path, "rb") as f:
         next_epoch, total, *fields = read_header(
             f, TRAIN_STATE_MAGIC, TRAIN_STATE_VERSION, TRAIN_STATE_HEADER)
-        flat = read_array(f, "<f8", total, "velocity payload")
+        flat = read_array(f, "<f4", total, "velocity payload")
         check_end(f)
     mode_tag, variant_tag = fields[-2:]
     if mode_tag >= len(_LOSS_MODES) or variant_tag >= len(VARIANTS):
@@ -301,4 +319,8 @@ def load_checkpoint(path):
     if bad:
         raise FileFormatError(f"{state_path}: the velocity of {bad} holds a "
                               f"non-finite value")
+    for name, p in zip(param_names(net), params):
+        if not np.array_equal(p.astype(np.float32), p):
+            raise FileFormatError(f"{path}: {name} holds a value that "
+                                  f"float32 cannot represent")
     return net, velocity, next_epoch, dict(zip(RESUME_FIELDS, fields))

@@ -202,12 +202,15 @@ class TestSplitChecks:
             query[0] = -1
         elif fault == "repeats":
             database[1] = database[0]
+        elif fault.endswith("train section"):  # a query item trained on
+            train[-1] = query[0]
         else:  # a query item also in the database
             database[0] = query[0]
         return Split(query=query, train=train, database=database)
 
-    @pytest.mark.parametrize("fault", ["out of range", "repeats",
-                                       "in both the query and the database"])
+    @pytest.mark.parametrize("fault", [
+        "out of range", "repeats", "in both the query and the database",
+        "in both the query and the train section"])
     @pytest.mark.parametrize("command", ["eval", "lsh-baseline", "encode",
                                          "analyze-activations",
                                          "analyze-confusion", "train"])
@@ -219,7 +222,10 @@ class TestSplitChecks:
         capsys.readouterr()
         save_split(self._faulty(split, fault), paths["split.txt"])
         assert cli.main(argv) == 2
-        assert fault in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert fault in err
+        if fault.startswith("in both"):
+            assert f"split item {split.query[0]} is {fault}" in err
 
     def test_lsh_baseline_rejects_mismatched_counts(self, pipeline_files):
         _, paths, tmp_path = pipeline_files
@@ -356,8 +362,9 @@ class TestOversizedHeaders:
 
 
 def _save_fresh_checkpoint(paths, next_epoch):
-    """A checkpoint at `next_epoch` that the "train" command can resume."""
-    net = build_network(NetworkSpec(6, (5,), 8, 4), seed=3)
+    """A checkpoint at `next_epoch` that the "train" command can resume:
+    seeded weights rounded to float32, as training holds them."""
+    net = build_network(NetworkSpec(6, (5,), 8, 4), seed=3).astype(np.float32)
     save_checkpoint(net, [np.zeros_like(p) for p in net.param_arrays()],
                     next_epoch, paths["model.hcmd"], trainer.TrainConfig())
     return _commands(paths, paths["model.hcmd"])["train"] + ["--resume"]
@@ -491,8 +498,44 @@ def test_version_one_train_state_is_exit_three(pipeline_files, capsys):
     before = Path(paths["model.hcmd"]).read_bytes()
     assert cli.main(argv) == 3
     assert capsys.readouterr().err == (
-        f"error: {state}: unsupported version 1, expected 2\n")
+        f"error: {state}: unsupported version 1, expected 3\n")
     assert Path(paths["model.hcmd"]).read_bytes() == before
+
+
+def test_float64_train_state_is_exit_three(pipeline_files, capsys):
+    # Version 2 stored the velocity as float64. Rounding it would resume to
+    # other bytes than a straight run's, so no reader of it is kept.
+    _, paths, tmp_path = pipeline_files
+    argv = _save_fresh_checkpoint(paths, 0)
+    state = Path(paths["model.hcmd"] + ".state")
+    raw = state.read_bytes()
+    header = raw[:4] + struct.pack("<I", 2) + raw[8:78]
+    state.write_bytes(header + np.zeros((len(raw) - 78) // 4, "<f8").tobytes())
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"error: {state}: unsupported version 2, expected 3\n")
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+@pytest.mark.parametrize("layer, part, name", [
+    (0, "weights", "layer 0 weights"), (2, "bias", "classifier bias")])
+def test_resuming_a_non_float32_parameter_is_exit_three(
+        pipeline_files, capsys, layer, part, name):
+    # Training holds float32 values; a float64 one would be rounded on
+    # resume, and the run would not continue the one that saved it.
+    _, paths, tmp_path = pipeline_files
+    argv = _save_fresh_checkpoint(paths, 0)
+    net, velocity, _, _ = trainer.load_checkpoint(paths["model.hcmd"])
+    getattr(net.all_layers()[layer], part).flat[1] = 0.1
+    save_checkpoint(net, velocity, 0, paths["model.hcmd"],
+                    trainer.TrainConfig())
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"error: {paths['model.hcmd']}: {name} holds a value that float32 "
+        f"cannot represent\n")
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 
 @pytest.mark.parametrize("command", ["encode", "analyze-activations",
@@ -1089,8 +1132,10 @@ class TestSavePolicy:
         assert cli.main(TestGoldenPipeline._train(
             d, "--epochs", "4", "--checkpoint-every", "1",
             "--out", str(d / "ck4.hcmd"))) == 0
-        # What a fresh run starts from: the seeded weights, zero velocity.
-        net = build_network(NetworkSpec(10, (12,), 16, 5), seed=4)
+        # What a fresh run starts from: the seeded weights rounded to
+        # float32, zero velocity.
+        net = build_network(NetworkSpec(10, (12,), 16, 5), seed=4).astype(
+            np.float32)
         save_checkpoint(net, [np.zeros_like(p) for p in net.param_arrays()],
                         0, d / "ck0.hcmd", trainer.TrainConfig(
                             batch_size=16, base_lr=0.05, seed=4))

@@ -192,9 +192,9 @@ class TestGoldenHeaders:
         raw = path.read_bytes()
         assert raw[:len(header)] == header
         assert len(raw) == len(header) + params * 8
-        header = b"HCTS" + struct.pack("<IIQQQdQdddBB", 2, 7, params,
+        header = b"HCTS" + struct.pack("<IIQQQdQdddBB", 3, 7, params,
                                        2**40 + 5, 16, 0.05, 3, 0.5, 1e-3, 2.0,
                                        1, 2)
         raw = (tmp_path / "m.hcmd.state").read_bytes()
         assert raw[:len(header)] == header
-        assert len(raw) == len(header) + params * 8
+        assert len(raw) == len(header) + params * 4

@@ -55,8 +55,9 @@ def _relative_error(analytic, numeric):
 
 
 def _cached_forward(net, x):
-    """Textbook (z, a) of each feature layer: z = a @ W + b, then a = f(z)."""
-    a = np.asarray(x, dtype=np.float64)
+    """Textbook (z, a) of each feature layer: z = a @ W + b, then a = f(z),
+    in the network's dtype."""
+    a = np.asarray(x, dtype=net.layers[0].weights.dtype)
     cache = []
     for layer in net.layers:
         z = a @ layer.weights + layer.bias
@@ -72,9 +73,9 @@ def _cached_forward(net, x):
 
 def _cached_backward(net, x, tv, tm, labels, lam, mode, variant,
                      relu_passes=lambda z: z > 0.0):
-    """Reference backward over the (z, a) cache: a relu passes the gradient
-    where `relu_passes(z)`."""
-    x = np.asarray(x, dtype=np.float64)
+    """Reference backward over the (z, a) cache, in the network's dtype: a
+    relu passes the gradient where `relu_passes(z)`."""
+    x = np.asarray(x, dtype=net.layers[0].weights.dtype)
     cache = _cached_forward(net, x)
     u = cache[-1][1]
     logits = u @ net.classifier.weights + net.classifier.bias
@@ -409,12 +410,17 @@ class TestBackward:
     @pytest.mark.parametrize("variant", model.VARIANTS)
     @pytest.mark.parametrize("mode", ["CE", "BCE"])
     def test_matches_the_cached_backward_bitwise(self, mode, variant, depth):
+        # Each case runs on a float32 network, training's precision, and on
+        # the float64 one it was drawn as.
         rng = np.random.default_rng([depth, len(variant), len(mode)])
         for _ in range(3):
-            net, x, tv, tm, labels, lam = _random_case(rng, mode, depth)
-            _assert_same_bits(
-                backward(net, x, tv, tm, labels, lam, mode, variant),
-                _cached_backward(net, x, tv, tm, labels, lam, mode, variant))
+            net64, x, tv64, tm, labels, lam = _random_case(rng, mode, depth)
+            for dtype in (np.float32, np.float64):
+                net, tv = net64.astype(dtype), tv64.astype(dtype)
+                got = backward(net, x, tv, tm, labels, lam, mode, variant)
+                assert all(g.dtype == dtype for g in got[1])
+                _assert_same_bits(got, _cached_backward(
+                    net, x, tv, tm, labels, lam, mode, variant))
 
     @pytest.mark.parametrize("hidden", [(3,), (3, 4)])
     @pytest.mark.parametrize("mode", ["CE", "BCE"])
@@ -634,6 +640,19 @@ class TestBuildNetwork:
             assert np.array_equal(layer.weights, expected)
             assert np.array_equal(layer.bias, np.zeros(fan_out))
 
+    def test_astype_rounds_a_copy(self):
+        # Training's float32 copy: each entry rounded once, the source
+        # untouched, and back to float64 exactly.
+        net = build_network(NetworkSpec(6, (8,), 5, 3), seed=4)
+        before = [p.copy() for p in net.param_arrays()]
+        single = net.astype(np.float32)
+        assert single.architecture() == net.architecture()
+        for p, q, b in zip(single.param_arrays(), net.param_arrays(), before):
+            assert p.dtype == np.float32 and np.array_equal(p, b.astype(np.float32))
+            assert np.array_equal(q, b)
+        for p, q in zip(single.astype(np.float64).param_arrays(),
+                        single.param_arrays()):
+            assert p.dtype == np.float64 and np.array_equal(p, q)
 
     @pytest.mark.parametrize("hidden, code_bits, num_classes, message", [
         ((-3,), 5, 3, "layer 0 has width -3"),

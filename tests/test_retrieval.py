@@ -129,6 +129,21 @@ class TestPacking:
         if k % 64:
             assert not np.any(codes.words[:, -1] >> np.uint64(k % 64))
 
+    @pytest.mark.parametrize("k", [1, 7, 8, 32, 63, 64, 65, 128])
+    @pytest.mark.parametrize("n", [0, 1, 37])
+    def test_bytes_are_numpys_row_packing(self, n, k):
+        # Whole-byte rows take one flat packbits; each row's bytes are those
+        # of packbits along the row, then zero up to a whole word.
+        values = _random_pm1(n, k, seed=k)
+        expected = np.zeros((n, (k + 63) // 64 * 8), dtype=np.uint8)
+        expected[:, :(k + 7) // 8] = np.packbits(values > 0, axis=1,
+                                                 bitorder="little")
+        strided = np.repeat(values > 0, 2, axis=1)[:, ::2]
+        for given in (values, values > 0, strided):
+            words = pack_codes(given).words
+            assert words.dtype == np.uint64 and words.shape == (n, (k + 63) // 64)
+            assert words.tobytes() == expected.tobytes()
+
     def test_unpack_holds_one_byte_per_bit(self):
         # The +-1 int8 matrix is made in place, with no wider temporary.
         codes = pack_codes(_random_pm1(20000, 64, seed=1))

@@ -55,11 +55,14 @@ class TestSchedule:
 
 class TestTrain:
     def test_zero_epochs_returns_initial_network(self, small_setup):
+        # The Glorot draw rounded to float32, returned as float64.
         features, labels, split, book = small_setup
         config = TrainConfig(epochs=0, seed=9)
         net, history = train(config, features, labels, split, book, hidden=(8,))
         fresh = build_network(NetworkSpec(8, (8,), 8, 4), seed=9)
-        assert _params_equal(net, fresh)
+        assert _params_equal(net, fresh.astype(np.float32))
+        assert not _params_equal(net, fresh)
+        assert all(p.dtype == np.float64 for p in net.param_arrays())
         assert history.records == []
 
     def test_deterministic_history_and_parameters(self, small_setup):
@@ -188,13 +191,15 @@ class TestTrain:
     def test_non_finite_loss_over_finite_parameters_says_so(self, small_setup,
                                                             tmp_path):
         # Every hash activation saturates at +1 and every classifier weight
-        # is 1e308: the logits overflow although each parameter is finite.
+        # is 3e38, near float32's largest: the float32 logits overflow
+        # although each parameter is finite.
         features, labels, split, book = small_setup
         config = TrainConfig(epochs=2, base_lr=0.01, seed=1)
         path = tmp_path / "m.hcmd"
-        net = build_network(NetworkSpec(8, (8,), 8, 4), seed=1)
-        net.layers[1].bias[:] = 1e308
-        net.classifier.weights[:] = 1e308
+        net = build_network(NetworkSpec(8, (8,), 8, 4), seed=1).astype(
+            np.float32)
+        net.layers[1].bias[:] = 3e38
+        net.classifier.weights[:] = 3e38
         save_checkpoint(net, [np.zeros_like(p) for p in net.param_arrays()],
                         0, path, config)
         with pytest.raises(NumericError) as info:
@@ -238,7 +243,8 @@ class TestTrain:
 class TestWholeRun:
     """A whole run of a net whose weights span several `sgd_step` blocks
     against a test-local loop over the reference backward and the
-    out-of-place SGD formula, with the same shuffles and learning rates."""
+    out-of-place SGD formula, with the same shuffles and learning rates,
+    all in float32."""
 
     @pytest.mark.parametrize("resume", [False, True])
     @pytest.mark.parametrize("mode", ["CE", "BCE"])
@@ -250,14 +256,16 @@ class TestWholeRun:
                              lr_halving_period_epochs=2, lambda_=0.5,
                              loss_mode=mode, seed=2, checkpoint_every=3)
         net = build_network(NetworkSpec(features.dim, hidden, book.code_bits,
-                                        labels.num_classes), config.seed)
+                                        labels.num_classes),
+                            config.seed).astype(np.float32)
         assert net.layers[0].weights.size > 2 * model.SGD_BLOCK_ENTRIES
         velocity = [np.zeros_like(p) for p in net.param_arrays()]
-        x = features.values[split.train].astype(np.float64)
+        x = features.values[split.train].astype(np.float32)
         tv, tm = target_batch(book, labels.values[split.train])
+        tv = tv.astype(np.float32)
         y = labels.values[split.train]
         y = (np.argmax(y, axis=1).astype(np.int64) if mode == "CE"
-             else y.astype(np.float64))
+             else y.astype(np.float32))
         for epoch in range(config.epochs):
             lr = learning_rate(config, epoch)
             order = make_rng(config.seed, epoch).permutation(x.shape[0])
@@ -266,6 +274,7 @@ class TestWholeRun:
                 _, grads = _cached_backward(net, x[b], tv[b], tm[b], y[b],
                                             config.lambda_, mode, "full")
                 for i, (p, g) in enumerate(zip(net.param_arrays(), grads)):
+                    assert g.dtype == np.float32
                     decay = config.weight_decay if p.ndim == 2 else 0.0
                     velocity[i] = config.momentum * velocity[i] + g + decay * p
                     p[...] = p - lr * velocity[i]
@@ -355,8 +364,8 @@ class TestResume:
         features, labels, split, book = small_setup
         config = TrainConfig(epochs=4, base_lr=0.01, seed=3)
         net, _ = train(config, features, labels, split, book, hidden=(8,))
-        velocity = [np.random.default_rng(0).normal(size=p.shape)
-                    for p in net.param_arrays()]
+        velocity = [np.random.default_rng(0).normal(size=p.shape).astype(
+            np.float32) for p in net.param_arrays()]
         path = tmp_path / "ck.hcmd"
         save_checkpoint(net, velocity, 4, path, config)
         loaded_net, loaded_velocity, epoch, trained_with = load_checkpoint(
@@ -366,7 +375,7 @@ class TestResume:
                                 for name in RESUME_FIELDS}
         assert _params_equal(loaded_net, net)
         for a, b in zip(loaded_velocity, velocity):
-            assert np.array_equal(a, b)
+            assert a.dtype == np.float32 and np.array_equal(a, b)
 
     @pytest.mark.parametrize("at, tag", [(-2, 2), (-1, 3)])
     def test_unknown_loss_mode_or_variant_tag_is_a_format_error(
