@@ -4,7 +4,7 @@ Hamming retrieval."""
 from .codebook import (Codebook, ProjectionMatrix, build_codebook,
                        hadamard_transform, load_codebook, sample_projection,
                        save_codebook, select_order, sylvester, target_batch)
-from .data import (FeatureSet, LabelSet, Split, check_split, load_features,
+from .data import (FeatureSet, LabelSet, Split, load_features,
                    load_labels, load_split, make_synthetic_blobs,
                    save_features, save_labels, save_split, split_protocol)
 from .model import (DenseLayer, HashNetwork, LossBreakdown, NetworkSpec,

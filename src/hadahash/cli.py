@@ -52,24 +52,17 @@ def _parse_hidden(text: str):
     return tuple(widths)
 
 
-def _load_split(split_path, num_items: int):
-    split = data.load_split(split_path)
-    data.check_split(split, num_items)
-    return split
-
-
 def _check_subset(args) -> None:
     if args.subset and not args.split:
         raise ValueError("--subset needs --split")
 
 
-def _subset_rows(args, num_items: int):
-    """The --subset rows of --split (database by default); every row
+def _subset_rows(args, split, num_items: int):
+    """The --subset rows of `split` (database by default); every row
     without a split."""
-    if not args.split:
+    if not split:
         return np.arange(num_items)
-    return getattr(_load_split(args.split, num_items),
-                   args.subset or "database")
+    return getattr(split, args.subset or "database")
 
 
 def _check_code_counts(query_codes, db_codes, split) -> None:
@@ -123,7 +116,7 @@ def _train_config(args) -> trainer.TrainConfig:
 def _load_training_inputs(args):
     features = data.load_features(args.features)
     labels = data.load_labels(args.labels)
-    split = data.load_split(args.split)
+    split = data.load_split(args.split, features.num_items)
     book = cb.load_codebook(args.codebook)
     return features, labels, split, book
 
@@ -147,8 +140,9 @@ def cmd_encode(args) -> int:
     _check_subset(args)
     net = model.load_network(args.model)
     features = data.load_features(args.features)
+    split = args.split and data.load_split(args.split, features.num_items)
     codes = retrieval.encode_rows(
-        features.values, _subset_rows(args, features.num_items),
+        features.values, _subset_rows(args, split, features.num_items),
         model.hash_layer(net), net.widest_layer, net.code_bits)
     retrieval.save_codes(codes, args.out)
     _log(f"wrote {codes.num_items} codes of {codes.code_bits} bits (sign) "
@@ -172,7 +166,7 @@ def cmd_eval(args) -> int:
     query_codes = retrieval.load_codes(args.query_codes)
     db_codes = retrieval.load_codes(args.database_codes)
     labels = data.load_labels(args.labels)
-    split = _load_split(args.split, labels.num_items)
+    split = data.load_split(args.split, labels.num_items)
     _check_code_counts(query_codes, db_codes, split)
     report = retrieval.evaluate(
         query_codes, db_codes, labels.values[split.query],
@@ -188,7 +182,7 @@ def cmd_lsh_baseline(args) -> int:
     if features.num_items != labels.num_items:
         raise ValueError(f"feature count {features.num_items} != label count "
                          f"{labels.num_items}")
-    split = _load_split(args.split, features.num_items)
+    split = data.load_split(args.split, features.num_items)
     db_codes = retrieval.lsh_codes(features.values, args.bits, args.seed,
                                    rows=split.database)
     query_codes = retrieval.lsh_codes(features.values, args.bits, args.seed,
@@ -246,8 +240,9 @@ def cmd_analyze(args) -> int:
     if args.model:
         net = model.load_network(args.model)
         features = data.load_features(args.features)
+        split = args.split and data.load_split(args.split, features.num_items)
         counts, edges = analysis.activation_histogram(
-            features.values, _subset_rows(args, features.num_items),
+            features.values, _subset_rows(args, split, features.num_items),
             model.hash_layer(net), net.widest_layer, args.bins)
         reports.append(("activation histogram",
                         f"activation_hist_k{net.code_bits}_b{args.bins}.csv",
@@ -262,7 +257,12 @@ def cmd_analyze(args) -> int:
         query_codes = retrieval.load_codes(args.query_codes)
         db_codes = retrieval.load_codes(args.database_codes)
         labels = data.load_labels(args.labels)
-        split = _load_split(args.split, labels.num_items)
+        # With the histogram, the one split was read for the features.
+        if not args.model:
+            split = data.load_split(args.split, labels.num_items)
+        elif features.num_items != labels.num_items:
+            raise ValueError(f"feature count {features.num_items} != label "
+                             f"count {labels.num_items}")
         _check_code_counts(query_codes, db_codes, split)
         # No query: search checks the codes and --top and ranks nothing.
         retrieval.search(replace(query_codes, words=query_codes.words[:0]),
@@ -374,10 +374,16 @@ def _add_train_flags(parser) -> None:
                              "but --resume always checkpoints (default: 0)")
 
 
+def _add_split_flag(parser, required: bool) -> None:
+    parser.add_argument("--split", required=required,
+                        help="split file written by `hadahash split` for "
+                             "these items")
+
+
 def _add_data_flags(parser) -> None:
     parser.add_argument("--features", required=True, help="HCFS or text features")
     parser.add_argument("--labels", required=True, help="HCLS or text labels")
-    parser.add_argument("--split", required=True, help="split file")
+    _add_split_flag(parser, required=True)
     parser.add_argument("--codebook", required=True, help="HCCB codebook file")
 
 
@@ -445,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="binarize model outputs into codes")
     p.add_argument("--model", required=True, help="HCMD checkpoint")
     p.add_argument("--features", required=True)
-    p.add_argument("--split", default=None)
+    _add_split_flag(p, required=False)
     p.add_argument("--subset", choices=("query", "train", "database"),
                    default=None,
                    help="split rows to encode; needs --split (default: "
@@ -456,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-codes", required=True)
     p.add_argument("--database-codes", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--split", required=True)
+    _add_split_flag(p, required=True)
     _add_eval_flags(p)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--pr-csv", default=None, help="PR curve CSV path")
@@ -466,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codes", default=None, help="HCBC codes for bit balance")
     p.add_argument("--model", default=None, help="HCMD model for activations")
     p.add_argument("--features", default=None)
-    p.add_argument("--split", default=None)
+    _add_split_flag(p, required=False)
     p.add_argument("--subset", choices=("query", "train", "database"),
                    default=None,
                    help="split rows to histogram; needs --split "
@@ -500,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random-hyperplane codes over raw features, then eval")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--split", required=True)
+    _add_split_flag(p, required=True)
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="seed (default: 0)")
     _add_eval_flags(p)

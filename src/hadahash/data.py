@@ -97,11 +97,36 @@ class LabelSet:
 
 @dataclass(frozen=True)
 class Split:
-    """Disjoint query/train index lists plus the database (all non-query items)."""
+    """Each item's role: `roles` is N uint8, 0 database only, 1 query, 2 train.
 
-    query: np.ndarray
-    train: np.ndarray
-    database: np.ndarray
+    `query` and `train` are the items of roles 1 and 2, and `database` every
+    non-query item, each sorted int64 (`np.flatnonzero`): the canonical form
+    that `save_split` writes and `load_split` accepts.
+    """
+
+    roles: np.ndarray
+
+    def __post_init__(self):
+        roles = self.roles
+        if not (isinstance(roles, np.ndarray) and roles.ndim == 1
+                and roles.dtype == np.uint8) or roles.max(initial=0) > 2:
+            raise ValueError("split roles must be a 1-D uint8 array of 0, 1, 2")
+
+    @property
+    def num_items(self) -> int:
+        return self.roles.size
+
+    @property
+    def query(self) -> np.ndarray:
+        return np.flatnonzero(self.roles == 1)
+
+    @property
+    def train(self) -> np.ndarray:
+        return np.flatnonzero(self.roles == 2)
+
+    @property
+    def database(self) -> np.ndarray:
+        return np.flatnonzero(self.roles != 1)
 
 
 def _is_text(path) -> bool:
@@ -212,11 +237,11 @@ def split_protocol(labels: LabelSet, n_query_per_class: int,
     n, c = y.shape
     rng = make_rng(seed)
     order = rng.permutation(n)
+    roles = np.zeros(n, dtype=np.uint8)
 
-    def fill(quota_per_class, candidates):
+    def fill(quota_per_class, candidates, role):
         # Through int64, so an oversized quota raises OverflowError.
         remaining = np.full(c, quota_per_class, dtype=np.int64)
-        chosen = [np.zeros(0, dtype=np.int64)]
         for lo in range(0, candidates.size, _SPLIT_CHUNK):
             if not remaining.any():
                 break
@@ -235,23 +260,17 @@ def split_protocol(labels: LabelSet, n_query_per_class: int,
             rank = np.arange(grouped.size) - starts[grouped]
             # Taken: the items with a label whose rank in the chunk is below
             # what earlier chunks left of its class's quota.
-            taken = np.zeros(chunk.size, dtype=bool)
-            taken[rows[by_class[rank < remaining[grouped]]]] = True
-            chosen.append(chunk[taken])
+            roles[chunk[rows[by_class[rank < remaining[grouped]]]]] = role
             remaining -= np.minimum(counts, remaining)
         if remaining.any():
             short = np.flatnonzero(remaining)[0]
             raise ValueError(
                 f"class {short} has too few items: {remaining[short]} more "
                 f"needed for a quota of {quota_per_class}")
-        return np.sort(np.concatenate(chosen))
 
-    query = fill(n_query_per_class, order)
-    in_query = np.zeros(n, dtype=bool)
-    in_query[query] = True
-    train = fill(n_train_per_class, order[~in_query[order]])
-    database = np.flatnonzero(~in_query).astype(np.int64)
-    return Split(query=query, train=train, database=database)
+    fill(n_query_per_class, order, 1)
+    fill(n_train_per_class, order[roles[order] == 0], 2)
+    return Split(roles=roles)
 
 
 def save_split(split: Split, path) -> None:
@@ -264,69 +283,65 @@ def save_split(split: Split, path) -> None:
                     + "\n")
 
 
-def load_split(path) -> Split:
-    """Read a split file written by `save_split`.
+def load_split(path, num_items: int) -> Split:
+    """Read the split of `num_items` items that `save_split` wrote.
 
-    Each non-blank line is `query:`, `train:` or `database:` followed by
-    whitespace-separated base-10 integers that fit in int64, with an
-    optional sign; a section may be empty but may not appear twice.
-    Anything else in a section (a `#`, a letter, a decimal point, a digit
-    separator `1_0`, non-ASCII digits, a number too large for int64, `1e3`,
-    `nan`) is a ValueError naming the file, as is a repeated section; the
-    CLI reports either with exit code 2. Each section
-    goes through numpy's C text parser in one call. numpy releases that
-    still fall back to float parsing for such a token only emit a
-    DeprecationWarning, which the default filters hide, so the call turns
-    it into an error whatever filters the caller has set.
+    The non-blank lines are `query:`, `train:` and `database:` in that
+    order, each followed by base-10 int64 integers with an optional sign,
+    which numpy's C parser reads in one call per section. Any other token
+    (`#`, `x`, `2.5`, `1_0`, `1e3`, `nan`, non-ASCII digits, a number past
+    int64) is a ValueError naming the file, whatever warning filters are
+    set: numpy releases that parse it through a float only warn.
+
+    The sections must be `Split`'s canonical form: query and database hold
+    `num_items` items in all, every index lies in [0, num_items), and each
+    section equals the items of its role once train is given role 2 and
+    query, over it, role 1. The ValueError names the file and both counts,
+    or the section and its first item off its role.
     """
-    sections = {}
+    names = ["query", "train", "database"]
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            name, _, rest = line.partition(":")
-            name = name.strip()
-            if name not in ("query", "train", "database"):
-                raise ValueError(f"{path}: unknown split section {name!r}")
-            if name in sections:
-                raise ValueError(f"{path}: repeated {name} section")
-            if not rest.strip():
-                # loadtxt warns on an empty input.
-                sections[name] = np.zeros(0, dtype=np.int64)
-                continue
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", DeprecationWarning)
-                    sections[name] = np.loadtxt([rest], dtype=np.int64,
-                                                ndmin=1, comments=None)
-            except (ValueError, DeprecationWarning) as err:
-                raise ValueError(f"{path}: bad {name} section: {err}") from None
-    missing = {"query", "train", "database"} - sections.keys()
-    if missing:
-        raise ValueError(f"{path}: missing split sections {sorted(missing)}")
-    return Split(query=sections["query"], train=sections["train"],
-                 database=sections["database"])
-
-
-def check_split(split: Split, num_items: int) -> None:
-    """Reject a split that does not index a set of `num_items` items.
-
-    Every index must lie in [0, num_items), no section may repeat an index,
-    and no query item may sit in the train section or the database.
-    """
-    for name, idx in (("query", split.query), ("train", split.train),
-                      ("database", split.database)):
-        if idx.size and (idx.min() < 0 or idx.max() >= num_items):
-            raise ValueError(
-                f"split {name} indices out of range [0, {num_items})")
-        if np.bincount(idx, minlength=num_items).max(initial=0) > 1:
-            raise ValueError(f"split {name} section repeats an index")
-    in_query = np.zeros(num_items, dtype=bool)
-    in_query[split.query] = True
-    for name, idx in (("train", split.train), ("database", split.database)):
-        shared = idx[in_query[idx]]
-        if shared.size:
-            raise ValueError(f"split item {shared[0]} is in both the query "
-                             f"and the {name} section")
-
+        lines = [line.partition(":") for line in f if line.strip()]
+    found = [name.strip() for name, _, _ in lines]
+    if found != names:
+        raise ValueError(f"{path}: sections {found!r:.80} are not query, "
+                         f"train and database in that order")
+    sections = []
+    for name, (_, _, rest) in zip(names, lines):
+        if not rest.strip():
+            # loadtxt warns on an empty input.
+            sections.append(np.zeros(0, dtype=np.int64))
+            continue
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                sections.append(np.loadtxt([rest], dtype=np.int64, ndmin=1,
+                                           comments=None))
+        except (ValueError, DeprecationWarning) as err:
+            raise ValueError(f"{path}: bad {name} section: {err}") from None
+    query, train, database = sections
+    if query.size + database.size != num_items:
+        raise ValueError(f"{path}: the split covers "
+                         f"{query.size + database.size} items, not the "
+                         f"{num_items} given")
+    for name, listed in zip(names, sections):
+        outside = listed[(listed < 0) | (listed >= num_items)]
+        if outside.size:
+            raise ValueError(f"{path}: {name} section index {outside[0]} is "
+                             f"out of range [0, {num_items})")
+    roles = np.zeros(num_items, dtype=np.uint8)
+    roles[train] = 2
+    roles[query] = 1
+    split = Split(roles=roles)
+    for name, listed in zip(names, sections):
+        derived = getattr(split, name)
+        if not np.array_equal(listed, derived):
+            # A section lists at least the items derived from it, so it
+            # departs from them at one of its own positions.
+            off = np.flatnonzero(listed[:derived.size] != derived[:listed.size])
+            item = listed[off[0] if off.size else derived.size]
+            role = ("database", "query", "train")[roles[item]]
+            raise ValueError(f"{path}: {name} section departs from the "
+                             f"sorted {name} items at item {item}, a {role} "
+                             f"item")
+    return split

@@ -15,7 +15,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .codebook import Codebook, target_batch
-from .data import FeatureSet, LabelSet, Split, check_split
+from .data import FeatureSet, LabelSet, Split
 from .io import (FileFormatError, check_end, read_array, read_header,
                  write_array, write_header)
 from .model import (VARIANTS, HashNetwork, LossBreakdown, NetworkSpec,
@@ -213,9 +213,11 @@ def train(config: TrainConfig, features: FeatureSet, labels: LabelSet,
         raise ValueError(
             f"codebook has {codebook.num_classes} classes, labels have "
             f"{labels.num_classes}")
+    if split.num_items != features.num_items:
+        raise ValueError(f"the split covers {split.num_items} items, not the "
+                         f"{features.num_items} features")
     if split.train.size == 0:
         raise ValueError("training split is empty")
-    check_split(split, features.num_items)
     # Every entry is 0 or 1 and every row has a positive (`LabelSet`), so
     # the positives number N only when each row has exactly one.
     if (config.loss_mode == "CE"

@@ -136,8 +136,9 @@ class TestEncodeCommand:
 
     def test_empty_subset_is_exit_two(self, inputs, tmp_path, capsys):
         _, split, _, paths = inputs
-        save_split(Split(query=split.query[:0], train=split.train,
-                         database=split.database), paths["split.txt"])
+        roles = split.roles.copy()
+        roles[roles == 1] = 0
+        save_split(Split(roles=roles), paths["split.txt"])
         out = tmp_path / "codes.hcbc"
         assert cli.main(["encode", "--model", str(paths["model.hcmd"]),
                          "--features", str(paths["features.hcfs"]),
@@ -190,42 +191,102 @@ def _commands(paths, out):
                               "--split", paths["split.txt"], "--outdir", out],
         "train": ["train", *data, "--codebook", paths["book.hccb"],
                   "--hidden", "5", "--epochs", "1", "--out", out],
+        "sweep": ["sweep", *data, "--codebook", paths["book.hccb"],
+                  "--hidden", "5", "--epochs", "1", "--lambdas", "0,1",
+                  "--out", out],
+        "ablate": ["ablate", *data, "--codebook", paths["book.hccb"],
+                   "--hidden", "5", "--epochs", "1", "--out", out],
     }
 
 
+SPLIT_READERS = ["eval", "lsh-baseline", "encode", "analyze-activations",
+                 "analyze-confusion", "train", "sweep", "ablate"]
+
+
 class TestSplitChecks:
+    """Faults written into a split file that `save_split` wrote, each read
+    by every subcommand that takes --split."""
+
     @staticmethod
-    def _faulty(split, fault):
-        query, train, database = (split.query.copy(), split.train.copy(),
-                                  split.database.copy())
-        if fault == "out of range":
+    def _write_faulty(split, fault, path):
+        """Write `split` with `fault` to `path`; returns the error it gives."""
+        query, train, database = (getattr(split, name).tolist()
+                                  for name in ("query", "train", "database"))
+        n = split.num_items
+        names = ["query", "train", "database"]
+
+        def departs(name, item):
+            role = ("database", "query", "train")[split.roles[item]]
+            return (f"{name} section departs from the sorted {name} items at "
+                    f"item {item}, a {role} item")
+
+        if fault == "out of range":  # a negative index
             query[0] = -1
+            message = f"query section index -1 is out of range [0, {n})"
+        elif fault == "index N":
+            database[-1] = n
+            message = f"database section index {n} is out of range [0, {n})"
         elif fault == "repeats":
             database[1] = database[0]
-        elif fault.endswith("train section"):  # a query item trained on
-            train[-1] = query[0]
-        else:  # a query item also in the database
+            message = departs("database", database[0])
+        elif fault == "in both the query and the database":
             database[0] = query[0]
-        return Split(query=query, train=train, database=database)
+            message = departs("database", query[0])
+        elif fault == "in both the query and the train section":
+            train[-1] = query[0]
+            message = departs("train", query[0])
+        elif fault == "swapped indices":
+            query[0], query[1] = query[1], query[0]
+            message = departs("query", query[0])
+        elif fault == "dropped database index":
+            database.pop()
+            message = f"the split covers {n - 1} items, not the {n} given"
+        elif fault == "swapped sections":
+            names = ["query", "database", "train"]
+            message = ("sections ['query', 'database', 'train'] are not "
+                       "query, train and database in that order")
+        else:  # a fourth section
+            names.append("query")
+            message = ("sections ['query', 'train', 'database', 'query'] are "
+                       "not query, train and database in that order")
+        sections = {"query": query, "train": train, "database": database}
+        with open(path, "w") as f:
+            for name in names:
+                f.write(f"{name}: {' '.join(map(str, sections[name]))}\n")
+        return f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("fault", [
-        "out of range", "repeats", "in both the query and the database",
-        "in both the query and the train section"])
-    @pytest.mark.parametrize("command", ["eval", "lsh-baseline", "encode",
-                                         "analyze-activations",
-                                         "analyze-confusion", "train"])
+        "out of range", "index N", "repeats",
+        "in both the query and the database",
+        "in both the query and the train section", "swapped indices",
+        "dropped database index", "swapped sections", "fourth section"])
+    @pytest.mark.parametrize("command", SPLIT_READERS)
     def test_faulty_split_is_exit_two(self, pipeline_files, capsys, fault,
                                       command):
         split, paths, tmp_path = pipeline_files
-        argv = _commands(paths, str(tmp_path / "out"))[command]
-        assert cli.main(argv) == 0
+        assert cli.main(_commands(paths, str(tmp_path / "ok"))[command]) == 0
         capsys.readouterr()
-        save_split(self._faulty(split, fault), paths["split.txt"])
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert fault in err
-        if fault.startswith("in both"):
-            assert f"split item {split.query[0]} is {fault}" in err
+        message = self._write_faulty(split, fault, paths["split.txt"])
+        out = tmp_path / "out"
+        assert cli.main(_commands(paths, str(out))[command]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("per_class", [20, 40])
+    @pytest.mark.parametrize("command", SPLIT_READERS)
+    def test_split_of_another_item_count_is_exit_two(
+            self, pipeline_files, capsys, command, per_class):
+        # The split is of 120 items; the data has 80 or 160.
+        _, paths, tmp_path = pipeline_files
+        features, labels = make_synthetic_blobs(4, per_class, 6, 0.5, seed=2)
+        save_features(features, paths["features.hcfs"])
+        save_labels(labels, paths["labels.hcls"])
+        out = tmp_path / "out"
+        assert cli.main(_commands(paths, str(out))[command]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {paths['split.txt']}: the split covers 120 items, not "
+            f"the {4 * per_class} given\n")
+        assert not out.exists()
 
     def test_lsh_baseline_rejects_mismatched_counts(self, pipeline_files):
         _, paths, tmp_path = pipeline_files
@@ -289,8 +350,11 @@ def test_numeric_blowup_prints_one_line(pipeline_files, command, flags):
 
 def test_empty_database_is_exit_two(pipeline_files, capsys):
     split, paths, tmp_path = pipeline_files
-    save_split(Split(query=split.query, train=split.train,
-                     database=split.database[:0]), paths["split.txt"])
+    # Every item a query.
+    save_split(Split(roles=np.ones(split.num_items, dtype=np.uint8)),
+               paths["split.txt"])
+    save_codes(pack_codes(np.zeros((split.num_items, 8), dtype=bool)),
+               paths["query.hcbc"])
     save_codes(pack_codes(np.zeros((0, 8), dtype=bool)),
                paths["database.hcbc"])
     assert cli.main(_commands(paths, str(tmp_path / "out"))["eval"]) == 2
@@ -432,7 +496,9 @@ def test_repeated_split_section_is_exit_two(pipeline_files, capsys):
     out = tmp_path / "out"
     assert cli.main(_commands(paths, str(out))["eval"]) == 2
     assert capsys.readouterr().err.strip() == (
-        f"error: {paths['split.txt']}: repeated query section")
+        f"error: {paths['split.txt']}: sections ['query', 'train', "
+        f"'database', 'query'] are not query, train and database in that "
+        f"order")
     assert not out.exists()
 
 
@@ -832,6 +898,36 @@ class TestAnalyzeCommand:
             "codebook_gram_c4_k8.csv", "confusion_k8_top100.csv",
             "confusion_unweighted_k8_top100.csv", "summary.json"]
 
+    def test_reads_the_split_once(self, pipeline_files, monkeypatch):
+        _, paths, tmp_path = pipeline_files
+        reads = []
+        real_load_split = cli.data.load_split
+
+        def counting_load_split(*args):
+            reads.append(args)
+            return real_load_split(*args)
+
+        monkeypatch.setattr(cli.data, "load_split", counting_load_split)
+        assert cli.main(self._argv(paths, tmp_path / "reports")) == 0
+        assert reads == [(paths["split.txt"], 120)]
+
+    def test_checks_the_split_against_both_counts(self, pipeline_files,
+                                                  capsys):
+        # 160 features or 160 labels beside a split of 120 items.
+        _, paths, tmp_path = pipeline_files
+        features, labels = make_synthetic_blobs(4, 40, 6, 0.5, seed=2)
+        outdir = tmp_path / "reports"
+        save_labels(labels, paths["labels.hcls"])
+        assert cli.main(self._argv(paths, outdir)) == 2
+        assert capsys.readouterr().err == (
+            "error: feature count 120 != label count 160\n")
+        save_features(features, paths["features.hcfs"])
+        assert cli.main(self._argv(paths, outdir)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {paths['split.txt']}: the split covers 120 items, not "
+            f"the 160 given\n")
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("missing", ["database.hcbc", "model.hcmd",
                                          "labels.hcls", "book.hccb"])
     def test_missing_input_writes_nothing(self, pipeline_files, missing):
@@ -943,13 +1039,16 @@ class TestAnalyzeCommand:
         """Multi-label labels, codes of 16 bits and a split of `n_query`
         queries over a database of `n_db` items; argv without --top."""
         rng = np.random.default_rng(0)
-        n = n_query + n_db + 1
+        n = n_query + n_db
         labels = (rng.random((n, 5)) < 0.4).astype(np.uint8)
         labels[np.arange(n), rng.integers(0, 5, n)] = 1
         d.mkdir()
         save_labels(LabelSet(values=labels), d / "l.hcls")
-        save_split(Split(query=np.arange(n_query), train=np.array([n - 1]),
-                         database=np.arange(n_query, n - 1)), d / "s.txt")
+        # The queries first, then the database; its last item trains.
+        roles = np.zeros(n, dtype=np.uint8)
+        roles[:n_query] = 1
+        roles[-1] = 2
+        save_split(Split(roles=roles), d / "s.txt")
         save_codes(pack_codes(rng.random((n_query, 16)) < 0.5), d / "q.hcbc")
         save_codes(pack_codes(rng.random((n_db, 16)) < 0.5), d / "db.hcbc")
         return ["analyze", "--query-codes", str(d / "q.hcbc"),

@@ -1,11 +1,13 @@
+import re
 import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hadahash import data
@@ -19,7 +21,8 @@ from hadahash.rng import make_rng
 
 
 def _reference_split(labels, n_query_per_class, n_train_per_class, seed):
-    """The split protocol as first written: every item visited, one by one."""
+    """The split protocol as first written: every item visited, one by one.
+    Its three sorted index lists, as `save_split` first wrote them."""
     y = labels.values
     n, c = y.shape
     rng = make_rng(seed)
@@ -47,7 +50,7 @@ def _reference_split(labels, n_query_per_class, n_train_per_class, seed):
     in_query[query] = True
     train = fill(n_train_per_class, [i for i in order if not in_query[i]])
     database = np.flatnonzero(~in_query).astype(np.int64)
-    return Split(query=query, train=train, database=database)
+    return SimpleNamespace(query=query, train=train, database=database)
 
 
 def _reference_load_split(path):
@@ -61,8 +64,7 @@ def _reference_load_split(path):
             name, _, rest = line.partition(":")
             sections[name.strip()] = np.array(
                 [int(tok) for tok in rest.split()], dtype=np.int64)
-    return Split(query=sections["query"], train=sections["train"],
-                 database=sections["database"])
+    return SimpleNamespace(**sections)
 
 
 def _reference_split_text(split):
@@ -384,7 +386,8 @@ class TestSplitProtocol:
         split = split_protocol(labels, 5, 10, seed=2)
         path = tmp_path / "split.txt"
         save_split(split, path)
-        loaded = load_split(path)
+        loaded = load_split(path, 120)
+        assert np.array_equal(loaded.roles, split.roles)
         assert np.array_equal(loaded.query, split.query)
         assert np.array_equal(loaded.train, split.train)
         assert np.array_equal(loaded.database, split.database)
@@ -392,8 +395,11 @@ class TestSplitProtocol:
     def test_split_file_missing_section(self, tmp_path):
         path = tmp_path / "split.txt"
         path.write_text("query: 1 2\ntrain: 3 4\n")
-        with pytest.raises(ValueError, match="missing"):
-            load_split(path)
+        with pytest.raises(ValueError) as err:
+            load_split(path, 6)
+        assert str(err.value) == (f"{path}: sections ['query', 'train'] are "
+                                  f"not query, train and database in that "
+                                  f"order")
 
     @pytest.mark.parametrize("section", ["query", "train", "database"])
     def test_split_file_repeated_section(self, tmp_path, section):
@@ -402,54 +408,224 @@ class TestSplitProtocol:
         path.write_text(f"query: 1 2\ntrain: 3 4\ndatabase: 0 3 4 5\n"
                         f"{section}: 5\n")
         with pytest.raises(ValueError) as err:
-            load_split(path)
-        assert str(err.value) == f"{path}: repeated {section} section"
+            load_split(path, 6)
+        assert str(err.value) == (
+            f"{path}: sections ['query', 'train', 'database', '{section}'] "
+            f"are not query, train and database in that order")
 
 
-_SECTION = st.lists(st.integers(-2**63, 2**63 - 1), max_size=30).map(
-    lambda values: np.array(values, dtype=np.int64))
+class TestSplitRoles:
+    def test_sections_are_the_sorted_items_of_each_role(self):
+        split = Split(roles=np.array([2, 1, 0, 1, 2, 0], dtype=np.uint8))
+        assert split.num_items == 6
+        for name, items in (("query", [1, 3]), ("train", [0, 4]),
+                            ("database", [0, 2, 4, 5])):
+            got = getattr(split, name)
+            assert got.dtype == np.int64 and got.tolist() == items
+
+    @pytest.mark.parametrize("roles", [
+        np.zeros((2, 3), dtype=np.uint8), np.zeros(4, dtype=np.int64),
+        np.zeros(4, dtype=np.int8), np.array([0, 1, 3], dtype=np.uint8),
+        np.array([255], dtype=np.uint8), [0, 1, 2]])
+    def test_rejects_roles_outside_the_encoding(self, roles):
+        with pytest.raises(ValueError, match="split roles must be a 1-D "
+                                             "uint8 array"):
+            Split(roles=roles)
+
+    def test_empty_split(self, tmp_path):
+        split = Split(roles=np.zeros(0, dtype=np.uint8))
+        path = tmp_path / "split.txt"
+        save_split(split, path)
+        assert path.read_text() == "query: \ntrain: \ndatabase: \n"
+        assert load_split(path, 0).num_items == 0
+
+
+def _canonical_text(roles):
+    """Split file text of `roles` through the writer as first written."""
+    return _reference_split_text(SimpleNamespace(
+        query=np.flatnonzero(roles == 1), train=np.flatnonzero(roles == 2),
+        database=np.flatnonzero(roles != 1)))
+
+
+class TestLoadSplitRejects:
+    """Every departure from the canonical form is a ValueError naming the
+    file with both counts, or the section and its first item off it."""
+
+    ROLES = np.array([0, 1, 2, 0, 1, 2, 2, 0, 0, 1], dtype=np.uint8)
+
+    def _error(self, tmp_path, text, num_items=10):
+        path = tmp_path / "split.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_split(path, num_items)
+        return str(err.value).replace(f"{path}: ", "", 1)
+
+    def test_canonical_text(self, tmp_path):
+        # The text every mutation below starts from.
+        text = _canonical_text(self.ROLES)
+        assert text == "query: 1 4 9\ntrain: 2 5 6\ndatabase: 0 2 3 5 6 7 8\n"
+        path = tmp_path / "split.txt"
+        path.write_text(text)
+        assert np.array_equal(load_split(path, 10).roles, self.ROLES)
+
+    @pytest.mark.parametrize("num_items", [0, 9, 11, 160])
+    def test_another_item_count_names_both(self, tmp_path, num_items):
+        text = _canonical_text(self.ROLES)
+        assert self._error(tmp_path, text, num_items) == (
+            f"the split covers 10 items, not the {num_items} given")
+
+    @pytest.mark.parametrize("lines, message", [
+        (["query: 1 4 9", "train: 2 5 6", "database: 0 2 3 5 6 7"],
+         "the split covers 9 items, not the 10 given"),
+        (["query: 1 4 9", "train: 2 5 6", "database: 0 2 3 5 6 7 8 8"],
+         "the split covers 11 items, not the 10 given"),
+        (["query: 1 4 -1", "train: 2 5 6", "database: 0 2 3 5 6 7 8"],
+         "query section index -1 is out of range [0, 10)"),
+        (["query: 1 4 9", "train: 2 5 10", "database: 0 2 3 5 6 7 8"],
+         "train section index 10 is out of range [0, 10)"),
+        (["query: 1 4 9", "train: 2 5 6", "database: 0 2 3 5 6 7 10"],
+         "database section index 10 is out of range [0, 10)"),
+        # A query item trained on, or listed in the database.
+        (["query: 1 4 9", "train: 2 5 9", "database: 0 2 3 5 6 7 8"],
+         "train section departs from the sorted train items at item 9, a "
+         "query item"),
+        (["query: 1 4 9", "train: 2 5 6", "database: 0 2 3 4 6 7 8"],
+         "database section departs from the sorted database items at item "
+         "4, a query item"),
+        # A repeated index, with another dropped to keep the count.
+        (["query: 1 4 4", "train: 2 5 6", "database: 0 2 3 5 6 7 8"],
+         "query section departs from the sorted query items at item 4, a "
+         "query item"),
+        (["query: 1 4 9", "train: 2 5 6", "database: 0 2 2 5 6 7 8"],
+         "database section departs from the sorted database items at item "
+         "2, a train item"),
+        # Unsorted sections.
+        (["query: 4 1 9", "train: 2 5 6", "database: 0 2 3 5 6 7 8"],
+         "query section departs from the sorted query items at item 4, a "
+         "query item"),
+        (["query: 1 4 9", "train: 2 6 5", "database: 0 2 3 5 6 7 8"],
+         "train section departs from the sorted train items at item 6, a "
+         "train item"),
+        (["query: 1 4 9", "train: 2 5 6", "database: 0 2 3 5 6 8 7"],
+         "database section departs from the sorted database items at item "
+         "8, a database item"),
+        # A database without the train items.
+        (["query: 1 4 9", "train: 2 5 6", "database: 0 3 7 8"],
+         "the split covers 7 items, not the 10 given"),
+        (["query: 1 4 9", "train: 2 5 6", "database: 0 2 3 5 6 7 8",
+          "query: 1"],
+         "sections ['query', 'train', 'database', 'query'] are not query, "
+         "train and database in that order"),
+        (["query: 1 4 9", "database: 0 2 3 5 6 7 8", "train: 2 5 6"],
+         "sections ['query', 'database', 'train'] are not query, train and "
+         "database in that order"),
+    ])
+    def test_names_the_section_and_item(self, tmp_path, lines, message):
+        assert self._error(tmp_path, "\n".join(lines) + "\n") == message
+
+    def test_long_section_name_is_cut(self, tmp_path):
+        # A line without a colon is all name; the message keeps 80 characters
+        # of the names.
+        line = "1 2 3 4 5 6 7 8 9 " * 8
+        names = repr(["query", "train", line.strip()])
+        assert self._error(tmp_path, f"query: 1\ntrain: 2\n{line}\n") == (
+            f"sections {names[:80]} are not query, train and database in "
+            f"that order")
+
+    @settings(max_examples=300, deadline=None)
+    @given(roles=st.lists(st.integers(0, 2), min_size=1, max_size=40).map(
+               lambda r: np.array(r, dtype=np.uint8)),
+           at=st.sampled_from([0, 1, 2]),
+           mutation=st.sampled_from(["drop", "repeat", "swap", "query item",
+                                     "negative", "past the end"]),
+           data=st.data())
+    def test_mutations_of_a_canonical_file_are_rejected(self, roles, at,
+                                                        mutation, data):
+        sections = [np.flatnonzero(roles == 1).tolist(),
+                    np.flatnonzero(roles == 2).tolist(),
+                    np.flatnonzero(roles != 1).tolist()]
+        values = sections[at]
+        pair = mutation in ("repeat", "swap")
+        # A train item left out is a database-only item: still a split.
+        assume(len(values) > pair and not (mutation == "drop" and at == 1))
+        k = data.draw(st.integers(0, len(values) - 1 - pair))
+        if mutation == "drop":
+            del values[k]
+        elif mutation == "repeat":
+            values[k + 1] = values[k]
+        elif mutation == "swap":
+            values[k], values[k + 1] = values[k + 1], values[k]
+        elif mutation == "query item":
+            # A query item in the train or database section, or another
+            # item in the query section.
+            others = np.flatnonzero((roles == 1) != (at == 0)).tolist()
+            assume(others)
+            values[k] = data.draw(st.sampled_from(others))
+        elif mutation == "negative":
+            values[k] = -1 - values[k]
+        else:
+            values[k] += roles.size
+        text = "".join(f"{name}: {' '.join(map(str, section))}\n"
+                       for name, section in zip(("query", "train",
+                                                 "database"), sections))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "split.txt"
+            path.write_text(text)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                load_split(path, roles.size)
 
 
 class TestSplitFile:
     def test_scan_sized_split_matches_int_loop(self, tmp_path):
         rng = np.random.default_rng(0)
-        in_query = np.zeros(100_000, dtype=bool)
-        in_query[rng.choice(100_000, size=128, replace=False)] = True
-        database = np.flatnonzero(~in_query).astype(np.int64)
-        split = Split(query=np.flatnonzero(in_query).astype(np.int64),
-                      train=np.sort(rng.choice(database, 3200, replace=False)),
-                      database=database)
+        roles = np.zeros(100_000, dtype=np.uint8)
+        roles[rng.choice(100_000, size=3328, replace=False)] = 2
+        roles[rng.choice(np.flatnonzero(roles), size=128, replace=False)] = 1
+        split = Split(roles=roles)
+        assert (split.query.size, split.train.size) == (128, 3200)
         path = tmp_path / "split.txt"
         save_split(split, path)
         assert path.read_text() == _reference_split_text(split)
-        loaded, expected = load_split(path), _reference_load_split(path)
+        loaded = load_split(path, 100_000)
+        expected = _reference_load_split(path)
         for name in ("query", "train", "database"):
             got = getattr(loaded, name)
             assert got.dtype == np.int64
             assert np.array_equal(got, getattr(expected, name))
             assert np.array_equal(got, getattr(split, name))
 
-    @settings(max_examples=60, deadline=None)
-    @given(query=_SECTION, train=_SECTION, database=_SECTION)
-    def test_round_trip_property(self, query, train, database):
-        split = Split(query=query, train=train, database=database)
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 120), c=st.integers(1, 6),
+           density=st.floats(0.0, 0.7), draw=st.integers(0, 2**32 - 1),
+           quotas=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_property(self, n, c, density, draw, quotas, seed):
+        # A written split reads back as its roles, and its file holds the
+        # bytes the first writer gave the first protocol's lists.
+        rng = np.random.default_rng(draw)
+        values = (rng.random((n, c)) < density).astype(np.uint8)
+        values[np.arange(n), rng.integers(0, c, n)] = 1
+        labels = LabelSet(values=values)
+        try:
+            expected = _reference_split(labels, *quotas, seed=seed)
+        except ValueError:
+            assume(False)
+        split = split_protocol(labels, *quotas, seed=seed)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "split.txt"
             save_split(split, path)
-            assert path.read_text() == _reference_split_text(split)
-            loaded = load_split(path)
-        for name in ("query", "train", "database"):
-            got = getattr(loaded, name)
-            assert got.dtype == np.int64 and got.ndim == 1
-            assert np.array_equal(got, getattr(split, name))
+            assert path.read_text() == _reference_split_text(expected)
+            loaded = load_split(path, n)
+        assert loaded.roles.dtype == np.uint8
+        assert np.array_equal(loaded.roles, split.roles)
 
     def test_blank_sections_and_spacing(self, tmp_path):
         path = tmp_path / "split.txt"
-        path.write_text("query:\n\ntrain:   \t \ndatabase:  +3\t 07  -1 \n")
-        split = load_split(path)
+        path.write_text("query:\n\ntrain:   \t \ndatabase:  +0\t 01  2 \n")
+        split = load_split(path, 3)
         assert split.query.dtype == split.train.dtype == np.int64
         assert split.query.size == split.train.size == 0
-        assert split.database.tolist() == [3, 7, -1]
+        assert split.database.tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("token", [
         "#", "x", "2.5", "1_0", "\uff11\uff12", "99999999999999999999999"])
@@ -458,7 +634,7 @@ class TestSplitFile:
         path = tmp_path / "split.txt"
         path.write_text(f"query: 1 2\ntrain: 3 {token} 4\ndatabase: 0\n")
         with pytest.raises(ValueError, match="split.txt: bad train section"):
-            load_split(path)
+            load_split(path, 5)
 
     @pytest.mark.parametrize("action", ["ignore", "default"])
     @pytest.mark.parametrize("token", [
@@ -470,7 +646,7 @@ class TestSplitFile:
         with warnings.catch_warnings():
             warnings.simplefilter(action)
             with pytest.raises(ValueError, match="bad train section"):
-                load_split(path)
+                load_split(path, 5)
 
     @pytest.mark.parametrize("action", ["ignore", "default"])
     def test_float_fallback_warning_is_an_error(self, tmp_path, monkeypatch,
@@ -490,4 +666,4 @@ class TestSplitFile:
         with warnings.catch_warnings():
             warnings.simplefilter(action)
             with pytest.raises(ValueError, match="bad train section"):
-                load_split(path)
+                load_split(path, 5)

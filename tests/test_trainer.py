@@ -6,7 +6,9 @@ import pytest
 
 from hadahash import model, trainer
 from hadahash.codebook import build_codebook, target_batch
-from hadahash.data import LabelSet, make_synthetic_blobs, split_protocol
+from hadahash.analysis import ablate, lambda_sweep
+from hadahash.data import (LabelSet, Split, make_synthetic_blobs,
+                           split_protocol)
 from hadahash.io import FileFormatError
 from hadahash.model import NetworkSpec, build_network, load_network, sgd_step
 from hadahash.rng import make_rng
@@ -132,6 +134,30 @@ class TestTrain:
         wrong = build_codebook(8, 6, seed=1)
         with pytest.raises(ValueError, match="classes"):
             train(TrainConfig(epochs=1), features, labels, split, wrong)
+
+    @pytest.mark.parametrize("run", ["train", "ablate", "sweep"])
+    @pytest.mark.parametrize("num_items", [119, 121])
+    def test_split_of_another_item_count_trains_no_epoch(
+            self, small_setup, monkeypatch, run, num_items):
+        features, labels, split, book = small_setup
+
+        def no_epoch(*args):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(trainer, "_run_epochs", no_epoch)
+        roles = np.zeros(num_items, dtype=np.uint8)
+        roles[:119] = split.roles[:119]
+        other = Split(roles=roles)
+        config = TrainConfig(epochs=1)
+        calls = {
+            "train": lambda: train(config, features, labels, other, book),
+            "ablate": lambda: ablate(config, features, labels, other, book),
+            "sweep": lambda: lambda_sweep(config, [0, 1], features, labels,
+                                          other, book)}
+        with pytest.raises(ValueError) as err:
+            calls[run]()
+        assert str(err.value) == (f"the split covers {num_items} items, not "
+                                  f"the 120 features")
 
     def test_rejects_multilabel_in_ce_mode(self, small_setup):
         features, _, split, book = small_setup
