@@ -8,6 +8,14 @@ numpy picks its `exp`, `log` and `tanh` kernels by the CPU's SIMD level
 (AVX-512, AVX2, ...), and those kernels round differently, so compare
 model bytes only between runs on one machine.
 
+`encode`, `eval` and `lsh-baseline` (and `sweep` and `ablate`, which encode
+and evaluate every run) keep one worker thread per CPU the process may run
+on. OpenBLAS adds its own threads to each matrix product of an encode, so
+`OPENBLAS_NUM_THREADS=1`, as the benchmark sets it, keeps the CPUs from
+being oversubscribed: on 2 CPUs, encoding 20,000 x 128 rows through a
+1024-wide hidden layer took 57 ms with one BLAS thread and 84-101 ms with
+OpenBLAS's default.
+
 Exit codes: 0 success, 2 validation error, out of memory or a number too
 large for its type, 3 I/O error, 4 numeric failure.
 """
@@ -99,8 +107,9 @@ def cmd_split(args) -> int:
     split = data.split_protocol(labels, args.query_per_class,
                                 args.train_per_class, args.seed)
     data.save_split(split, args.out)
-    _log(f"split: {split.query.size} query, {split.train.size} train, "
-         f"{split.database.size} database -> {args.out}")
+    database_only, query, train = np.bincount(split.roles, minlength=3)
+    _log(f"split: {query} query, {train} train, "
+         f"{database_only + train} database -> {args.out}")
     return 0
 
 

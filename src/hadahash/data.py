@@ -273,14 +273,43 @@ def split_protocol(labels: LabelSet, n_query_per_class: int,
     return Split(roles=roles)
 
 
+def _decimal_text(indices: np.ndarray) -> bytes:
+    """Sorted non-negative `indices` below 2**32 as base-10 numbers one space
+    apart, the bytes of `str(indices.tolist())[1:-1]` without its commas.
+
+    Sorted, the numbers of d digits form one run between powers of ten. A
+    run is an n x (d + 1) uint8 array whose rows are the run's text: its
+    digit columns, filled one at a time from the last, then a column of
+    spaces. On scan-large's 99,872-item database this takes about an eighth
+    of the time of `str()`; (d + 1) x n digit planes and a copy of their
+    transpose took a quarter longer (2-core VM).
+    """
+    values = indices.astype(np.uint32)
+    powers = 10 ** np.arange(1, 10, dtype=np.uint32)
+    bounds = [0, *np.searchsorted(values, powers).tolist(), values.size]
+    runs = []
+    for digits, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
+        if lo == hi:
+            continue
+        # Views of the private copy `values`, divided by 10 in place.
+        x, q = values[lo:hi], np.empty(hi - lo, np.uint32)
+        chars = np.empty((hi - lo, digits + 1), np.uint8)
+        chars[:, digits] = ord(" ")
+        for col in range(digits - 1, -1, -1):
+            np.floor_divide(x, 10, out=q)
+            x -= q * 10
+            x += ord("0")
+            chars[:, col] = x
+            x, q = q, x
+        runs.append(chars)
+    return b"".join(runs)[:-1]
+
+
 def save_split(split: Split, path) -> None:
-    with open(path, "w") as f:
+    with open(path, "wb") as f:
         for name, indices in (("query", split.query), ("train", split.train),
                               ("database", split.database)):
-            # One str() of the whole list, "[1, 2]" -> "1 2", takes about
-            # two thirds of the time of a str() per index.
-            f.write(name + ": " + str(indices.tolist())[1:-1].replace(",", "")
-                    + "\n")
+            f.writelines((name.encode(), b": ", _decimal_text(indices), b"\n"))
 
 
 def load_split(path, num_items: int) -> Split:

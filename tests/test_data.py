@@ -575,6 +575,29 @@ class TestLoadSplitRejects:
                 load_split(path, roles.size)
 
 
+def _str_text(values):
+    """A section's text as one str() of its list wrote it."""
+    return str(values.tolist())[1:-1].replace(",", "").encode()
+
+
+class TestDecimalText:
+    @pytest.mark.parametrize("values", [[], [0], [2**32 - 1]])
+    def test_edge_values(self, values):
+        values = np.array(values, dtype=np.int64)
+        assert data._decimal_text(values) == _str_text(values)
+
+    @pytest.mark.parametrize("digits", range(1, 10))
+    def test_straddles_each_power_of_ten(self, digits):
+        values = np.array([10**digits - 1, 10**digits], dtype=np.int64)
+        assert data._decimal_text(values) == _str_text(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**32 - 1), unique=True, max_size=60))
+    def test_sorted_unique_arrays(self, values):
+        values = np.array(sorted(values), dtype=np.int64)
+        assert data._decimal_text(values) == _str_text(values)
+
+
 class TestSplitFile:
     def test_scan_sized_split_matches_int_loop(self, tmp_path):
         rng = np.random.default_rng(0)
