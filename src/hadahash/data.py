@@ -2,6 +2,7 @@
 
 import warnings
 from dataclasses import dataclass
+from io import BytesIO, TextIOWrapper
 
 import numpy as np
 
@@ -305,15 +306,79 @@ def _decimal_text(indices: np.ndarray) -> bytes:
     return b"".join(runs)[:-1]
 
 
+def _split_text(split: Split) -> bytes:
+    """The bytes of `split`'s file: a `name: indices` line for query, train
+    and database, in that order, each index in canonical decimal."""
+    parts = []
+    for name, indices in ((b"query", split.query), (b"train", split.train),
+                          (b"database", split.database)):
+        parts += (name, b": ", _decimal_text(indices), b"\n")
+    return b"".join(parts)
+
+
 def save_split(split: Split, path) -> None:
     with open(path, "wb") as f:
-        for name, indices in (("query", split.query), ("train", split.train),
-                              ("database", split.database)):
-            f.writelines((name.encode(), b": ", _decimal_text(indices), b"\n"))
+        f.write(_split_text(split))
+
+
+def _parse_section(path, name: str, rest: str) -> np.ndarray:
+    """The int64 indices of one section's text after its colon."""
+    if not rest.strip():
+        # loadtxt warns on an empty input.
+        return np.zeros(0, dtype=np.int64)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt([rest], dtype=np.int64, ndmin=1, comments=None)
+    except (ValueError, DeprecationWarning) as err:
+        raise ValueError(f"{path}: bad {name} section: {err}") from None
+
+
+def _roles(num_items: int, query: np.ndarray, train: np.ndarray) -> np.ndarray:
+    """Role 2 for the train items, then role 1 for the query items over
+    them; indices in [0, num_items)."""
+    roles = np.zeros(num_items, dtype=np.uint8)
+    roles[train] = 2
+    roles[query] = 1
+    return roles
+
+
+def _same_bytes_split(path, raw: bytes, num_items: int):
+    """The split whose `_split_text` is `raw`, read from the query and train
+    lines alone; None for any other file."""
+    end_query = raw.find(b"\n")
+    end_train = raw.find(b"\n", end_query + 1)
+    if not (raw.startswith(b"query: ") and end_train >= 0
+            and raw.startswith(b"train: ", end_query + 1)):
+        return None
+    try:
+        query = _parse_section(path, "query",
+                               raw[7:end_query].decode("ascii"))
+        train = _parse_section(path, "train",
+                               raw[end_query + 8:end_train].decode("ascii"))
+    except ValueError:
+        return None
+    if not all(listed.size == 0 or (listed.min() >= 0
+                                    and listed.max() < num_items)
+               for listed in (query, train)):
+        return None
+    split = Split(roles=_roles(num_items, query, train))
+    return split if _split_text(split) == raw else None
 
 
 def load_split(path, num_items: int) -> Split:
     """Read the split of `num_items` items that `save_split` wrote.
+
+    The file is read once, as bytes. A file that holds exactly the bytes
+    `save_split` writes takes a short route: only its query and train lines
+    are parsed, their items get their roles, and the file is compared with
+    `_split_text` of that split; the database line is never parsed. The
+    route is exact: canonical decimal is ASCII with one spelling per number,
+    so equal bytes mean the full check below would read the same sections
+    and return the same roles. Any other file, blank lines, `\r\n`, `+0`
+    or `01` included, takes the full check, decoded as text with the
+    default encoding and universal newlines; bytes that do not decode are a
+    ValueError naming the file.
 
     The non-blank lines are `query:`, `train:` and `database:` in that
     order, each followed by base-10 int64 integers with an optional sign,
@@ -328,26 +393,23 @@ def load_split(path, num_items: int) -> Split:
     query, over it, role 1. The ValueError names the file and both counts,
     or the section and its first item off its role.
     """
+    with open(path, "rb") as f:
+        raw = f.read()
+    split = _same_bytes_split(path, raw, num_items)
+    if split is not None:
+        return split
     names = ["query", "train", "database"]
-    with open(path) as f:
-        lines = [line.partition(":") for line in f if line.strip()]
+    try:
+        lines = [line.partition(":")
+                 for line in TextIOWrapper(BytesIO(raw)) if line.strip()]
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
     found = [name.strip() for name, _, _ in lines]
     if found != names:
         raise ValueError(f"{path}: sections {found!r:.80} are not query, "
                          f"train and database in that order")
-    sections = []
-    for name, (_, _, rest) in zip(names, lines):
-        if not rest.strip():
-            # loadtxt warns on an empty input.
-            sections.append(np.zeros(0, dtype=np.int64))
-            continue
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                sections.append(np.loadtxt([rest], dtype=np.int64, ndmin=1,
-                                           comments=None))
-        except (ValueError, DeprecationWarning) as err:
-            raise ValueError(f"{path}: bad {name} section: {err}") from None
+    sections = [_parse_section(path, name, rest)
+                for name, (_, _, rest) in zip(names, lines)]
     query, train, database = sections
     if query.size + database.size != num_items:
         raise ValueError(f"{path}: the split covers "
@@ -358,9 +420,7 @@ def load_split(path, num_items: int) -> Split:
         if outside.size:
             raise ValueError(f"{path}: {name} section index {outside[0]} is "
                              f"out of range [0, {num_items})")
-    roles = np.zeros(num_items, dtype=np.uint8)
-    roles[train] = 2
-    roles[query] = 1
+    roles = _roles(num_items, query, train)
     split = Split(roles=roles)
     for name, listed in zip(names, sections):
         derived = getattr(split, name)

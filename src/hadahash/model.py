@@ -278,12 +278,14 @@ def cross_entropy_loss(logits: np.ndarray, class_index: np.ndarray):
     """
     class_index = np.asarray(class_index)
     batch, num_classes = logits.shape
-    if np.any(class_index < 0) or np.any(class_index >= num_classes):
+    if class_index.size and (class_index.min() < 0
+                             or class_index.max() >= num_classes):
         raise ValueError("class index out of range")
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
     rows = np.arange(batch)
-    value = float(np.mean(log_norm - shifted[rows, class_index]))
+    # The sum and the division in the logits' dtype, as `np.mean` makes them.
+    value = float((log_norm - shifted[rows, class_index]).sum() / batch)
     grad = np.exp(shifted - log_norm[:, None])
     grad[rows, class_index] -= 1.0
     grad /= batch

@@ -140,10 +140,12 @@ def _run_epochs(net: HashNetwork, velocity: List[np.ndarray],
         for index, lo in enumerate(range(0, n_train, config.batch_size)):
             batch = order[lo:lo + config.batch_size]
             breakdown, grads = backward(
-                net, train_x[batch], target_values[batch], target_mask[batch],
-                train_labels[batch], config.lambda_, mode=config.loss_mode,
-                variant=config.variant)
-            if not np.isfinite(breakdown.total):
+                net, train_x.take(batch, axis=0),
+                target_values.take(batch, axis=0),
+                target_mask.take(batch, axis=0),
+                train_labels.take(batch, axis=0), config.lambda_,
+                mode=config.loss_mode, variant=config.variant)
+            if not math.isfinite(breakdown.total):
                 bad = first_non_finite(net) or "no parameter"
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {index}: "

@@ -502,6 +502,25 @@ def test_repeated_split_section_is_exit_two(pipeline_files, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["encode", "eval"])
+@pytest.mark.parametrize("line", [0, 2])
+def test_split_file_that_is_not_text_is_exit_two(pipeline_files, capsys,
+                                                 command, line):
+    # A byte that is not UTF-8, in the query or the database line.
+    _, paths, tmp_path = pipeline_files
+    with open(paths["split.txt"], "rb") as f:
+        lines = f.read().split(b"\n")
+    lines[line] = lines[line].replace(b": ", b": \xff", 1)
+    with open(paths["split.txt"], "wb") as f:
+        f.write(b"\n".join(lines))
+    out = tmp_path / "out"
+    assert cli.main(_commands(paths, str(out))[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths['split.txt']}: ")
+    assert "can't decode byte 0xff" in err
+    assert not out.exists()
+
+
 def test_repeated_codeword_file_is_exit_two(pipeline_files, capsys):
     _, paths, tmp_path = pipeline_files
     raw = bytearray(Path(paths["book.hccb"]).read_bytes())

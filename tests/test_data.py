@@ -67,6 +67,80 @@ def _reference_load_split(path):
     return SimpleNamespace(**sections)
 
 
+def _frozen_load_split(path, num_items):
+    """The split reader as it was before its same-bytes route: every file
+    decoded as text and parsed in full. It gives the roles, or the
+    ValueError, that `load_split` must give on any text file."""
+    names = ["query", "train", "database"]
+    with open(path) as f:
+        lines = [line.partition(":") for line in f if line.strip()]
+    found = [name.strip() for name, _, _ in lines]
+    if found != names:
+        raise ValueError(f"{path}: sections {found!r:.80} are not query, "
+                         f"train and database in that order")
+    sections = []
+    for name, (_, _, rest) in zip(names, lines):
+        if not rest.strip():
+            sections.append(np.zeros(0, dtype=np.int64))
+            continue
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                sections.append(np.loadtxt([rest], dtype=np.int64, ndmin=1,
+                                           comments=None))
+        except (ValueError, DeprecationWarning) as err:
+            raise ValueError(f"{path}: bad {name} section: {err}") from None
+    query, train, database = sections
+    if query.size + database.size != num_items:
+        raise ValueError(f"{path}: the split covers "
+                         f"{query.size + database.size} items, not the "
+                         f"{num_items} given")
+    for name, listed in zip(names, sections):
+        outside = listed[(listed < 0) | (listed >= num_items)]
+        if outside.size:
+            raise ValueError(f"{path}: {name} section index {outside[0]} is "
+                             f"out of range [0, {num_items})")
+    roles = np.zeros(num_items, dtype=np.uint8)
+    roles[train] = 2
+    roles[query] = 1
+    split = Split(roles=roles)
+    for name, listed in zip(names, sections):
+        derived = getattr(split, name)
+        if not np.array_equal(listed, derived):
+            off = np.flatnonzero(listed[:derived.size] != derived[:listed.size])
+            item = listed[off[0] if off.size else derived.size]
+            role = ("database", "query", "train")[roles[item]]
+            raise ValueError(f"{path}: {name} section departs from the "
+                             f"sorted {name} items at item {item}, a {role} "
+                             f"item")
+    return split
+
+
+def _read_outcome(reader, path, num_items):
+    """The roles `reader` returns for the file, or its ValueError text."""
+    try:
+        return reader(path, num_items).roles.tolist()
+    except ValueError as err:
+        return str(err)
+
+
+def _load_split_parsing(path, num_items):
+    """`load_split`'s outcome, checked against the frozen reader's, and the
+    names of the sections it parsed on the way."""
+    parsed = []
+    parse = data._parse_section
+
+    def counting(path, name, rest):
+        parsed.append(name)
+        return parse(path, name, rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_parse_section", counting)
+        got = _read_outcome(load_split, path, num_items)
+    assert got == _read_outcome(_frozen_load_split, path, num_items)
+    return got, parsed
+
+
 def _reference_split_text(split):
     """The split writer as first written: one str(int()) per index."""
     return "".join(
@@ -454,19 +528,50 @@ class TestLoadSplitRejects:
     ROLES = np.array([0, 1, 2, 0, 1, 2, 2, 0, 0, 1], dtype=np.uint8)
 
     def _error(self, tmp_path, text, num_items=10):
+        # The frozen reader gives the same message.
         path = tmp_path / "split.txt"
         path.write_text(text)
         with pytest.raises(ValueError) as err:
             load_split(path, num_items)
+        assert _load_split_parsing(path, num_items)[0] == str(err.value)
         return str(err.value).replace(f"{path}: ", "", 1)
 
     def test_canonical_text(self, tmp_path):
-        # The text every mutation below starts from.
+        # The text every mutation below starts from, read from its query
+        # and train lines alone.
         text = _canonical_text(self.ROLES)
         assert text == "query: 1 4 9\ntrain: 2 5 6\ndatabase: 0 2 3 5 6 7 8\n"
         path = tmp_path / "split.txt"
         path.write_text(text)
         assert np.array_equal(load_split(path, 10).roles, self.ROLES)
+        assert _load_split_parsing(path, 10) == (self.ROLES.tolist(),
+                                                 ["query", "train"])
+
+    @pytest.mark.parametrize("old, new", [
+        ("train:", "\ntrain:"), ("query:", "\n \t\nquery:"),
+        ("8\n", "8\n\n"), ("\n", "\r\n"), ("8\n", "8"),
+        (" 0 ", " +0 "), (" 2 3", " 02 03"), (": 1", ":\t1"), (" 4", "\t4"),
+        (" 5 6\nd", "  5  6\nd"), ("9\n", "9 \n"), ("8\n", "8 \n")])
+    def test_other_spellings_take_the_full_parse(self, tmp_path, old, new):
+        # Each spelling reads as the canonical file does, the database
+        # line parsed in full; the frozen reader agrees.
+        text = _canonical_text(self.ROLES)
+        assert old in text
+        path = tmp_path / "split.txt"
+        path.write_bytes(text.replace(old, new, 1).encode())
+        got, parsed = _load_split_parsing(path, 10)
+        assert got == self.ROLES.tolist() and "database" in parsed
+
+    @pytest.mark.parametrize("at", [0, 7, 20, 32])
+    def test_bytes_that_do_not_decode_name_the_file(self, tmp_path, at):
+        # At the start, in the query, train or database line.
+        raw = _canonical_text(self.ROLES).encode()
+        path = tmp_path / "split.txt"
+        path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+        with pytest.raises(ValueError) as err:
+            load_split(path, 10)
+        assert str(err.value).startswith(f"{path}: ")
+        assert "can't decode byte 0xff" in str(err.value)
 
     @pytest.mark.parametrize("num_items", [0, 9, 11, 160])
     def test_another_item_count_names_both(self, tmp_path, num_items):
@@ -573,6 +678,7 @@ class TestLoadSplitRejects:
             path.write_text(text)
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
                 load_split(path, roles.size)
+            _load_split_parsing(path, roles.size)
 
 
 def _str_text(values):
@@ -611,6 +717,9 @@ class TestSplitFile:
         assert path.read_text() == _reference_split_text(split)
         loaded = load_split(path, 100_000)
         expected = _reference_load_split(path)
+        # The database line is compared, never parsed.
+        assert _load_split_parsing(path, 100_000) == (roles.tolist(),
+                                                      ["query", "train"])
         for name in ("query", "train", "database"):
             got = getattr(loaded, name)
             assert got.dtype == np.int64
@@ -639,6 +748,8 @@ class TestSplitFile:
             save_split(split, path)
             assert path.read_text() == _reference_split_text(expected)
             loaded = load_split(path, n)
+            assert _load_split_parsing(path, n) == (split.roles.tolist(),
+                                                    ["query", "train"])
         assert loaded.roles.dtype == np.uint8
         assert np.array_equal(loaded.roles, split.roles)
 
