@@ -200,7 +200,14 @@ def save_codebook(codebook: Codebook, path) -> None:
 
 
 def load_codebook(path) -> Codebook:
-    """Read a codebook file; the source indices are not stored on disk."""
+    """Read a codebook file; the source indices are not stored on disk.
+
+    Codebooks come only from `build_codebook`, so the header's code length,
+    class count and seed must rebuild the file's codewords and provenance:
+    any other file, or a header that rebuilds nothing, is a FileFormatError
+    naming the file. The rebuild holds one order x K float64 pool, as
+    `build_codebook` does.
+    """
     with open(path, "rb") as f:
         num_classes, code_bits, seed, tag = read_header(
             f, CODEBOOK_MAGIC, CODEBOOK_VERSION, CODEBOOK_HEADER)
@@ -212,8 +219,18 @@ def load_codebook(path) -> Codebook:
         raise FileFormatError(f"{path}: codeword entries must be -1 or +1")
     codewords = entries.reshape(num_classes, code_bits)
     try:
-        return Codebook(codewords=codewords,
+        book = Codebook(codewords=codewords,
                         provenance=_TAG_TO_PROVENANCE[tag], seed=seed,
                         selected_indices=None)
     except ValueError as err:
         raise ValueError(f"{path}: repeated codeword: {err}") from None
+    spec = f"{num_classes} classes in {code_bits} bits at seed {seed}"
+    try:
+        built = build_codebook(code_bits, num_classes, seed)
+    except ValueError as err:
+        raise FileFormatError(f"{path}: no codebook of {spec}: "
+                              f"{err}") from None
+    if (built.provenance != book.provenance
+            or not np.array_equal(built.codewords, codewords)):
+        raise FileFormatError(f"{path}: not the codebook of {spec}")
+    return book

@@ -21,16 +21,19 @@ CODES_HEADER = "IIB"
 
 DEFAULT_PRECISION_KS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
-# `evaluate` ranks and scores a block of B = max(1, EVAL_BLOCK_KEYS // N)
-# queries at a time: about 40 numpy calls over the block's B x N keys or its
-# relevant items, most of which release the GIL, in place of as many calls
-# over N per query, each contending for it. A worker's block scratch holds
-# per key 8 B of words (then the block's precisions), 1 B of distance (2 B
-# above three words), a 1 B flag, a 2 to 8 B key and 8 B of AP scratch:
-# 20 to 27 B, 22 B for codes of up to 192 bits over at most 2**23 items,
-# 2.9 MB at this size. The AP scratch alone is B x N x 8 B, at most
-# 8 * EVAL_BLOCK_KEYS B = 1 MiB while N <= EVAL_BLOCK_KEYS.
-EVAL_BLOCK_KEYS = 1 << 17
+# `search` and `evaluate` rank a block of B = max(1, BLOCK_KEYS // N) queries
+# at a time: a fixed number of numpy calls over the block's B x N keys in
+# place of as many calls over N per query. `search`'s block scratch holds
+# per key 8 B of words, 1 B of distance (2 B above three words) and a 1 to
+# 8 B key: 13 B for codes of up to 192 bits over at most 2**23 items, 1.7 MB
+# at this size. `evaluate` ranks and scores its blocks in about 40 calls,
+# most of which release the GIL, so its workers contend for it little. A
+# worker's block scratch holds per key 8 B of words (then the block's
+# precisions), 1 B of distance (2 B above three words), a 1 B flag, a 2 to
+# 8 B key and 8 B of AP scratch: 20 to 27 B, 22 B for codes of up to 192 bits
+# over at most 2**23 items, 2.9 MB at this size. The AP scratch alone is
+# B x N x 8 B, at most 8 * BLOCK_KEYS B = 1 MiB while N <= BLOCK_KEYS.
+BLOCK_KEYS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -201,18 +204,24 @@ def _pack_keys(distances: np.ndarray, max_distance: int,
     return out, shift
 
 
-def _rank_one(distances: np.ndarray, limit: int,
-              max_distance: int) -> RankedList:
+def _rank_block(distances: np.ndarray, limit: int,
+                max_distance: int) -> List[RankedList]:
+    """The top `limit` of each row of a (B, N) block of distances, or of
+    one query's N distances, in (distance, index) order. The rankings are
+    rows of two new (B, limit) arrays, so they keep none of the block's
+    keys alive."""
     # A top-R scan partitions the keys at R - 1 and sorts the first R; its
     # work stays O(N + R log R) however many items tie.
     keys, shift = _pack_keys(distances, max_distance)
-    if limit < keys.shape[0]:
+    if limit < keys.shape[-1]:
         keys.partition(limit - 1)
-        keys = keys[:limit]
+        keys = keys[..., :limit]
     keys.sort()
-    return RankedList(
-        indices=np.bitwise_and(keys, (1 << shift) - 1, dtype=np.int64),
-        distances=(keys >> shift).astype(np.uint32, copy=False))
+    indices = np.bitwise_and(keys, (1 << shift) - 1, dtype=np.int64)
+    distances = (keys >> shift).astype(np.uint32, copy=False)
+    if keys.ndim == 1:
+        return [RankedList(indices=indices, distances=distances)]
+    return list(map(RankedList, indices, distances))
 
 
 def _worker_count() -> int:
@@ -275,18 +284,33 @@ def search(queries: BinaryCodeSet, database: BinaryCodeSet,
            limit: Optional[int] = None) -> List[RankedList]:
     """Exact top-`limit` scan per query (all items when limit is None).
 
-    Both sets must have the same code length. Every query is ranked in the
-    calling thread, one after another, as a block of one through
-    `_pack_keys` without a flag bit. At any limit the scan holds one
-    query's distances and sort keys: 1 B (2 B above three words) and a 1 to
-    8 B key per database item, 5 B for codes of up to 192 bits over at most
-    2**23 items. A ranking holds 12 B per ranked item.
+    Both sets must have the same code length. The queries are ranked in the
+    calling thread, a block of B = max(1, BLOCK_KEYS // N) at a time, in
+    query order: one `_distances` call measures the block and one
+    `_rank_block` call packs its keys through `_pack_keys`, without a flag
+    bit, then partitions and sorts them row by row. A block of one row, and
+    so every one-query call, is ranked from its 1-D distances, with the
+    numpy calls of a single query. The keys of a row are distinct, so each
+    ranking is the one a query ranked alone gets, to the last bit. At any
+    limit the scan holds one block's scratch of B x N words, distances and
+    sort keys (see `BLOCK_KEYS`): at most BLOCK_KEYS keys, about 1.7 MB,
+    while N <= BLOCK_KEYS, and one query's N above. A ranking holds 12 B
+    per ranked item: the rankings of a block are rows of two new arrays,
+    which keep no block scratch alive.
     """
     r = _check_ranking(queries, database, limit)
     max_distance = 64 * database.words.shape[1]
-    return [_rank_one(_distances(queries.words[i:i + 1], database.words.T)[0],
-                      r, max_distance)
-            for i in range(queries.num_items)]
+    if queries.num_items == 1:
+        return _rank_block(_distances(queries.words, database.words.T)[0], r,
+                           max_distance)
+    rows = max(1, BLOCK_KEYS // database.num_items)
+    rankings = []
+    for lo in range(0, queries.num_items, rows):
+        distances = _distances(queries.words[lo:lo + rows], database.words.T)
+        rankings += _rank_block(
+            distances[0] if distances.shape[0] == 1 else distances, r,
+            max_distance)
+    return rankings
 
 
 @dataclass(frozen=True)
@@ -363,7 +387,7 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
     is a fixed number of calls per block and one dict lookup per query.
     Memory holds no Q x N array: a worker reuses one block scratch of
     B x N keys, 20 to 27 B per key with the AP scratch (see
-    `EVAL_BLOCK_KEYS`), and the block's relevant ranks and precisions; the
+    `BLOCK_KEYS`), and the block's relevant ranks and precisions; the
     call keeps a word-major copy of the database codes, N x W x 8 B, for
     codes of W >= 2 words, the label bitsets and the grid's hit positions
     for each distinct relevant count, 0.8 KB each. The first chunk's
@@ -410,7 +434,7 @@ def evaluate(queries: BinaryCodeSet, database: BinaryCodeSet,
     max_distance = 64 * db_code_words.shape[0]
     scratch_types = (np.uint64, np.min_scalar_type(max_distance), bool,
                      _key_layout(n_db, max_distance, 1)[0])
-    block_rows = max(1, EVAL_BLOCK_KEYS // n_db)
+    block_rows = max(1, BLOCK_KEYS // n_db)
     width = grid.size + ks.size
 
     @functools.cache

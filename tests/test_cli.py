@@ -535,6 +535,30 @@ def test_repeated_codeword_file_is_exit_two(pipeline_files, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "analyze"])
+@pytest.mark.parametrize("offset, byte", [(25, None), (24, 1)],
+                         ids=["sign-flipped", "projected-tag"])
+def test_codebook_build_codebook_would_not_write_is_exit_three(
+        pipeline_files, capsys, command, offset, byte):
+    # One entry's sign flipped, or the direct codebook tagged as projected:
+    # the entries stay +-1 and the codewords distinct, but the header's
+    # code length, class count and seed rebuild another codebook.
+    _, paths, tmp_path = pipeline_files
+    raw = bytearray(Path(paths["book.hccb"]).read_bytes())
+    raw[offset] = (256 - raw[offset]) % 256 if byte is None else byte
+    Path(paths["book.hccb"]).write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    argv = (_commands(paths, str(out))["train"] if command == "train" else
+            ["analyze", "--codebook", paths["book.hccb"], "--outdir",
+             str(out)])
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"error: {paths['book.hccb']}: not the codebook of 4 classes in 8 "
+        f"bits at seed 0\n")
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
 @pytest.mark.parametrize("epochs, code", [(1, 2), (2, 0), (3, 0)])
 def test_resume_past_the_requested_epochs(pipeline_files, capsys, epochs,
                                           code):

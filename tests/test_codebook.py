@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,8 @@ from hadahash.codebook import (Codebook, build_codebook, hadamard_transform,
                                load_codebook, sample_projection,
                                save_codebook, select_order, sylvester,
                                target_batch)
-from hadahash.io import BadMagicError, BadVersionError, TruncatedFileError
+from hadahash.io import (BadMagicError, BadVersionError, FileFormatError,
+                         TruncatedFileError)
 from hadahash.rng import make_rng
 
 
@@ -399,6 +403,39 @@ class TestCodebookFile:
         raw[header + 16:header + 32] = raw[header:header + 16]
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=message):
+            load_codebook(path)
+
+    @pytest.mark.parametrize("k, c, seed", [(16, 10, 1), (48, 100, 5)])
+    def test_only_the_built_codebook_loads(self, tmp_path, k, c, seed):
+        # A flipped sign, another seed or another provenance tag in a file
+        # that is otherwise well formed is a format error naming the file.
+        path = tmp_path / "book.hccb"
+        save_codebook(build_codebook(k, c, seed), path)
+        raw = path.read_bytes()
+        header = len(raw) - k * c
+        flipped = bytearray(raw)
+        flipped[header + k + 3] = (256 - flipped[header + k + 3]) % 256
+        reseeded = bytearray(raw)
+        reseeded[16] ^= 2
+        retagged = bytearray(raw)
+        retagged[24] ^= 1
+        message = re.escape(f"{path}: not the codebook of {c} classes in "
+                            f"{k} bits")
+        for bad in (flipped, reseeded, retagged):
+            path.write_bytes(bytes(bad))
+            with pytest.raises(FileFormatError, match=message):
+                load_codebook(path)
+
+    def test_header_that_builds_no_codebook(self, tmp_path):
+        # Two distinct one-bit codewords: well formed, but build_codebook
+        # needs two bits at least.
+        path = tmp_path / "book.hccb"
+        with open(path, "wb") as f:
+            f.write(b"HCCB" + struct.pack("<IIIQB", 1, 2, 1, 0, 0))
+            f.write(np.array([1, -1], dtype=np.int8).tobytes())
+        with pytest.raises(FileFormatError, match=re.escape(
+                f"{path}: no codebook of 2 classes in 1 bits at seed 0: "
+                f"code_bits must be >= 2")):
             load_codebook(path)
 
     def test_truncated(self, tmp_path):

@@ -12,7 +12,7 @@ from hadahash.io import FileFormatError
 from hadahash.model import (ENCODE_BLOCK_ENTRIES, ENCODE_BLOCK_MIN_ROWS,
                             NetworkSpec, build_network, hash_layer, row_blocks)
 from hadahash.retrieval import (DEFAULT_PRECISION_KS, BinaryCodeSet,
-                                EvalReport, _rank_one, binarize, encode_rows,
+                                EvalReport, _rank_block, binarize, encode_rows,
                                 evaluate, load_codes, lsh_codes, pack_codes,
                                 save_codes, search, unpack_codes)
 from hadahash.rng import make_rng, standard_normal
@@ -268,6 +268,27 @@ class TestSearch:
         assert np.array_equal(ranked.indices, order)
         assert np.array_equal(ranked.distances, distances[order])
 
+    @staticmethod
+    def _assert_block_ranks(block, limit, max_distance):
+        """`_rank_block` ranks each row of a (B, N) block, and the row
+        alone as 1-D distances, in the (distance, index) order's prefix,
+        to the same bytes."""
+        n = block.shape[1]
+        rankings = _rank_block(block, limit, max_distance)
+        assert len(rankings) == block.shape[0]
+        for row, ranked in zip(block, rankings):
+            [alone] = _rank_block(row, limit, max_distance)
+            order = np.lexsort((np.arange(n), row))[:limit]
+            for got in (ranked, alone):
+                assert got.indices.dtype == np.int64
+                assert got.distances.dtype == np.uint32
+                assert got.indices.shape == got.distances.shape == (limit,)
+                assert got.indices.flags.c_contiguous
+                assert np.array_equal(got.indices, order)
+                assert np.array_equal(got.distances, row[order])
+            assert ranked.indices.tobytes() == alone.indices.tobytes()
+            assert ranked.distances.tobytes() == alone.distances.tobytes()
+
     @pytest.mark.parametrize("limit", [1, 100, 999, 1000],
                              ids=["1", "100", "n-1", "n"])
     def test_full_ranking_with_64_bit_keys(self, limit):
@@ -278,26 +299,31 @@ class TestSearch:
         distances[[5, 500]] = max_distance
         assert (np.min_scalar_type((max_distance << 10) | (n - 1))
                 == np.uint64)
-        ranked = _rank_one(distances, limit, max_distance)
-        order = np.lexsort((np.arange(n), distances))[:limit]
-        assert ranked.indices.dtype == np.int64
-        assert ranked.distances.dtype == np.uint32
-        assert np.array_equal(ranked.indices, order)
-        assert np.array_equal(ranked.distances, distances[order])
+        # One row, then rows of few ties, of one distance only and of two
+        # distances, the largest at every other item.
+        self._assert_block_ranks(distances[None], limit, max_distance)
+        block = np.stack([
+            distances, rng.integers(0, max_distance, n, dtype=np.uint32),
+            np.full(n, distances[0], dtype=np.uint32),
+            np.where(np.arange(n) % 2, max_distance, 3).astype(np.uint32)])
+        self._assert_block_ranks(block, limit, max_distance)
 
     @pytest.mark.parametrize("limit", [1, 100, 99_871])
     @pytest.mark.parametrize("levels", [(17,), (3, 9, 20)],
                              ids=["one-distance", "three-distances"])
     def test_top_r_over_heavy_ties(self, levels, limit):
         # Every item shares one of one or three distances: the top R is the
-        # (distance, index) order's prefix, cut inside a tie.
+        # (distance, index) order's prefix, cut inside a tie. A block of
+        # three rows adds the other tie structure and distances over 0-64.
         n = 99_872
-        distances = np.random.default_rng(len(levels)).choice(
-            np.array(levels, dtype=np.uint32), n)
-        ranked = _rank_one(distances, limit, 64)
-        order = np.lexsort((np.arange(n), distances))[:limit]
-        assert np.array_equal(ranked.indices, order)
-        assert np.array_equal(ranked.distances, distances[order])
+        rng = np.random.default_rng(len(levels))
+        distances = rng.choice(np.array(levels, dtype=np.uint32), n)
+        self._assert_block_ranks(distances[None], limit, 64)
+        other = (3, 9, 20) if len(levels) == 1 else (17,)
+        block = np.stack([distances,
+                          rng.choice(np.array(other, dtype=np.uint32), n),
+                          rng.integers(0, 65, n, dtype=np.uint32)])
+        self._assert_block_ranks(block, limit, 64)
 
     def test_full_ranking_at_scan_size(self):
         n = 100_000
@@ -310,6 +336,32 @@ class TestSearch:
             assert ranked.distances.dtype == np.uint32
             assert np.array_equal(ranked.indices, order)
             assert np.array_equal(ranked.distances, distances[order])
+
+    @pytest.mark.parametrize("n, num_queries", [(5000, 52), (140_000, 8)],
+                             ids=["blocks-of-26", "blocks-of-1"])
+    def test_rankings_own_their_memory(self, n, num_queries):
+        # Top-10 rankings of 5,000 items in blocks of 26 queries, and of
+        # 140,000 items in blocks of one, hold 12 B per ranked item and
+        # their objects, never a block's N keys per query: an array that
+        # viewed its block would keep 20 KB, or 560 KB, per query alive.
+        limit = 10
+        words = np.random.default_rng(n).integers(
+            0, 2**64, (n + num_queries, 1), dtype=np.uint64)
+        queries = BinaryCodeSet(words=words[:num_queries], code_bits=64)
+        database = BinaryCodeSet(words=words[num_queries:], code_bits=64)
+        search(queries, database, limit)  # warm the key cache
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rankings = search(queries, database, limit)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rankings) == num_queries
+        assert sum(r.indices.nbytes + r.distances.nbytes
+                   for r in rankings) == num_queries * limit * 12
+        # One kilobyte per query covers its ranking's three objects.
+        assert grown < num_queries * (limit * 12 + 1024) < num_queries * n
 
     @pytest.mark.parametrize("k", [193, 256])
     @pytest.mark.parametrize("limit", [None, 1, 7])
@@ -408,7 +460,7 @@ class TestEvaluate:
         expected = _evaluate_over_all_ranks(*args)
         # A block holds one, five or all twelve queries.
         for block in (1, 5, 12):
-            monkeypatch.setattr(retrieval, "EVAL_BLOCK_KEYS", block * 300)
+            monkeypatch.setattr(retrieval, "BLOCK_KEYS", block * 300)
             report = evaluate(*args)
             assert report.skipped_queries == expected.skipped_queries == 1
             assert (report.average_precisions.tobytes()
@@ -432,7 +484,7 @@ class TestEvaluate:
         # middle and end, every query of the second has none, and the
         # third holds relevant counts 3, 7, 10, 100 and 101; the cut at 50
         # leaves relevant items of the last two past it.
-        monkeypatch.setattr(retrieval, "EVAL_BLOCK_KEYS", block * 300)
+        monkeypatch.setattr(retrieval, "BLOCK_KEYS", block * 300)
         monkeypatch.setattr(retrieval, "_worker_count", lambda: workers)
         db_class = np.repeat(np.arange(7), [1, 2, 3, 7, 10, 100, 177])
         db_labels = np.eye(8, dtype=np.uint8)[
@@ -758,12 +810,12 @@ class TestThreadedEncoder:
 class TestThreadedQueries:
     """`evaluate` ranks blocks of queries on the calling thread and pool
     threads, one contiguous chunk of the queries per worker, at every
-    database size; `search` ranks every query in the calling thread."""
+    database size; `search` ranks its blocks in the calling thread."""
 
     @pytest.fixture
     def key_calls(self, monkeypatch):
         """(thread ident, distances) of each `_pack_keys` call: one per
-        query for `search`, one per block of queries for `evaluate`."""
+        block of queries, as (rows, N) distances."""
         calls = []
         lock = threading.Lock()
         real_pack_keys = retrieval._pack_keys
@@ -780,13 +832,13 @@ class TestThreadedQueries:
     @pytest.fixture
     def threaded(self, monkeypatch, key_calls):
         """Force three workers (or `workers`) and `block` queries per block
-        of `evaluate` (the constant's own when None); the key calls are
-        recorded from then on."""
-        default = retrieval.EVAL_BLOCK_KEYS
+        (the constant's own when None); the key calls are recorded from
+        then on."""
+        default = retrieval.BLOCK_KEYS
 
         def force(workers=3, block=None, n_db=300):
             monkeypatch.setattr(retrieval, "_worker_count", lambda: workers)
-            monkeypatch.setattr(retrieval, "EVAL_BLOCK_KEYS",
+            monkeypatch.setattr(retrieval, "BLOCK_KEYS",
                                 default if block is None else block * n_db)
             key_calls.clear()
             return key_calls
@@ -836,19 +888,36 @@ class TestThreadedQueries:
     def test_search_matches_serial(self, threaded, num_queries, limit, k,
                                    multilabel):
         # Even with the pool forced on, full rankings and top-R scans alike
-        # stay in the calling thread, one key call per query.
+        # stay in the calling thread, one key call per block of queries in
+        # query order: blocks of one query, of three (13 queries leave a
+        # last block of one) and of the constant's size, which holds every
+        # query here. Each ranking is the one its query gets alone.
         queries, database, _, _ = self._problem(num_queries, k, multilabel)
-        serial = search(queries, database, limit)
-        calls = threaded()
-        baseline = threading.active_count()
-        rankings = search(queries, database, limit)
-        assert threading.active_count() == baseline
-        assert {ident for ident, _ in calls} <= {threading.main_thread().ident}
-        assert [rows.shape[0] for _, rows in calls] == [1] * num_queries
-        assert len(rankings) == len(serial) == num_queries
-        for got, expected in zip(rankings, serial):
-            assert got.indices.tobytes() == expected.indices.tobytes()
-            assert got.distances.tobytes() == expected.distances.tobytes()
+        distances = self._distances(queries, database)
+        serial = [search(BinaryCodeSet(words=queries.words[i:i + 1],
+                                       code_bits=k), database, limit)[0]
+                  for i in range(num_queries)]
+        for block in (1, 3, None):
+            calls = threaded(block=block)
+            baseline = threading.active_count()
+            rankings = search(queries, database, limit)
+            assert threading.active_count() == baseline
+            assert {ident for ident, _ in calls} <= \
+                {threading.main_thread().ident}
+            rows = block or num_queries
+            assert [got.shape[0] for _, got in calls] == \
+                [min(rows, num_queries - lo)
+                 for lo in range(0, num_queries, rows or 1)]
+            if num_queries:
+                assert np.array_equal(np.vstack([got for _, got in calls]),
+                                      distances)
+            assert len(rankings) == len(serial) == num_queries
+            for got, expected in zip(rankings, serial):
+                assert got.indices.dtype == expected.indices.dtype
+                assert got.distances.dtype == expected.distances.dtype
+                assert got.indices.tobytes() == expected.indices.tobytes()
+                assert (got.distances.tobytes()
+                        == expected.distances.tobytes())
 
     @pytest.mark.parametrize("num_queries", [1, 2, 5, 13])
     @pytest.mark.parametrize("limit", [None, 7, 40])
@@ -1040,7 +1109,7 @@ class TestThreadedQueries:
         db_labels = np.eye(8, dtype=np.uint8)[rng.integers(0, 8, n)]
         queries, database = pack_codes(q_pm1), pack_codes(db_pm1)
         monkeypatch.setattr(retrieval, "_worker_count", lambda: workers)
-        monkeypatch.setattr(retrieval, "EVAL_BLOCK_KEYS", 8 * n)
+        monkeypatch.setattr(retrieval, "BLOCK_KEYS", 8 * n)
         distances, map_runs = retrieval._distances, retrieval._map_runs
         barrier, one_block, state = [None], threading.Lock(), threading.local()
 
